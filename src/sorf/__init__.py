@@ -41,6 +41,7 @@ from .sobolev import (
     default_pole_list,
     discretize_gegenbauer,
     gegenbauer_pole_ladder,
+    gegenbauer_rule,
 )
 from .updating import (
     IEPSolution,

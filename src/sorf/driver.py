@@ -25,7 +25,7 @@ from .evaluation import (
     table_agreement,
 )
 from .pencil import INFINITY, is_infinite_pole
-from .quadrature import QuadratureRule, rational_gauss
+from .quadrature import QuadratureRule
 from .reference import rational_arnoldi, solve_via_sop
 from .sobolev import (
     GegenbauerSobolevConfig,
@@ -33,6 +33,7 @@ from .sobolev import (
     default_pole_list,
     discretize_gegenbauer,
     gegenbauer_pole_ladder,
+    gegenbauer_rule,
 )
 from .updating import solve_updating
 
@@ -81,6 +82,7 @@ def parse_config(doc: dict) -> dict:
         out["lambda"] = float(doc.get("lambda", 1.0))
         out["omega"] = float(doc.get("omega", 1.1))
         out["N"] = int(doc.get("N", 3))
+        out["M"] = int(doc.get("M", 0))
         out["cc_order"] = int(doc.get("cc_order", 400))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed numeric field: {exc}") from exc
@@ -90,12 +92,7 @@ def parse_config(doc: dict) -> dict:
     if method not in METHODS + ("all",):
         raise ConfigError(f"method must be one of {METHODS + ('all',)}")
     out["method"] = method
-    if "poles" in doc:
-        out["poles"] = [_decode_scalar(p) for p in doc["poles"]]
-        out["M"] = int(doc.get("M", (len(out["poles"]) + 1) // 2))
-    else:
-        out["poles"] = None
-        out["M"] = int(doc.get("M", max((out["N"] - 1 + 1) // 2, 0)))
+    out["poles"] = [_decode_scalar(p) for p in doc["poles"]] if "poles" in doc else None
     out["free_poles"] = (
         [_decode_scalar(p) for p in doc["free_poles"]] if "free_poles" in doc else None
     )
@@ -113,22 +110,27 @@ def parse_config(doc: dict) -> dict:
     return out
 
 
+def _config_and_poles(cfg: dict, N: int):
+    """Validated Gegenbauer-Sobolev config and prescribed poles for size N."""
+    gcfg = GegenbauerSobolevConfig(
+        mu=cfg["mu"], lam=cfg["lambda"], omega=cfg["omega"],
+        M=max(cfg["M"], N // 2), N=N,
+    )
+    if cfg["poles"] is None:
+        return gcfg, gegenbauer_pole_ladder(cfg["omega"], N - 1)
+    xi = list(cfg["poles"])[: N - 1]
+    if len(xi) != N - 1:
+        raise ConfigError(f"need N - 1 = {N - 1} prescribed poles, got {len(xi)}")
+    return gcfg, xi
+
+
 def _problem_from_config(cfg: dict, N: int | None = None):
     """Build (config, spec, system, prescribed poles, full pole list)."""
     N = cfg["N"] if N is None else N
-    gcfg = GegenbauerSobolevConfig(
-        mu=cfg["mu"], lam=cfg["lambda"], omega=cfg["omega"],
-        M=max(cfg["M"], (N - 1 + 1) // 2), N=N,
-    )
+    gcfg, xi = _config_and_poles(cfg, N)
     rule = None
     if cfg.get("quadrature_file"):
         rule = load_quadrature(cfg["quadrature_file"])
-    if cfg["poles"] is not None:
-        xi = list(cfg["poles"])[: N - 1]
-        if len(xi) != N - 1:
-            raise ConfigError(f"need N - 1 = {N - 1} prescribed poles, got {len(xi)}")
-    else:
-        xi = gegenbauer_pole_ladder(cfg["omega"], N - 1)
     spec = discretize_gegenbauer(gcfg, rule=rule, xi=xi)
     psis = default_pole_list(xi, spec.m, nodes=spec.nodes, free=cfg["free_poles"])
     return gcfg, spec, build_jordan(spec), xi, psis
@@ -223,15 +225,7 @@ def run_sweep(doc: dict) -> str:
 def dump_quadrature(doc: dict) -> dict:
     """Construct the configured rational Gauss rule and emit a rule document."""
     cfg = parse_config(doc)
-    N = cfg["N"]
-    if cfg["poles"] is not None:
-        xi = list(cfg["poles"])[: N - 1]
-    else:
-        xi = gegenbauer_pole_ladder(cfg["omega"], N - 1)
-    sigma = 2 * (N - 1) + 1
-    full = [x for x in xi for _ in range(4)]
-    rule = rational_gauss(cfg["mu"], full, sigma)
-    return rule_document(rule)
+    return rule_document(gegenbauer_rule(*_config_and_poles(cfg, cfg["N"])))
 
 
 def rule_document(rule: QuadratureRule) -> dict:

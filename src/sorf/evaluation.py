@@ -146,6 +146,9 @@ def continuous_moment_matrix(
 
     M1 = assemble(cc_order)
     M2 = assemble(2 * cc_order)
+    # a NaN passes any `>` bound, so non-finite entries fail on their own
+    if not (np.all(np.isfinite(M1)) and np.all(np.isfinite(M2))):
+        raise AccuracyError("continuous moment matrix is not finite")
     scale = max(1.0, float(np.max(np.abs(M2))))
     if np.max(np.abs(M1 - M2)) > 1e-12 * scale:
         raise AccuracyError("continuous moment matrix failed the doubled-order self-check")

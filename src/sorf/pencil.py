@@ -82,11 +82,7 @@ def pole_at(H: np.ndarray, K: np.ndarray, k: int) -> complex:
 
 
 def is_upper_hessenberg(A: np.ndarray, tol: float = 0.0) -> bool:
-    m = A.shape[0]
-    for c in range(m - 2):
-        if np.max(np.abs(A[c + 2 :, c])) > tol:
-            return False
-    return True
+    return bool(np.all(np.abs(np.tril(A, -2)) <= tol))
 
 
 def assert_unreduced(H: np.ndarray, K: np.ndarray) -> None:

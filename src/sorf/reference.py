@@ -115,9 +115,7 @@ def solve_via_sop(spec: DiscreteSobolevSpec, xi, N: int | None = None) -> IEPSol
     sol = solve_updating(spec, [np.inf] * (m - 1))
     H, K, Q = sol.H.copy(), sol.K.copy(), sol.Q.copy()
     # all-infinite poles leave K upper triangular: fold it into H
-    H = solve_triangular(K.T, H.T, lower=True).T
-    for c in range(m - 2):
-        H[c + 2 :, c] = 0.0
+    H = np.triu(solve_triangular(K.T, H.T, lower=True).T, -1)
     K = np.eye(m, dtype=complex)
     for j, pole in enumerate(xi):
         op2_add_pole(H, K, pole)

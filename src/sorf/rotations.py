@@ -8,10 +8,13 @@ row/column pair (i, k) of the identity, is the unitary matrix
 
 All higher-level transformations in this package (weight introduction,
 pole-preserving elimination, pole adding and swapping) are products of these.
+Hot loops carry rotations as raw (a, b) pairs and call `rotate_rows` /
+`rotate_cols` directly; `PlaneRotation` validates them at the public boundary.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,17 +63,65 @@ def identity_rotation(i: int, k: int) -> PlaneRotation:
     return PlaneRotation(1.0, 0.0, i, k)
 
 
-def rotation_zeroing(x: complex, y: complex, i: int, k: int) -> PlaneRotation:
-    """Rotation mapping the column (x, y) onto (r, 0) with r real nonnegative.
+def zeroing(x: complex, y: complex) -> tuple[complex, complex]:
+    """Raw parameters (a, b) of the rotation mapping the column (x, y) onto
+    (r, 0) with r real nonnegative.
 
     The free unimodular phase is spent on making the surviving entry real
     and nonnegative, so rotated quantities are comparable across methods
     when the data are real.
     """
-    r = np.hypot(abs(x), abs(y))
+    r = math.hypot(abs(x), abs(y))
     if r == 0.0:
         raise DegenerateRotationError("cannot build a zeroing rotation from (0, 0)")
-    return PlaneRotation(x / r, -y / r, i, k)
+    return x / r, -y / r
+
+
+def null_direction(z0: complex, z1: complex) -> tuple[complex, complex] | None:
+    """Raw parameters (a, b) of the rotation whose first column is the unit
+    null vector of the row (z0, z1).
+
+    Applying the rotation on the right of a matrix whose row is (z0, z1)
+    annihilates that row's first entry.  Returns None when (z0, z1) = (0, 0),
+    in which case any rotation works and the caller decides.  The free phase
+    is fixed by making the first component real nonnegative.
+    """
+    n = math.hypot(abs(z0), abs(z1))
+    if n == 0.0:
+        return None
+    v0, v1 = -z1 / n, z0 / n
+    ref = v0 if v0 != 0 else v1
+    phase = ref.conjugate() / abs(ref)
+    v0, v1 = v0 * phase, v1 * phase
+    # first column of the embedded matrix is (conj(a), b)
+    return v0.conjugate(), v1
+
+
+def rotate_rows(M: np.ndarray, a: complex, b: complex, i: int, k: int) -> None:
+    """M <- G M for the rotation (a, b) at (i, k), touching only rows i and k."""
+    ri = a.conjugate() * M[i, :] - b.conjugate() * M[k, :]
+    rk = b * M[i, :] + a * M[k, :]
+    M[i, :] = ri
+    M[k, :] = rk
+
+
+def rotate_cols(M: np.ndarray, a: complex, b: complex, i: int, k: int) -> None:
+    """M <- M G for the rotation (a, b) at (i, k), touching only columns i and k."""
+    ci = a.conjugate() * M[:, i] + b * M[:, k]
+    ck = -b.conjugate() * M[:, i] + a * M[:, k]
+    M[:, i] = ci
+    M[:, k] = ck
+
+
+def rotation_zeroing(x: complex, y: complex, i: int, k: int) -> PlaneRotation:
+    """`zeroing` embedded at (i, k)."""
+    return PlaneRotation(*zeroing(x, y), i, k)
+
+
+def null_direction_rotation(z0: complex, z1: complex, i: int, k: int) -> PlaneRotation | None:
+    """`null_direction` embedded at (i, k); None for the zero row."""
+    ab = null_direction(z0, z1)
+    return None if ab is None else PlaneRotation(*ab, i, k)
 
 
 def _check_indices(rot: PlaneRotation, n: int) -> None:
@@ -81,39 +132,12 @@ def _check_indices(rot: PlaneRotation, n: int) -> None:
 def apply_left(rot: PlaneRotation, M: np.ndarray) -> np.ndarray:
     """M <- G M, touching only rows i and k. Mutates and returns M."""
     _check_indices(rot, M.shape[0])
-    ri = np.conj(rot.a) * M[rot.i, :] - np.conj(rot.b) * M[rot.k, :]
-    rk = rot.b * M[rot.i, :] + rot.a * M[rot.k, :]
-    M[rot.i, :] = ri
-    M[rot.k, :] = rk
+    rotate_rows(M, rot.a, rot.b, rot.i, rot.k)
     return M
 
 
 def apply_right(rot: PlaneRotation, M: np.ndarray) -> np.ndarray:
     """M <- M G, touching only columns i and k. Mutates and returns M."""
     _check_indices(rot, M.shape[1])
-    ci = np.conj(rot.a) * M[:, rot.i] + rot.b * M[:, rot.k]
-    ck = -np.conj(rot.b) * M[:, rot.i] + rot.a * M[:, rot.k]
-    M[:, rot.i] = ci
-    M[:, rot.k] = ck
+    rotate_cols(M, rot.a, rot.b, rot.i, rot.k)
     return M
-
-
-def null_direction_rotation(z0: complex, z1: complex, i: int, k: int) -> PlaneRotation | None:
-    """Rotation whose first column is the unit null vector of the row (z0, z1).
-
-    Applying the rotation on the right of a matrix whose row is (z0, z1)
-    annihilates that row's first entry.  Returns None when (z0, z1) = (0, 0),
-    in which case any rotation works and the caller decides.  The free phase
-    is fixed by making the first component real nonnegative.
-    """
-    v0, v1 = -z1, z0
-    n = np.hypot(abs(v0), abs(v1))
-    if n == 0.0:
-        return None
-    v0, v1 = v0 / n, v1 / n
-    # fix the free phase: first component real nonnegative
-    ref = v0 if v0 != 0 else v1
-    phase = np.conj(ref) / abs(ref)
-    v0, v1 = v0 * phase, v1 * phase
-    # first column of the embedded matrix is (conj(a), b)
-    return PlaneRotation(np.conj(v0), v1, i, k)

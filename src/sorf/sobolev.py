@@ -124,39 +124,43 @@ def gegenbauer_pole_ladder(omega: float, count: int) -> list[complex]:
     return ladder[:count]
 
 
+def gegenbauer_rule(config: GegenbauerSobolevConfig, xi=None, base_order: int | None = None) -> QuadratureRule:
+    """Rational Gauss rule discretizing the Gegenbauer-Sobolev inner product.
+
+    Generating N functions with derivative order s = 1 needs
+    sigma = 2(N-1) + 1 nodes whose exactness class carries each prescribed
+    pole with multiplicity four (squared denominators of products of two
+    functions, each with doubled poles).  The poles default to the ladder
+    -w, w, -2w, 2w, ...
+    """
+    if xi is None:
+        xi = gegenbauer_pole_ladder(config.omega, config.N - 1)
+    elif len(xi) != config.N - 1:
+        raise ConfigError(f"need N - 1 = {config.N - 1} poles, got {len(xi)}")
+    return rational_gauss(config.mu, [x for x in xi for _ in range(4)], 2 * config.N - 1, base_order)
+
+
 def discretize_gegenbauer(
     config: GegenbauerSobolevConfig,
     base_order: int | None = None,
     rule: QuadratureRule | None = None,
     xi=None,
 ) -> DiscreteSobolevSpec:
-    """Discrete Sobolev spec for the Gegenbauer-Sobolev inner product.
-
-    Generating N functions with derivative order s = 1 needs
-    sigma = 2(N-1) + 1 rational Gauss nodes whose exactness class carries
-    each prescribed pole with multiplicity four (squared denominators of
-    products of two functions, each with doubled poles).  The poles default
-    to the ladder -w, w, -2w, 2w, ...; an externally computed rule may be
-    supplied instead, with a node count matching the sizing.
+    """Discrete Sobolev spec (s = 1 at every node) for the Gegenbauer-Sobolev
+    inner product, on `gegenbauer_rule` or on an externally computed rule
+    with the node count that rule would have.
     """
     if config.lam == 0.0:
         raise ConfigError("lambda must be positive: zero derivative scaling is not admissible")
-    s = 1
-    sigma = (s + 1) * (config.N - 1) + 1
-    if xi is None:
-        xi = gegenbauer_pole_ladder(config.omega, config.N - 1)
-    elif len(xi) != config.N - 1:
-        raise ConfigError(f"need N - 1 = {config.N - 1} poles, got {len(xi)}")
     if rule is None:
-        full_poles = [x for x in xi for _ in range(2 * (s + 1))]
-        rule = rational_gauss(config.mu, full_poles, sigma, base_order)
-    elif rule.n != sigma:
-        raise ConfigError(f"imported rule has {rule.n} nodes, sizing requires {sigma}")
+        rule = gegenbauer_rule(config, xi, base_order)
+    elif rule.n != 2 * config.N - 1:
+        raise ConfigError(f"imported rule has {rule.n} nodes, sizing requires {2 * config.N - 1}")
     sqrt_lam = math.sqrt(config.lam)
     return DiscreteSobolevSpec(
         nodes=tuple(rule.nodes),
-        orders=(s,) * sigma,
-        alphas=((sqrt_lam,),) * sigma,
+        orders=(1,) * rule.n,
+        alphas=((sqrt_lam,),) * rule.n,
         weights=tuple(math.sqrt(wj) for wj in rule.weights),
     )
 

@@ -18,6 +18,7 @@ position (k+1, k).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,11 @@ from .rotations import (
     apply_left,
     apply_right,
     identity_rotation,
-    null_direction_rotation,
+    null_direction,
+    rotate_cols,
+    rotate_rows,
     rotation_zeroing,
+    zeroing,
 )
 from .sobolev import DiscreteSobolevSpec, check_spectrum_disjoint
 
@@ -103,39 +107,55 @@ def embed(hat: IEPSolution, blk: IEPSolution) -> IEPSolution:
     The embedded triple satisfies the recurrence for the combined J but not
     yet the weight condition; `weight_rotation` repairs the first column.
     """
-    mh, mb = hat.m, blk.m
-    m = mh + mb
-    H = np.zeros((m, m), dtype=complex)
-    K = np.zeros((m, m), dtype=complex)
-    Q = np.zeros((m, m), dtype=complex)
-    H[:mh, :mh] = hat.H
-    H[mh:, mh:] = blk.H
-    K[:mh, :mh] = hat.K
-    K[mh:, mh:] = blk.K
-    Q[:mh, :mh] = hat.Q
-    Q[mh:, mh:] = blk.Q
+    mh, m = hat.m, hat.m + blk.m
+    H, K, Q = (np.zeros((m, m), dtype=complex) for _ in range(3))
+    for M, top, bottom in ((H, hat.H, blk.H), (K, hat.K, blk.K), (Q, hat.Q, blk.Q)):
+        M[:mh, :mh] = top
+        M[mh:, mh:] = bottom
     wnorm = float(np.hypot(hat.wnorm, blk.wnorm))
     return IEPSolution(HessenbergPencil(H, K), Q, wnorm)
 
 
 def weight_rotation(hat_norm: float, w_sigma: complex, m: int, s_sigma: int) -> PlaneRotation:
-    """Rotation P whose conjugate transpose, applied on the right of the
-    embedded basis matrix, makes its first column the normalized combined
-    weight vector.
+    """Rotation P zeroing (hat_norm, |w_sigma|): its conjugate transpose,
+    applied on the right of the embedded basis matrix, makes its first
+    column the normalized combined weight vector.
 
     Acts on rows 0 and m - s_sigma - 1 (the first row of the appended block).
     The embedded block carries the weight phase, so only magnitudes enter.
     """
-    total = np.hypot(hat_norm, abs(w_sigma))
-    if total == 0.0:
-        raise NumericalError("total weight vanishes")
-    a = hat_norm / total
-    b = -abs(w_sigma) / total
-    return PlaneRotation(a, b, 0, m - s_sigma - 1)
+    return rotation_zeroing(hat_norm, abs(w_sigma), 0, m - s_sigma - 1)
 
 
-def _deflation_tol(H: np.ndarray, K: np.ndarray) -> float:
-    return DEFLATION_RTOL * pencil_scale(H, K)
+def _kernel_rotations(z0, z1, A, B, floor: float, what: str):
+    """The 2x2 move shared by elimination and swap, on Python scalars.
+
+    The right rotation is the null direction of the row (z0, z1) (identity
+    for the zero row); the left rotation triangularizes the larger of the
+    two rotated first columns of the 2x2 kernels A and B.  Returns
+    (left, right) as raw (a, b) pairs; raises DeflationError(what) when that
+    column's norm is at most `floor`.
+    """
+    ra, rb = null_direction(z0, z1) or (1.0, 0.0)
+    ua = [ra.conjugate() * x + rb * y for x, y in A]
+    ub = [ra.conjugate() * x + rb * y for x, y in B]
+    na, nb = math.hypot(*map(abs, ua)), math.hypot(*map(abs, ub))
+    if max(na, nb) <= floor:
+        raise DeflationError(what)
+    return zeroing(*(ua if na >= nb else ub)), (ra, rb)
+
+
+def _elimination_rotations(A, B):
+    """Checked `pole_preserving_rotations` on 2x2 kernels; raw (a, b) pairs."""
+    (delta, a01), (a10, a11) = A
+    (beta, b01), (b10, b11) = B
+    scale = max(math.hypot(*map(abs, (delta, a01, a10, a11))), math.hypot(*map(abs, (beta, b01, b10, b11))))
+    if max(abs(delta), abs(beta)) <= DEFLATION_RTOL * scale:
+        raise DeflationError("elimination pivot has vanished in both matrices")
+    if abs(beta * a01 - delta * b01) > 1e-10 * max(abs(beta), abs(delta)) * scale:
+        raise NumericalError("elimination kernel violates the zero-corner precondition")
+    row = (beta * a10 - delta * b10, beta * a11 - delta * b11)
+    return _kernel_rotations(*row, A, B, DEFLATION_RTOL * scale, "elimination would deflate the pencil")
 
 
 def pole_preserving_rotations(A: np.ndarray, B: np.ndarray) -> tuple[PlaneRotation, PlaneRotation]:
@@ -146,25 +166,36 @@ def pole_preserving_rotations(A: np.ndarray, B: np.ndarray) -> tuple[PlaneRotati
     The right rotation is built from the null direction of beta*A - delta*B;
     the left rotation triangularizes the then-colinear first columns.
     """
-    delta, beta = A[0, 0], B[0, 0]
-    scale = max(np.linalg.norm(A), np.linalg.norm(B))
-    if max(abs(delta), abs(beta)) <= DEFLATION_RTOL * scale:
-        raise DeflationError("elimination pivot has vanished in both matrices")
-    top = abs(beta * A[0, 1] - delta * B[0, 1])
-    if top > 1e-10 * max(abs(beta), abs(delta)) * scale:
-        raise NumericalError("elimination kernel violates the zero-corner precondition")
-    M10 = beta * A[1, 0] - delta * B[1, 0]
-    M11 = beta * A[1, 1] - delta * B[1, 1]
-    right = null_direction_rotation(M10, M11, 0, 1)
-    if right is None:
-        right = identity_rotation(0, 1)
-    a_bar, b = np.conj(right.a), right.b
-    ua = a_bar * A[:, 0] + b * A[:, 1]
-    ub = a_bar * B[:, 0] + b * B[:, 1]
-    u = ua if np.linalg.norm(ua) >= np.linalg.norm(ub) else ub
-    if np.linalg.norm(u) <= DEFLATION_RTOL * scale:
-        raise DeflationError("elimination would deflate the pencil")
-    left = rotation_zeroing(u[0], u[1], 0, 1)
+    left, right = _elimination_rotations(A, B)
+    return PlaneRotation(*left, 0, 1), PlaneRotation(*right, 0, 1)
+
+
+def _rotate_pencil(H, K, Q, left, rows, right, cols) -> None:
+    """H, K <- G H R and Q <- Q G^H for the raw left rotation G on `rows`
+    and the raw right rotation R on `cols`."""
+    for M in (H, K):
+        rotate_rows(M, *left, *rows)
+        rotate_cols(M, *right, *cols)
+    if Q is not None:
+        rotate_cols(Q, left[0].conjugate(), -left[1], *rows)
+
+
+def _eliminate(H, K, Q, r: int, c: int, tol: float):
+    """Body of `op1_eliminate` without the index check: raw (left, right)
+    pairs, or None when both target entries are at most `tol`."""
+    if abs(H.item(r, c)) <= tol and abs(K.item(r, c)) <= tol:
+        return None
+    p = c + 1
+    A = ((H.item(p, c), H.item(p, r)), (H.item(r, c), H.item(r, r)))
+    B = ((K.item(p, c), K.item(p, r)), (K.item(r, c), K.item(r, r)))
+    left, right = _elimination_rotations(A, B)
+    _rotate_pencil(H, K, Q, left, (p, r), right, (c, r))
+    H[r, c] = 0.0
+    K[r, c] = 0.0
+    if A[0][0] == 0.0:
+        H[p, c] = 0.0
+    if B[0][0] == 0.0:
+        K[p, c] = 0.0
     return left, right
 
 
@@ -181,29 +212,10 @@ def op1_eliminate(
     p = c + 1
     if not (0 <= c < r < H.shape[0]) or r == p:
         raise IndexError(f"invalid elimination target ({r}, {c})")
-    tol = _deflation_tol(H, K)
-    if abs(H[r, c]) <= tol and abs(K[r, c]) <= tol:
+    rots = _eliminate(H, K, Q, r, c, DEFLATION_RTOL * pencil_scale(H, K))
+    if rots is None:
         return identity_rotation(p, r), identity_rotation(c, r)
-    A = np.array([[H[p, c], H[p, r]], [H[r, c], H[r, r]]], dtype=complex)
-    B = np.array([[K[p, c], K[p, r]], [K[r, c], K[r, r]]], dtype=complex)
-    h_pivot_zero = H[p, c] == 0.0
-    k_pivot_zero = K[p, c] == 0.0
-    left2, right2 = pole_preserving_rotations(A, B)
-    left = PlaneRotation(left2.a, left2.b, p, r)
-    right = PlaneRotation(right2.a, right2.b, c, r)
-    apply_left(left, H)
-    apply_left(left, K)
-    apply_right(right, H)
-    apply_right(right, K)
-    if Q is not None:
-        apply_right(left.inverse(), Q)
-    H[r, c] = 0.0
-    K[r, c] = 0.0
-    if h_pivot_zero:
-        H[p, c] = 0.0
-    if k_pivot_zero:
-        K[p, c] = 0.0
-    return left, right
+    return PlaneRotation(*rots[0], p, r), PlaneRotation(*rots[1], c, r)
 
 
 def restore_hessenberg(
@@ -211,38 +223,26 @@ def restore_hessenberg(
 ) -> list[tuple[int, int]]:
     """Eliminate everything below the first subdiagonal after a weight rotation.
 
-    Column sweep: for the first m - s_sigma - 2 columns the fill sits in the
-    rows of the appended block (each elimination cascades one row further
-    down); the remaining columns clean the trailing corner.  Returns the list
-    of positions actually eliminated, in order.
+    Column sweep: in the leading columns the fill sits in the rows of the
+    appended block (each elimination cascades one row further down); the
+    trailing columns clean the corner below their subdiagonal.  Rotations
+    keep both Frobenius norms, so the deflation tolerance is fixed for the
+    sweep.  Returns the list of positions actually eliminated, in order.
     """
     m = H.shape[0]
-    S = s_sigma + 1
-    mhat = m - S
-    tol = _deflation_tol(H, K)
+    mhat = m - s_sigma - 1
+    scale = pencil_scale(H, K)
+    tol = DEFLATION_RTOL * scale
     targets: list[tuple[int, int]] = []
-    for c in range(0, max(mhat - 1, 0)):
-        for r in range(mhat, m):
-            if r <= c + 1:
-                continue
-            if abs(H[r, c]) <= tol and abs(K[r, c]) <= tol:
-                continue
-            op1_eliminate(H, K, r, c, Q)
-            targets.append((r, c))
-    for c in range(max(mhat - 1, 0), m - 2):
-        for r in range(c + 2, m):
-            if abs(H[r, c]) <= tol and abs(K[r, c]) <= tol:
-                continue
-            op1_eliminate(H, K, r, c, Q)
-            targets.append((r, c))
-    residue = 0.0
     for c in range(m - 2):
-        residue = max(residue, float(np.max(np.abs(H[c + 2 :, c]))), float(np.max(np.abs(K[c + 2 :, c]))))
-    if residue > 1e-10 * pencil_scale(H, K):
+        for r in range(max(mhat, c + 2), m):
+            if _eliminate(H, K, Q, r, c, tol) is not None:
+                targets.append((r, c))
+    residue = max(np.abs(np.tril(H, -2)).max(), np.abs(np.tril(K, -2)).max())
+    if residue > 1e-10 * scale:
         raise NumericalError(f"Hessenberg restoration left residue {residue:.3e}")
-    for c in range(m - 2):
-        H[c + 2 :, c] = 0.0
-        K[c + 2 :, c] = 0.0
+    H[...] = np.triu(H, -1)
+    K[...] = np.triu(K, -1)
     return targets
 
 
@@ -276,22 +276,20 @@ def op2_add_pole(H: np.ndarray, K: np.ndarray, psi) -> PlaneRotation:
     mu, nu = pole_pair(psi)
     z0 = nu * h1 - mu * k1
     z1 = nu * h2 - mu * k2
-    rot = null_direction_rotation(z0, z1, m - 2, m - 1)
+    rot = null_direction(z0, z1)
     if rot is None:
-        # pinned ratio: acceptable only if it already equals psi
-        if abs(z0) == 0.0 and abs(z1) == 0.0:
-            return identity_rotation(m - 2, m - 1)
-        raise DeflationError("cannot place the requested pole: degenerate trailing block")
-    apply_right(rot, H)
-    apply_right(rot, K)
+        # the ratio at the trailing position already equals psi
+        return identity_rotation(m - 2, m - 1)
+    rotate_cols(H, *rot, m - 2, m - 1)
+    rotate_cols(K, *rot, m - 2, m - 1)
     if nu == 0.0:
         K[m - 1, m - 2] = 0.0
     if mu == 0.0:
         H[m - 1, m - 2] = 0.0
-    tol = _deflation_tol(H, K)
+    tol = DEFLATION_RTOL * pencil_scale(H, K)
     if abs(H[m - 1, m - 2]) <= tol and abs(K[m - 1, m - 2]) <= tol:
         raise DeflationError("pole placement deflated the trailing position")
-    return rot
+    return PlaneRotation(*rot, m - 2, m - 1)
 
 
 def op3_swap_adjacent(
@@ -306,40 +304,28 @@ def op3_swap_adjacent(
     m = H.shape[0]
     if not 0 <= c <= m - 3:
         raise IndexError(f"swap index {c} out of range")
-    tau, kap = H[c + 1, c], K[c + 1, c]
-    mu, nu = H[c + 2, c + 1], K[c + 2, c + 1]
-    A = np.array([[tau, H[c + 1, c + 1]], [0.0, mu]], dtype=complex)
-    B = np.array([[kap, K[c + 1, c + 1]], [0.0, nu]], dtype=complex)
-    z0 = nu * A[0, 0] - mu * B[0, 0]
-    z1 = nu * A[0, 1] - mu * B[0, 1]
-    right = null_direction_rotation(z0, z1, c, c + 1)
-    if right is None:
-        return identity_rotation(c + 1, c + 2), identity_rotation(c, c + 1)
-    a_bar, b = np.conj(right.a), right.b
-    ua = a_bar * A[:, 0] + b * A[:, 1]
-    ub = a_bar * B[:, 0] + b * B[:, 1]
-    u = ua if np.linalg.norm(ua) >= np.linalg.norm(ub) else ub
-    if np.linalg.norm(u) == 0.0:
-        raise DeflationError("pole swap degenerated")
-    left = rotation_zeroing(u[0], u[1], c + 1, c + 2)
-    apply_right(right, H)
-    apply_right(right, K)
-    apply_left(left, H)
-    apply_left(left, K)
-    if Q is not None:
-        apply_right(left.inverse(), Q)
-    H[c + 2, c] = 0.0
-    K[c + 2, c] = 0.0
+    p = c + 1
+    tau, kap = H.item(p, c), K.item(p, c)
+    mu, nu = H.item(p + 1, p), K.item(p + 1, p)
+    h01, k01 = H.item(p, p), K.item(p, p)
+    z0, z1 = nu * tau - mu * kap, nu * h01 - mu * k01
+    if z0 == 0.0 and z1 == 0.0:
+        return identity_rotation(p, p + 1), identity_rotation(c, p)
+    A, B = ((tau, h01), (0.0, mu)), ((kap, k01), (0.0, nu))
+    left, right = _kernel_rotations(z0, z1, A, B, 0.0, "pole swap degenerated")
+    _rotate_pencil(H, K, Q, left, (p, p + 1), right, (c, p))
+    H[p + 1, c] = 0.0
+    K[p + 1, c] = 0.0
     # poles travel with their homogeneous pairs: keep exact zeros exact
     if nu == 0.0:
-        K[c + 1, c] = 0.0
+        K[p, c] = 0.0
     if kap == 0.0:
-        K[c + 2, c + 1] = 0.0
+        K[p + 1, p] = 0.0
     if mu == 0.0:
-        H[c + 1, c] = 0.0
+        H[p, c] = 0.0
     if tau == 0.0:
-        H[c + 2, c + 1] = 0.0
-    return left, right
+        H[p + 1, p] = 0.0
+    return PlaneRotation(*left, p, p + 1), PlaneRotation(*right, c, p)
 
 
 def _install_trailing_poles(sol: IEPSolution, new_poles, first_index: int) -> None:
@@ -348,8 +334,7 @@ def _install_trailing_poles(sol: IEPSolution, new_poles, first_index: int) -> No
     m = H.shape[0]
     for j, psi in enumerate(new_poles):
         op2_add_pole(H, K, psi)
-        target = first_index + j
-        for c in range(m - 3, target - 1, -1):
+        for c in range(m - 3, first_index + j - 1, -1):
             op3_swap_adjacent(H, K, c, Q)
 
 
@@ -391,17 +376,10 @@ def solve_updating(spec: DiscreteSobolevSpec, poles) -> IEPSolution:
         raise ValueError(f"need m - 1 = {m - 1} poles, got {len(poles)}")
     check_spectrum_disjoint(poles, spec.nodes)
     sol: IEPSolution | None = None
-    pos = 0
-    for j in range(spec.sigma):
-        s = spec.orders[j]
-        if sol is None:
-            new_poles = poles[0:s]
-            sol = add_block(None, spec.nodes[j], spec.alphas[j], spec.weights[j], new_poles)
-            pos = s + 1
-        else:
-            new_poles = poles[pos - 1 : pos + s]
-            sol = add_block(sol, spec.nodes[j], spec.alphas[j], spec.weights[j], new_poles)
-            pos += s + 1
+    pos = 0  # size of the solution built so far
+    for node, s, alphas, weight in zip(spec.nodes, spec.orders, spec.alphas, spec.weights):
+        sol = add_block(sol, node, alphas, weight, poles[max(pos - 1, 0) : pos + s])
+        pos += s + 1
     assert sol is not None
     if sol.m > 1:
         assert_unreduced(sol.H, sol.K)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from sorf.driver import (
     run_solve,
     run_sweep,
 )
-from sorf.errors import ConfigError, RuleValidationError
+from sorf.errors import AccuracyError, ConfigError, RuleValidationError
 
 BASE = {"mu": 2, "lambda": 1, "omega": 1.1, "M": 1, "N": 3}
 
@@ -26,6 +28,11 @@ def test_parse_config_rejects_unknown_fields():
 def test_parse_config_rejects_bad_method():
     with pytest.raises(ConfigError):
         parse_config({**BASE, "method": "simplex"})
+
+
+def test_parse_config_rejects_malformed_pole_pair_count():
+    with pytest.raises(ConfigError):
+        parse_config({**BASE, "M": "two"})
 
 
 def test_run_solve_reference_configuration():
@@ -86,6 +93,28 @@ def test_quadrature_round_trip_bit_exact():
     assert rule_document(rule) == doc
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"N": 4, "poles": [1.5, 1.5]},  # two poles where N - 1 = 3 are needed
+        {"N": 4, "omega": 1.0},  # the default ladder would touch [-1, 1]
+    ],
+)
+def test_dump_quadrature_rejects_what_solve_rejects(doc):
+    with pytest.raises(ConfigError):
+        run_solve(doc)
+    with pytest.raises(ConfigError):
+        dump_quadrature(doc)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_continuous_moment_matrix_with_infinite_endpoint_weight_is_typed():
+    # mu < 0 makes the weight infinite at t = +-1, where Clenshaw-Curtis
+    # samples it: the matrix is not finite and must not reach the metrics
+    with pytest.raises(AccuracyError):
+        run_solve({"mu": -0.5, "N": 4})
+
+
 def test_import_rejects_negative_weight():
     with pytest.raises(RuleValidationError):
         import_quadrature({"nodes": [0.0, 0.5], "weights": [1.0, -0.2]})
@@ -130,8 +159,11 @@ def test_free_poles_config():
 
 
 def run_cli(*args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "sorf", *args], capture_output=True, text=True
+        [sys.executable, "-m", "sorf", *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -159,6 +191,22 @@ def test_cli_numerical_error_exit_code(tmp_path):
                                "poles": [[0.5, 0.0]], "method": "updating"}))
     proc = run_cli("solve", str(cfg))
     assert proc.returncode == 3
+
+
+def test_cli_infinite_endpoint_weight_exits_numerical(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mu": -0.5, "N": 4}))
+    proc = run_cli("solve", str(cfg))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("doc", [{"N": 4, "poles": [1.5, 1.5]}, {"N": 4, "omega": 1.0}])
+def test_cli_dump_quadrature_config_error_exit_code(tmp_path, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    proc = run_cli("dump-quadrature", str(cfg))
+    assert proc.returncode == 2, proc.stderr
 
 
 def test_cli_import_validation_exit_code(tmp_path):

@@ -528,8 +528,11 @@ def test_solve_updating_wrong_pole_count():
 
 def test_solve_updating_complex_nodes_and_weights(rng):
     # complex data: the reversal-based block solution and phase bookkeeping
-    # must keep all invariants (cross-checked against the Krylov route)
-    from sorf.reference import rational_arnoldi
+    # must keep all invariants (cross-checked against the Krylov route and,
+    # on a prescribed prefix, the polynomial-first route, whose swaps then
+    # move complex poles)
+    from sorf.evaluation import evaluate_solution, table_agreement
+    from sorf.reference import rational_arnoldi, solve_via_sop
 
     spec = DiscreteSobolevSpec(
         nodes=(0.2 + 0.3j, -0.4 + 0.1j, 0.5 - 0.2j),
@@ -543,6 +546,17 @@ def test_solve_updating_complex_nodes_and_weights(rng):
     b = rational_arnoldi(sys, poles)
     assert_iep_invariants(sys, a, poles)
     assert_iep_invariants(sys, b, poles)
+
+    xi = [2.0 + 1.0j, INFINITY, -1.8]
+    psis = default_pole_list(xi, spec.m, nodes=spec.nodes)
+    routes = [solve_updating(spec, psis), solve_via_sop(spec, xi), rational_arnoldi(sys, psis)]
+    nodes = np.array(spec.nodes)
+    tables = [evaluate_solution(sol, nodes, max_deriv=2) for sol in routes]
+    for sol in routes:
+        assert_iep_invariants(sys, sol, psis)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            assert table_agreement(tables[i], tables[j]) <= 1e-10
 
 
 def test_op2_zero_pole_zeroes_h_subdiagonal(rng):
