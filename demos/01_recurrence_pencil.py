@@ -25,7 +25,7 @@ from sorf import (
     solve_updating,
 )
 
-config = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, M=1, N=3)
+config = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, N=3)
 spec = discretize_gegenbauer(config)
 print(f"quadrature nodes ({spec.sigma}):")
 print(np.array([z.real for z in spec.nodes]))

@@ -22,7 +22,7 @@ from sorf import (
 )
 
 N = 3
-config = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, M=1, N=N)
+config = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, N=N)
 spec = discretize_gegenbauer(config)
 xi = gegenbauer_pole_ladder(config.omega, N - 1)
 poles = default_pole_list(xi, spec.m, nodes=spec.nodes)

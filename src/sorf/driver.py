@@ -50,8 +50,19 @@ def _decode_scalar(value) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        try:
+            return complex(float(value[0]), float(value[1]))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot parse scalar {value!r}: {exc}") from exc
     raise ConfigError(f"cannot parse scalar {value!r}")
+
+
+def _decode_scalars(doc: dict, key: str) -> list | None:
+    if key not in doc:
+        return None
+    if not isinstance(doc[key], (list, tuple)):
+        raise ConfigError(f"{key} must be a list")
+    return [_decode_scalar(p) for p in doc[key]]
 
 
 def _encode_scalar(value) -> object:
@@ -62,7 +73,8 @@ def _encode_scalar(value) -> object:
 
 
 def _encode_matrix(M: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M, dtype=complex)]
+    M = np.asarray(M, dtype=complex)
+    return np.stack((M.real, M.imag), -1).tolist()
 
 
 def parse_config(doc: dict) -> dict:
@@ -70,111 +82,96 @@ def parse_config(doc: dict) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     known = {
-        "mu", "lambda", "omega", "M", "N", "method", "poles", "free_poles",
+        "mu", "lambda", "omega", "N", "method", "poles", "free_poles",
         "cc_order", "quadrature_file", "N_range",
     }
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    rng = doc.get("N_range")
+    if "N_range" in doc and not (isinstance(rng, (list, tuple)) and len(rng) == 2):
+        raise ConfigError("N_range must be a [lo, hi] pair")
     out = {}
     try:
         out["mu"] = float(doc.get("mu", 2.0))
         out["lambda"] = float(doc.get("lambda", 1.0))
         out["omega"] = float(doc.get("omega", 1.1))
         out["N"] = int(doc.get("N", 3))
-        out["M"] = int(doc.get("M", 0))
         out["cc_order"] = int(doc.get("cc_order", 400))
+        out["N_range"] = (int(rng[0]), int(rng[1])) if "N_range" in doc else None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed numeric field: {exc}") from exc
     if out["cc_order"] < 2:
         raise ConfigError("cc_order must be at least 2")
+    if out["N_range"] is not None and not 1 <= out["N_range"][0] <= out["N_range"][1]:
+        raise ConfigError("N_range must satisfy 1 <= lo <= hi")
     method = doc.get("method", "updating")
     if method not in METHODS + ("all",):
         raise ConfigError(f"method must be one of {METHODS + ('all',)}")
     out["method"] = method
-    out["poles"] = [_decode_scalar(p) for p in doc["poles"]] if "poles" in doc else None
-    out["free_poles"] = (
-        [_decode_scalar(p) for p in doc["free_poles"]] if "free_poles" in doc else None
-    )
+    out["poles"] = _decode_scalars(doc, "poles")
+    out["free_poles"] = _decode_scalars(doc, "free_poles")
     out["quadrature_file"] = doc.get("quadrature_file")
-    if "N_range" in doc:
-        rng = doc["N_range"]
-        if not (isinstance(rng, (list, tuple)) and len(rng) == 2):
-            raise ConfigError("N_range must be a [lo, hi] pair")
-        lo, hi = int(rng[0]), int(rng[1])
-        if lo < 1 or hi < lo:
-            raise ConfigError("N_range must satisfy 1 <= lo <= hi")
-        out["N_range"] = (lo, hi)
-    else:
-        out["N_range"] = None
+    if not isinstance(out["quadrature_file"], (str, type(None))):
+        raise ConfigError("quadrature_file must be a path string")
     return out
 
 
 def _config_and_poles(cfg: dict, N: int):
     """Validated Gegenbauer-Sobolev config and prescribed poles for size N."""
-    gcfg = GegenbauerSobolevConfig(
-        mu=cfg["mu"], lam=cfg["lambda"], omega=cfg["omega"],
-        M=max(cfg["M"], N // 2), N=N,
-    )
+    gcfg = GegenbauerSobolevConfig(mu=cfg["mu"], lam=cfg["lambda"], omega=cfg["omega"], N=N)
     if cfg["poles"] is None:
         return gcfg, gegenbauer_pole_ladder(cfg["omega"], N - 1)
-    xi = list(cfg["poles"])[: N - 1]
+    xi = cfg["poles"][: N - 1]
     if len(xi) != N - 1:
         raise ConfigError(f"need N - 1 = {N - 1} prescribed poles, got {len(xi)}")
     return gcfg, xi
 
 
-def _problem_from_config(cfg: dict, N: int | None = None):
-    """Build (config, spec, system, prescribed poles, full pole list)."""
-    N = cfg["N"] if N is None else N
+def _solve_and_score(cfg: dict, N: int):
+    """Yield (method, solution, metrics, node table, ms) for each configured
+    method on the size-N problem; `ms` covers the solve and its metrics.
+
+    The rule, spec, J, w and pole list are built once and shared by the
+    methods.  Solvers and metrics are looked up in this module's globals at
+    call time, so a wrapper installed under one of those names takes effect.
+    """
     gcfg, xi = _config_and_poles(cfg, N)
-    rule = None
-    if cfg.get("quadrature_file"):
-        rule = load_quadrature(cfg["quadrature_file"])
+    rule = load_quadrature(cfg["quadrature_file"]) if cfg["quadrature_file"] else None
     spec = discretize_gegenbauer(gcfg, rule=rule, xi=xi)
     psis = default_pole_list(xi, spec.m, nodes=spec.nodes, free=cfg["free_poles"])
-    return gcfg, spec, build_jordan(spec), xi, psis
-
-
-def _solve_one(method: str, spec, system, xi, psis):
-    if method == "updating":
-        return solve_updating(spec, psis)
-    if method == "sop":
-        return solve_via_sop(spec, xi)
-    if method == "krylov":
-        return rational_arnoldi(system, psis)
-    raise ConfigError(f"unknown method {method!r}")
-
-
-def _metrics_for(gcfg, spec, system, psis, sol, cc_order: int, N: int) -> tuple[dict, dict]:
-    table = evaluate_solution(sol, np.array(spec.nodes), max_deriv=max(spec.orders))
-    Md = discrete_moment_matrix(spec, table)
-    lead = max(N - 1, 1)
-    Mc = continuous_moment_matrix(sol.H, sol.K, sol.wnorm, gcfg.mu, gcfg.lam, lead, cc_order)
-    metrics = {
-        "E_r": metric_recurrence(system, sol),
-        "E_p": metric_poles(sol, psis),
-        "E_Q": metric_orthonormality(sol),
-        "E_S_discrete": metric_sobolev(Md),
-        "E_S_continuous_leading": metric_sobolev(Mc),
-    }
-    diagnostics = {"eval_conditioning": float(np.max(np.abs(table.values)))}
-    return metrics, diagnostics
+    system = build_jordan(spec)
+    nodes = np.array(spec.nodes)
+    for method in METHODS if cfg["method"] == "all" else (cfg["method"],):
+        t0 = time.perf_counter()
+        if method == "updating":
+            sol = solve_updating(spec, psis)
+        elif method == "sop":
+            sol = solve_via_sop(spec, xi)
+        else:
+            sol = rational_arnoldi(system, psis)
+        table = evaluate_solution(sol, nodes, max_deriv=max(spec.orders))
+        Md = discrete_moment_matrix(spec, table)
+        Mc = continuous_moment_matrix(
+            sol.H, sol.K, sol.wnorm, gcfg.mu, gcfg.lam, max(N - 1, 1), cfg["cc_order"]
+        )
+        metrics = {
+            "E_r": metric_recurrence(system, sol),
+            "E_p": metric_poles(sol, psis),
+            "E_Q": metric_orthonormality(sol),
+            "E_S_discrete": metric_sobolev(Md),
+            "E_S_continuous_leading": metric_sobolev(Mc),
+        }
+        yield method, sol, metrics, table, 1e3 * (time.perf_counter() - t0)
 
 
 def run_solve(doc: dict) -> dict:
     """Solve one configuration and emit a report document."""
     cfg = parse_config(doc)
-    gcfg, spec, system, xi, psis = _problem_from_config(cfg)
-    methods = METHODS if cfg["method"] == "all" else (cfg["method"],)
     reports = []
-    solutions = {}
-    for method in methods:
-        t0 = time.perf_counter()
-        sol = _solve_one(method, spec, system, xi, psis)
-        metrics, diag = _metrics_for(gcfg, spec, system, psis, sol, cfg["cc_order"], cfg["N"])
-        ms = 1e3 * (time.perf_counter() - t0)
-        solutions[method] = sol
+    tables = {}
+    for method, sol, metrics, table, ms in _solve_and_score(cfg, cfg["N"]):
+        tables[method] = table
         reports.append(
             {
                 "method": method,
@@ -184,36 +181,25 @@ def run_solve(doc: dict) -> dict:
                 "poles": [_encode_scalar(p) for p in sol.poles()],
                 "metrics": metrics,
                 "ms": ms,
-                **diag,
+                "eval_conditioning": float(np.max(np.abs(table.values))),
             }
         )
     if cfg["method"] != "all":
         return reports[0]
-    nodes = np.array(spec.nodes)
-    tables = {
-        name: evaluate_solution(sol, nodes, max_deriv=max(spec.orders))
-        for name, sol in solutions.items()
-    }
     pairs = [("updating", "sop"), ("updating", "krylov"), ("sop", "krylov")]
     agreement = max(table_agreement(tables[a], tables[b]) for a, b in pairs)
     return {"reports": reports, "cross_agreement": agreement}
 
 
 def run_sweep(doc: dict) -> str:
-    """Run all methods over a range of N and emit the CSV text."""
+    """Run the configured methods over a range of N and emit the CSV text."""
     cfg = parse_config(doc)
     if cfg["N_range"] is None:
         raise ConfigError("sweep configs need an N_range field")
     lo, hi = cfg["N_range"]
-    methods = METHODS if cfg["method"] == "all" else (cfg["method"],)
     lines = [SWEEP_CSV_HEADER]
     for N in range(lo, hi + 1):
-        gcfg, spec, system, xi, psis = _problem_from_config(cfg, N=N)
-        for method in methods:
-            t0 = time.perf_counter()
-            sol = _solve_one(method, spec, system, xi, psis)
-            metrics, _ = _metrics_for(gcfg, spec, system, psis, sol, cfg["cc_order"], N)
-            ms = 1e3 * (time.perf_counter() - t0)
+        for method, sol, metrics, _, ms in _solve_and_score(cfg, N):
             lines.append(
                 f"{N},{sol.m},{method},{metrics['E_r']:.6e},{metrics['E_p']:.6e},"
                 f"{metrics['E_Q']:.6e},{metrics['E_S_discrete']:.6e},"

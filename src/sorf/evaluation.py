@@ -199,19 +199,6 @@ def metric_sobolev(M: np.ndarray) -> float:
     return float(np.linalg.norm(M - np.eye(M.shape[0]), 2))
 
 
-def normalize_table(table: SorfTable) -> np.ndarray:
-    """Each function scaled by its largest-magnitude tabulated value."""
-    flat = table.values.reshape(table.nfun, -1)
-    out = np.empty_like(flat)
-    for k in range(table.nfun):
-        idx = int(np.argmax(np.abs(flat[k])))
-        ref = flat[k, idx]
-        if ref == 0.0:
-            raise ValueError(f"function {k} is identically zero on the table")
-        out[k] = flat[k] / ref
-    return out
-
-
 def table_agreement(t1: SorfTable, t2: SorfTable) -> float:
     """Largest relative deviation between two tables after aligning each
     function's free unimodular factor (anchored at t1's largest value)."""

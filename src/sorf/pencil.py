@@ -56,7 +56,8 @@ class HessenbergPencil:
         return pole_at(self.H, self.K, k)
 
     def poles(self) -> list[complex]:
-        return [self.pole_at(k) for k in range(self.m - 1)]
+        tol = DEFLATION_RTOL * self.scale
+        return [_subdiagonal_pole(self.H, self.K, k, tol) for k in range(self.m - 1)]
 
     def copy(self) -> "HessenbergPencil":
         return HessenbergPencil(self.H.copy(), self.K.copy())
@@ -71,9 +72,12 @@ def pole_at(H: np.ndarray, K: np.ndarray, k: int) -> complex:
     m = H.shape[0]
     if not 0 <= k <= m - 2:
         raise IndexError(f"pole index {k} out of range for dimension {m}")
+    return _subdiagonal_pole(H, K, k, DEFLATION_RTOL * pencil_scale(H, K))
+
+
+def _subdiagonal_pole(H: np.ndarray, K: np.ndarray, k: int, tol: float) -> complex:
     h = H[k + 1, k]
     kk = K[k + 1, k]
-    tol = DEFLATION_RTOL * pencil_scale(H, K)
     if abs(h) <= tol and abs(kk) <= tol:
         raise DeflationError(f"pencil is reduced at position {k}: both subdiagonal entries vanish")
     if abs(kk) <= tol:
@@ -88,5 +92,4 @@ def is_upper_hessenberg(A: np.ndarray, tol: float = 0.0) -> bool:
 def assert_unreduced(H: np.ndarray, K: np.ndarray) -> None:
     tol = DEFLATION_RTOL * pencil_scale(H, K)
     for k in range(H.shape[0] - 1):
-        if abs(H[k + 1, k]) <= tol and abs(K[k + 1, k]) <= tol:
-            raise DeflationError(f"pencil is reduced at position {k}")
+        _subdiagonal_pole(H, K, k, tol)

@@ -214,7 +214,7 @@ def _halve_multiplicities(finite_poles) -> list[complex]:
     return half
 
 
-def rational_gauss(mu: float, finite_poles, sigma: int, base_order: int | None = None) -> QuadratureRule:
+def rational_gauss(mu: float, finite_poles, sigma: int) -> QuadratureRule:
     """sigma-node Gauss rule exact on g(t)/prod_k(t - xi_k), deg g <= 2*sigma-1,
     against the Gegenbauer weight (1-t^2)^mu.
 
@@ -224,8 +224,7 @@ def rational_gauss(mu: float, finite_poles, sigma: int, base_order: int | None =
     """
     if sigma < 1:
         raise ConfigError("at least one node must be requested")
-    if base_order is None:
-        base_order = max(64, 8 * sigma)
+    base_order = max(64, 8 * sigma)
     base = gauss_gegenbauer(mu, base_order)
     half = _halve_multiplicities(finite_poles)
     coeffs = stieltjes_modified(base, half, sigma)

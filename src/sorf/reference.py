@@ -98,18 +98,14 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
     return IEPSolution(HessenbergPencil(H, K), Q, wnorm)
 
 
-def solve_via_sop(spec: DiscreteSobolevSpec, xi, N: int | None = None) -> IEPSolution:
+def solve_via_sop(spec: DiscreteSobolevSpec, xi) -> IEPSolution:
     """Polynomial-first route: all-infinite solve, normalize K to the
     identity, then add and swap the prescribed poles into the leading
     subpencil.
     """
     m = spec.m
     xi = list(xi)
-    if N is None:
-        N = len(xi) + 1
-    if len(xi) != N - 1:
-        raise ValueError(f"expected N - 1 = {N - 1} prescribed poles, got {len(xi)}")
-    if N - 1 > m - 1:
+    if len(xi) > m - 1:
         raise ValueError("more prescribed poles than pencil positions")
     check_spectrum_disjoint(xi, spec.nodes)
     sol = solve_updating(spec, [np.inf] * (m - 1))

@@ -95,22 +95,19 @@ class GegenbauerSobolevConfig:
     mu: float
     lam: float
     omega: float
-    M: int
     N: int
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.mu, self.lam, self.omega)):
+            raise ConfigError("mu, lambda and omega must be finite")
         if self.mu <= -1.0:
             raise ConfigError("mu must exceed -1")
         if self.lam < 0.0:
             raise ConfigError("lambda must be nonnegative")
         if self.omega <= 1.0:
             raise ConfigError("omega must exceed 1")
-        if self.M < 0:
-            raise ConfigError("M must be nonnegative")
         if self.N < 1:
             raise ConfigError("N must be at least 1")
-        if 2 * self.M < self.N - 1:
-            raise ConfigError("M pole pairs support at most N = 2M + 1 functions")
 
 
 def gegenbauer_pole_ladder(omega: float, count: int) -> list[complex]:
@@ -124,7 +121,7 @@ def gegenbauer_pole_ladder(omega: float, count: int) -> list[complex]:
     return ladder[:count]
 
 
-def gegenbauer_rule(config: GegenbauerSobolevConfig, xi=None, base_order: int | None = None) -> QuadratureRule:
+def gegenbauer_rule(config: GegenbauerSobolevConfig, xi=None) -> QuadratureRule:
     """Rational Gauss rule discretizing the Gegenbauer-Sobolev inner product.
 
     Generating N functions with derivative order s = 1 needs
@@ -137,12 +134,11 @@ def gegenbauer_rule(config: GegenbauerSobolevConfig, xi=None, base_order: int | 
         xi = gegenbauer_pole_ladder(config.omega, config.N - 1)
     elif len(xi) != config.N - 1:
         raise ConfigError(f"need N - 1 = {config.N - 1} poles, got {len(xi)}")
-    return rational_gauss(config.mu, [x for x in xi for _ in range(4)], 2 * config.N - 1, base_order)
+    return rational_gauss(config.mu, [x for x in xi for _ in range(4)], 2 * config.N - 1)
 
 
 def discretize_gegenbauer(
     config: GegenbauerSobolevConfig,
-    base_order: int | None = None,
     rule: QuadratureRule | None = None,
     xi=None,
 ) -> DiscreteSobolevSpec:
@@ -153,7 +149,7 @@ def discretize_gegenbauer(
     if config.lam == 0.0:
         raise ConfigError("lambda must be positive: zero derivative scaling is not admissible")
     if rule is None:
-        rule = gegenbauer_rule(config, xi, base_order)
+        rule = gegenbauer_rule(config, xi)
     elif rule.n != 2 * config.N - 1:
         raise ConfigError(f"imported rule has {rule.n} nodes, sizing requires {2 * config.N - 1}")
     sqrt_lam = math.sqrt(config.lam)

@@ -44,7 +44,7 @@ from sorf.updating import (
 
 
 def reference_problem(N=3, omega=1.1):
-    cfg = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=omega, M=max(1, N // 2), N=N)
+    cfg = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=omega, N=N)
     spec = discretize_gegenbauer(cfg)
     xi = gegenbauer_pole_ladder(omega, N - 1)
     poles = default_pole_list(xi, spec.m, nodes=spec.nodes)
@@ -52,7 +52,7 @@ def reference_problem(N=3, omega=1.1):
 
 
 def test_criterion_1_degree_of_exactness():
-    """mu=2, lambda=1, omega=1.1, M=1, N=3: sigma=5, m=10; recurrence, pole
+    """mu=2, lambda=1, omega=1.1, N=3: sigma=5, m=10; recurrence, pole
     and orthonormality errors at 1e-12; discrete moment matrix at 1e-10;
     continuous moment matrix identity only on the leading 3x3 block."""
     t0 = time.perf_counter()

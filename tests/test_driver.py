@@ -16,8 +16,15 @@ from sorf.driver import (
     run_sweep,
 )
 from sorf.errors import AccuracyError, ConfigError, RuleValidationError
+from sorf.sobolev import (
+    GegenbauerSobolevConfig,
+    default_pole_list,
+    discretize_gegenbauer,
+    gegenbauer_pole_ladder,
+)
+from sorf.updating import solve_updating
 
-BASE = {"mu": 2, "lambda": 1, "omega": 1.1, "M": 1, "N": 3}
+BASE = {"mu": 2, "lambda": 1, "omega": 1.1, "N": 3}
 
 
 def test_parse_config_rejects_unknown_fields():
@@ -30,9 +37,29 @@ def test_parse_config_rejects_bad_method():
         parse_config({**BASE, "method": "simplex"})
 
 
-def test_parse_config_rejects_malformed_pole_pair_count():
+def test_parse_config_rejects_removed_pole_pair_count():
+    # there is no pole-pair count: the prescribed poles come from `poles` or
+    # the default ladder, so a document that sets M is rejected
+    with pytest.raises(ConfigError, match="unknown config fields"):
+        parse_config({**BASE, "M": 1})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"poles": 5},
+        {"free_poles": 5},
+        {"poles": [["a", 1]]},
+        {"N_range": ["a", 3]},
+        {"mu": float("nan")},
+        {"omega": float("inf")},
+        {"lambda": float("nan")},
+        {"quadrature_file": ["rule.json"]},
+    ],
+)
+def test_malformed_config_is_a_config_error(doc):
     with pytest.raises(ConfigError):
-        parse_config({**BASE, "M": "two"})
+        run_solve({**BASE, **doc})
 
 
 def test_run_solve_reference_configuration():
@@ -55,8 +82,18 @@ def test_run_solve_all_methods_with_agreement():
 
 
 def test_run_solve_minimal_system():
-    report = run_solve({**BASE, "M": 0, "N": 1, "method": "updating"})
+    report = run_solve({**BASE, "N": 1, "method": "updating"})
     assert report["m"] == 2
+
+
+def test_report_matrix_decodes_bit_exactly():
+    report = json.loads(json.dumps(run_solve({**BASE, "method": "updating"})))
+    spec = discretize_gegenbauer(GegenbauerSobolevConfig(mu=2, lam=1, omega=1.1, N=3))
+    sol = solve_updating(spec, default_pole_list(gegenbauer_pole_ladder(1.1, 2), spec.m))
+    decoded = np.array(report["H"])
+    # bytes, not values: -0.0 == 0.0 would hide a lost sign of zero
+    assert decoded[..., 0].tobytes() == sol.H.real.tobytes()
+    assert decoded[..., 1].tobytes() == sol.H.imag.tobytes()
 
 
 def test_run_solve_deterministic():
@@ -67,7 +104,7 @@ def test_run_solve_deterministic():
 
 
 def test_run_sweep_header_and_sizing():
-    csv = run_sweep({**BASE, "M": 2, "N_range": [2, 3], "method": "updating"})
+    csv = run_sweep({**BASE, "N_range": [2, 3], "method": "updating"})
     lines = csv.strip().splitlines()
     assert lines[0] == SWEEP_CSV_HEADER
     rows = [ln.split(",") for ln in lines[1:]]
@@ -184,6 +221,14 @@ def test_cli_config_error_exit_code(tmp_path):
     assert proc.returncode == 2
 
 
+def test_cli_malformed_config_exit_code(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE, "poles": 5}))
+    proc = run_cli("solve", str(cfg))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_numerical_error_exit_code(tmp_path):
     # a prescribed pole inside [-1, 1] makes the modified measure ill-posed
     cfg = tmp_path / "cfg.json"
@@ -228,7 +273,7 @@ def test_cli_import_round_trip(tmp_path):
 
 def test_cli_sweep_csv(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**BASE, "M": 2, "N_range": [2, 3], "method": "krylov"}))
+    cfg.write_text(json.dumps({**BASE, "N_range": [2, 3], "method": "krylov"}))
     out = tmp_path / "sweep.csv"
     proc = run_cli("sweep", str(cfg), "-o", str(out))
     assert proc.returncode == 0, proc.stderr

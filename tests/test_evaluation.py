@@ -13,7 +13,6 @@ from sorf.evaluation import (
     metric_poles,
     metric_recurrence,
     metric_sobolev,
-    normalize_table,
     table_agreement,
 )
 from sorf.pencil import INFINITY
@@ -30,7 +29,7 @@ from sorf.updating import solve_updating
 
 
 def gegenbauer_solution(N=3, lam=1.0):
-    cfg = GegenbauerSobolevConfig(mu=2.0, lam=lam, omega=1.1, M=max(1, N // 2), N=N)
+    cfg = GegenbauerSobolevConfig(mu=2.0, lam=lam, omega=1.1, N=N)
     spec = discretize_gegenbauer(cfg)
     xi = gegenbauer_pole_ladder(1.1, N - 1)
     poles = default_pole_list(xi, spec.m, nodes=spec.nodes)
@@ -292,10 +291,3 @@ def test_table_agreement_detects_mismatch(rng):
     vals2[3] *= 1.01  # genuine scale change: disagrees
     t3 = SorfTable(vals2, pts)
     assert table_agreement(t1, t3) >= 1e-3
-
-
-def test_normalize_table_unit_peak(rng):
-    _, spec, poles, sol = gegenbauer_solution()
-    table = evaluate_solution(sol, np.linspace(-0.6, 0.6, 5), max_deriv=1)
-    norm = normalize_table(table)
-    assert np.max(np.abs(norm), axis=1) == pytest.approx(np.ones(table.nfun))

@@ -53,6 +53,19 @@ def test_pole_invariant_under_column_scaling(rng):
         assert abs(after - before) <= 1e-13 * abs(before)
 
 
+def test_poles_match_pole_at(rng):
+    m = 6
+    H = np.triu(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)), -1)
+    K = np.triu(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)), -1)
+    K[3, 2] = 0.0  # one polynomial step
+    assert HessenbergPencil(H, K).poles() == [pole_at(H, K, k) for k in range(m - 1)]
+    H[4, 3] = K[4, 3] = 0.0
+    with pytest.raises(DeflationError, match="position 3"):
+        pole_at(H, K, 3)
+    with pytest.raises(DeflationError, match="position 3"):
+        HessenbergPencil(H, K).poles()
+
+
 def test_pencil_dataclass_accessors():
     H, K = simple_pencil()
     p = HessenbergPencil(H, K)

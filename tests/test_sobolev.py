@@ -15,13 +15,13 @@ from sorf.sobolev import (
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        GegenbauerSobolevConfig(mu=-1.0, lam=1.0, omega=1.1, M=1, N=3)
+        GegenbauerSobolevConfig(mu=-1.0, lam=1.0, omega=1.1, N=3)
     with pytest.raises(ConfigError):
-        GegenbauerSobolevConfig(mu=2.0, lam=-0.5, omega=1.1, M=1, N=3)
+        GegenbauerSobolevConfig(mu=2.0, lam=-0.5, omega=1.1, N=3)
     with pytest.raises(ConfigError):
-        GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=0.9, M=1, N=3)
+        GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=0.9, N=3)
     with pytest.raises(ConfigError):
-        GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, M=1, N=4)  # needs 2 pairs
+        GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, N=0)
 
 
 def test_pole_ladder():
@@ -31,7 +31,7 @@ def test_pole_ladder():
 
 
 def test_discretize_sizing_n3():
-    cfg = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, M=1, N=3)
+    cfg = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, N=3)
     spec = discretize_gegenbauer(cfg)
     assert spec.sigma == 5
     assert spec.m == 10
@@ -42,13 +42,13 @@ def test_discretize_sizing_n3():
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_discretize_sizing_sweep(N):
     # adding one function costs two nodes: m = 2 + (N-1)*4
-    cfg = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, M=max(1, N // 2), N=N)
+    cfg = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, N=N)
     spec = discretize_gegenbauer(cfg)
     assert spec.m == 2 + (N - 1) * 4
 
 
 def test_discretize_rejects_zero_lambda():
-    cfg = GegenbauerSobolevConfig(mu=2.0, lam=0.0, omega=1.1, M=1, N=3)
+    cfg = GegenbauerSobolevConfig(mu=2.0, lam=0.0, omega=1.1, N=3)
     with pytest.raises(ConfigError):
         discretize_gegenbauer(cfg)
 
@@ -70,7 +70,7 @@ def test_build_jordan_single_node():
 
 
 def test_build_jordan_gegenbauer_block_pattern():
-    cfg = GegenbauerSobolevConfig(mu=2.0, lam=4.0, omega=1.1, M=1, N=2)
+    cfg = GegenbauerSobolevConfig(mu=2.0, lam=4.0, omega=1.1, N=2)
     spec = discretize_gegenbauer(cfg)
     sys = build_jordan(spec)
     m = spec.m

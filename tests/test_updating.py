@@ -571,7 +571,7 @@ def test_solve_updating_places_prescribed_pole_pair():
     # the first two subdiagonal ratios carry the prescribed pair -1.1, 1.1
     from sorf.sobolev import GegenbauerSobolevConfig, discretize_gegenbauer
 
-    cfg = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, M=1, N=3)
+    cfg = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, N=3)
     spec = discretize_gegenbauer(cfg)
     poles = default_pole_list([-1.1, 1.1], spec.m, nodes=spec.nodes)
     sol = solve_updating(spec, poles)
