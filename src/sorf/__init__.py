@@ -23,7 +23,7 @@ from .errors import (
     SorfError,
     SpectrumOverlapError,
 )
-from .pencil import INFINITY, HessenbergPencil, is_infinite_pole, pole_at
+from .pencil import INFINITY, is_infinite_pole, pole_at
 from .quadrature import (
     QuadratureRule,
     ThreeTermCoefficients,

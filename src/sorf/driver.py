@@ -48,13 +48,18 @@ def _decode_scalar(value) -> complex:
             return INFINITY
         raise ConfigError(f"unrecognized scalar literal {value!r}")
     if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+        z = complex(value)
+    elif isinstance(value, (list, tuple)) and len(value) == 2:
         try:
-            return complex(float(value[0]), float(value[1]))
+            z = complex(float(value[0]), float(value[1]))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"cannot parse scalar {value!r}: {exc}") from exc
-    raise ConfigError(f"cannot parse scalar {value!r}")
+    else:
+        raise ConfigError(f"cannot parse scalar {value!r}")
+    # is_infinite_pole would read a NaN component as the point at infinity
+    if np.isnan(z):
+        raise ConfigError(f"scalar {value!r} has a NaN component")
+    return z
 
 
 def _decode_scalars(doc: dict, key: str) -> list | None:
@@ -83,7 +88,7 @@ def parse_config(doc: dict) -> dict:
         raise ConfigError("config document must be a JSON object")
     known = {
         "mu", "lambda", "omega", "N", "method", "poles", "free_poles",
-        "cc_order", "quadrature_file", "N_range",
+        "quadrature_file", "N_range",
     }
     unknown = set(doc) - known
     if unknown:
@@ -97,12 +102,9 @@ def parse_config(doc: dict) -> dict:
         out["lambda"] = float(doc.get("lambda", 1.0))
         out["omega"] = float(doc.get("omega", 1.1))
         out["N"] = int(doc.get("N", 3))
-        out["cc_order"] = int(doc.get("cc_order", 400))
         out["N_range"] = (int(rng[0]), int(rng[1])) if "N_range" in doc else None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed numeric field: {exc}") from exc
-    if out["cc_order"] < 2:
-        raise ConfigError("cc_order must be at least 2")
     if out["N_range"] is not None and not 1 <= out["N_range"][0] <= out["N_range"][1]:
         raise ConfigError("N_range must satisfy 1 <= lo <= hi")
     method = doc.get("method", "updating")
@@ -152,9 +154,7 @@ def _solve_and_score(cfg: dict, N: int):
             sol = rational_arnoldi(system, psis)
         table = evaluate_solution(sol, nodes, max_deriv=max(spec.orders))
         Md = discrete_moment_matrix(spec, table)
-        Mc = continuous_moment_matrix(
-            sol.H, sol.K, sol.wnorm, gcfg.mu, gcfg.lam, max(N - 1, 1), cfg["cc_order"]
-        )
+        Mc = continuous_moment_matrix(sol.H, sol.K, sol.wnorm, gcfg.mu, gcfg.lam, max(N - 1, 1))
         metrics = {
             "E_r": metric_recurrence(system, sol),
             "E_p": metric_poles(sol, psis),

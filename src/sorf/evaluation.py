@@ -8,10 +8,12 @@ The functions r_0, r_1, ... encoded by an unreduced Hessenberg pencil obey
 product rule, so no numerical differentiation enters the tables; finite
 differences are used only by the tests.
 
-Moment matrices collect the inner products of the computed functions: the
-discrete one evaluates the defining sum of the inner product at its nodes,
-the continuous one integrates with Clenshaw-Curtis (weight folded into the
-integrand, doubled-order self-check).
+Moment matrices collect the inner products of the computed functions.  Both
+are sums sum_{d,j} c[d, j] v_dj v_dj^H over the (derivative, point) axes of a
+table, v_dj = (r_k^(d)(t_j))_k, and one Gram kernel assembles them: the
+discrete one with the coefficients of the spec's inner product at its nodes,
+the continuous one with Clenshaw-Curtis weights times (1-t^2)^mu for values
+and lambda times those for first derivatives (doubled-order self-check).
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ from .pencil import is_infinite_pole
 from .quadrature import clenshaw_curtis
 from .sobolev import DiscreteSobolevSpec
 from .updating import IEPSolution
+
+#: Clenshaw-Curtis order of the continuous moment matrix (checked against
+#: twice this order)
+CC_ORDER = 400
 
 
 @dataclass(frozen=True)
@@ -88,18 +94,22 @@ def evaluate_solution(sol: IEPSolution, points, max_deriv: int = 0, nfun: int | 
     return evaluate_sorfs(sol.H, sol.K, sol.wnorm, points, max_deriv, nfun)
 
 
-def _derivative_coefficients(spec: DiscreteSobolevSpec) -> list[tuple[int, int, float]]:
-    """(node index, derivative order, |w_j|^2 |prod alpha / i!|^2) triples."""
-    out = []
+def _gram(values: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """(V * c) @ V^H with V = values flattened over the (derivative, point)
+    axes: sum over d, j of coeffs[d, j] v[:, d, j] conj(v[:, d, j])^T.
+    Derivative rows of `values` beyond those of `coeffs` are ignored."""
+    V = values[:, : coeffs.shape[0], :].reshape(values.shape[0], -1)
+    return (V * coeffs.reshape(-1)) @ V.conj().T
+
+
+def _derivative_coefficients(spec: DiscreteSobolevSpec) -> np.ndarray:
+    """c[i, j] = |w_j|^2 |prod_{r<=i} alpha_r^(j) / i!|^2 for i <= s_j, else 0."""
+    c = np.zeros((max(spec.orders) + 1, spec.sigma))
     for j, (s, al, wj) in enumerate(zip(spec.orders, spec.alphas, spec.weights)):
-        prod = 1.0 + 0.0j
-        fact = 1.0
-        for i in range(s + 1):
-            if i > 0:
-                prod *= al[i - 1]
-                fact *= i
-            out.append((j, i, abs(wj) ** 2 * abs(prod / fact) ** 2))
-    return out
+        c[0, j] = abs(wj) ** 2
+        for i in range(1, s + 1):
+            c[i, j] = c[i - 1, j] * abs(al[i - 1] / i) ** 2
+    return c
 
 
 def discrete_moment_matrix(spec: DiscreteSobolevSpec, table: SorfTable) -> np.ndarray:
@@ -108,12 +118,7 @@ def discrete_moment_matrix(spec: DiscreteSobolevSpec, table: SorfTable) -> np.nd
         raise ValueError("table points do not match the spec nodes")
     if table.max_deriv < max(spec.orders):
         raise ValueError("table lacks the derivative orders required by the spec")
-    n = table.nfun
-    M = np.zeros((n, n), dtype=complex)
-    for j, i, c in _derivative_coefficients(spec):
-        v = table.values[:, i, j]
-        M += c * np.outer(v, np.conj(v))
-    return M
+    return _gram(table.values, _derivative_coefficients(spec))
 
 
 def continuous_moment_matrix(
@@ -123,29 +128,27 @@ def continuous_moment_matrix(
     mu: float,
     lam: float,
     n: int,
-    cc_order: int = 400,
 ) -> np.ndarray:
     """Gram matrix under the continuous Gegenbauer-Sobolev inner product.
 
-    Entries are Clenshaw-Curtis integrals with the weight (1-t^2)^mu folded
-    into the integrand; the computation is accepted only when doubling the
-    order reproduces it to 1e-12 relative.
+    Entries are Clenshaw-Curtis integrals of order CC_ORDER with the weight
+    (1-t^2)^mu folded into the integrand; the computation is accepted only
+    when doubling the order reproduces it to 1e-12 relative.  The rule
+    samples t = +-1, where the weight is infinite for mu < 0, so such a
+    weight is refused before any evaluation.
     """
+    if mu < 0.0:
+        raise AccuracyError("mu < 0: (1-t^2)^mu is infinite at the Clenshaw-Curtis nodes t = +-1")
 
     def assemble(order: int) -> np.ndarray:
         rule = clenshaw_curtis(order)
         t = rule.nodes
         table = evaluate_sorfs(H, K, wnorm, t, max_deriv=1, nfun=n)
         wq = rule.weights * (1.0 - t**2) ** mu
-        V0 = table.values[:, 0, :]
-        V1 = table.values[:, 1, :]
-        M = (V0 * wq) @ V0.conj().T
-        if lam != 0.0:
-            M += lam * (V1 * wq) @ V1.conj().T
-        return M
+        return _gram(table.values, np.stack((wq, lam * wq)))
 
-    M1 = assemble(cc_order)
-    M2 = assemble(2 * cc_order)
+    M1 = assemble(CC_ORDER)
+    M2 = assemble(2 * CC_ORDER)
     # a NaN passes any `>` bound, so non-finite entries fail on their own
     if not (np.all(np.isfinite(M1)) and np.all(np.isfinite(M2))):
         raise AccuracyError("continuous moment matrix is not finite")
@@ -190,8 +193,7 @@ def metric_poles(sol: IEPSolution, poles) -> float:
 
 def metric_orthonormality(sol: IEPSolution) -> float:
     """||Q^H Q - I||_2."""
-    m = sol.m
-    return float(np.linalg.norm(sol.Q.conj().T @ sol.Q - np.eye(m), 2))
+    return metric_sobolev(sol.Q.conj().T @ sol.Q)
 
 
 def metric_sobolev(M: np.ndarray) -> float:

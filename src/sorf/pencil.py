@@ -1,4 +1,4 @@
-"""Hessenberg pencil container and pole extraction.
+"""Pole extraction and deflation checks for Hessenberg pencils.
 
 A pencil is a pair (H, K) of m-by-m upper Hessenberg matrices.  The ratio of
 subdiagonal entries H[k+1, k] / K[k+1, k] is the k-th pole of the recurrence
@@ -8,8 +8,6 @@ subdiagonal position (k+1, k), k = 0 .. m-2.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,36 +29,6 @@ def pole_pair(psi) -> tuple[complex, complex]:
     if is_infinite_pole(psi):
         return 1.0 + 0.0j, 0.0 + 0.0j
     return complex(psi), 1.0 + 0.0j
-
-
-@dataclass(frozen=True)
-class HessenbergPencil:
-    H: np.ndarray
-    K: np.ndarray
-
-    def __post_init__(self):
-        if self.H.shape != self.K.shape or self.H.ndim != 2 or self.H.shape[0] != self.H.shape[1]:
-            raise ValueError("H and K must be square matrices of equal size")
-        if not (np.all(np.isfinite(self.H)) and np.all(np.isfinite(self.K))):
-            raise ValueError("pencil entries must be finite")
-
-    @property
-    def m(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def scale(self) -> float:
-        return pencil_scale(self.H, self.K)
-
-    def pole_at(self, k: int) -> complex:
-        return pole_at(self.H, self.K, k)
-
-    def poles(self) -> list[complex]:
-        tol = DEFLATION_RTOL * self.scale
-        return [_subdiagonal_pole(self.H, self.K, k, tol) for k in range(self.m - 1)]
-
-    def copy(self) -> "HessenbergPencil":
-        return HessenbergPencil(self.H.copy(), self.K.copy())
 
 
 def pencil_scale(H: np.ndarray, K: np.ndarray) -> float:
@@ -85,11 +53,16 @@ def _subdiagonal_pole(H: np.ndarray, K: np.ndarray, k: int, tol: float) -> compl
     return complex(h / kk)
 
 
+def poles(H: np.ndarray, K: np.ndarray) -> list[complex]:
+    """All m - 1 poles, judged against one deflation tolerance per pencil."""
+    tol = DEFLATION_RTOL * pencil_scale(H, K)
+    return [_subdiagonal_pole(H, K, k, tol) for k in range(H.shape[0] - 1)]
+
+
 def is_upper_hessenberg(A: np.ndarray, tol: float = 0.0) -> bool:
     return bool(np.all(np.abs(np.tril(A, -2)) <= tol))
 
 
 def assert_unreduced(H: np.ndarray, K: np.ndarray) -> None:
-    tol = DEFLATION_RTOL * pencil_scale(H, K)
-    for k in range(H.shape[0] - 1):
-        _subdiagonal_pole(H, K, k, tol)
+    """Raise DeflationError at the first position where the pencil is reduced."""
+    poles(H, K)

@@ -224,6 +224,8 @@ def rational_gauss(mu: float, finite_poles, sigma: int) -> QuadratureRule:
     """
     if sigma < 1:
         raise ConfigError("at least one node must be requested")
+    if not np.all(np.isfinite(np.asarray(finite_poles, dtype=complex))):
+        raise ConfigError("rational Gauss poles must be finite")
     base_order = max(64, 8 * sigma)
     base = gauss_gegenbauer(mu, base_order)
     half = _halve_multiplicities(finite_poles)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import KrylovBreakdownError, SpectrumOverlapError
-from .pencil import HessenbergPencil, assert_unreduced, is_infinite_pole
+from .pencil import assert_unreduced, is_infinite_pole
 from .sobolev import DiscreteSobolevSpec, JordanSystem, check_spectrum_disjoint
 from .updating import IEPSolution, op2_add_pole, op3_swap_adjacent, solve_updating
 
@@ -95,7 +95,7 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
         raise KrylovBreakdownError(f"basis lost orthogonality: {ortho:.3e}")
     if m > 1:
         assert_unreduced(H, K)
-    return IEPSolution(HessenbergPencil(H, K), Q, wnorm)
+    return IEPSolution(H, K, Q, wnorm)
 
 
 def solve_via_sop(spec: DiscreteSobolevSpec, xi) -> IEPSolution:
@@ -119,4 +119,4 @@ def solve_via_sop(spec: DiscreteSobolevSpec, xi) -> IEPSolution:
             op3_swap_adjacent(H, K, c, Q)
     if m > 1:
         assert_unreduced(H, K)
-    return IEPSolution(HessenbergPencil(H, K), Q, sol.wnorm)
+    return IEPSolution(H, K, Q, sol.wnorm)

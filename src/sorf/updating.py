@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pencil
 from .errors import DeflationError, NumericalError
 from .pencil import (
     DEFLATION_RTOL,
-    HessenbergPencil,
     assert_unreduced,
     pencil_scale,
     pole_pair,
@@ -47,26 +47,25 @@ from .sobolev import DiscreteSobolevSpec, check_spectrum_disjoint
 
 @dataclass
 class IEPSolution:
-    """Pencil, basis matrix and weight norm solving the inverse problem."""
+    """Pencil (H, K), basis matrix Q and weight norm solving the inverse problem."""
 
-    pencil: HessenbergPencil
+    H: np.ndarray
+    K: np.ndarray
     Q: np.ndarray
     wnorm: float
 
-    @property
-    def H(self) -> np.ndarray:
-        return self.pencil.H
-
-    @property
-    def K(self) -> np.ndarray:
-        return self.pencil.K
+    def __post_init__(self):
+        if self.H.shape != self.K.shape or self.H.ndim != 2 or self.H.shape[0] != self.H.shape[1]:
+            raise ValueError("H and K must be square matrices of equal size")
+        if not (np.all(np.isfinite(self.H)) and np.all(np.isfinite(self.K))):
+            raise ValueError("pencil entries must be finite")
 
     @property
     def m(self) -> int:
-        return self.pencil.m
+        return self.H.shape[0]
 
     def poles(self) -> list[complex]:
-        return self.pencil.poles()
+        return pencil.poles(self.H, self.K)
 
 
 def single_block_solution(node: complex, alphas, weight: complex) -> IEPSolution:
@@ -98,7 +97,7 @@ def single_block_solution(node: complex, alphas, weight: complex) -> IEPSolution
     Q[:, 0] *= phase
     H[:, 0] *= phase
     H[0, :] *= np.conj(phase)
-    return IEPSolution(HessenbergPencil(H, K), Q, abs(w))
+    return IEPSolution(H, K, Q, abs(w))
 
 
 def embed(hat: IEPSolution, blk: IEPSolution) -> IEPSolution:
@@ -113,7 +112,7 @@ def embed(hat: IEPSolution, blk: IEPSolution) -> IEPSolution:
         M[:mh, :mh] = top
         M[mh:, mh:] = bottom
     wnorm = float(np.hypot(hat.wnorm, blk.wnorm))
-    return IEPSolution(HessenbergPencil(H, K), Q, wnorm)
+    return IEPSolution(H, K, Q, wnorm)
 
 
 def weight_rotation(hat_norm: float, w_sigma: complex, m: int, s_sigma: int) -> PlaneRotation:

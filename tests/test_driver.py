@@ -44,6 +44,12 @@ def test_parse_config_rejects_removed_pole_pair_count():
         parse_config({**BASE, "M": 1})
 
 
+def test_parse_config_rejects_removed_cc_order():
+    # the continuous moment matrix always uses evaluation.CC_ORDER
+    with pytest.raises(ConfigError, match="unknown config fields"):
+        parse_config({**BASE, "cc_order": 400})
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -55,6 +61,8 @@ def test_parse_config_rejects_removed_pole_pair_count():
         {"omega": float("inf")},
         {"lambda": float("nan")},
         {"quadrature_file": ["rule.json"]},
+        {"N": 2, "poles": [[float("nan"), 0]]},
+        {"mu": 0, "omega": 1.7, "N": 5, "poles": [[-2, 0], [2, 0], "inf", [3, 0]]},
     ],
 )
 def test_malformed_config_is_a_config_error(doc):
@@ -144,12 +152,21 @@ def test_dump_quadrature_rejects_what_solve_rejects(doc):
         dump_quadrature(doc)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_continuous_moment_matrix_with_infinite_endpoint_weight_is_typed():
     # mu < 0 makes the weight infinite at t = +-1, where Clenshaw-Curtis
-    # samples it: the matrix is not finite and must not reach the metrics
+    # samples it: the weight is refused before it is evaluated there
     with pytest.raises(AccuracyError):
         run_solve({"mu": -0.5, "N": 4})
+
+
+def test_infinite_prescribed_pole_with_imported_rule(tmp_path):
+    # only building a rule needs finite poles; an imported rule does not
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(dump_quadrature(BASE)))
+    doc = {**BASE, "method": "all", "poles": [[-1.1, 0], "inf"], "quadrature_file": str(path)}
+    report = run_solve(doc)
+    assert all(r["poles"][1] == "inf" for r in report["reports"])
 
 
 def test_import_rejects_negative_weight():
@@ -244,6 +261,7 @@ def test_cli_infinite_endpoint_weight_exits_numerical(tmp_path):
     proc = run_cli("solve", str(cfg))
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("doc", [{"N": 4, "poles": [1.5, 1.5]}, {"N": 4, "omega": 1.0}])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,25 @@ def test_discrete_moment_matrix_identity_all_solvers_up_to_m20(rng):
             assert np.linalg.norm(Md - np.eye(spec.m), 2) <= 1e-10
 
 
+def test_discrete_moment_matrix_matches_termwise_inner_product(rng):
+    # the defining sum of the discrete Sobolev inner product, one term per
+    # (node, derivative order), on a random table with more derivative rows
+    # than the spec uses (those rows carry no weight)
+    spec = random_spec(rng, sigma=5, max_order=3, complex_alphas=True)
+    nfun, nd = 4, max(spec.orders) + 2
+    shape = (nfun, nd, spec.sigma)
+    vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    expected = np.zeros((nfun, nfun), dtype=complex)
+    for j, (s, al, wj) in enumerate(zip(spec.orders, spec.alphas, spec.weights)):
+        for i in range(s + 1):
+            c = abs(wj) ** 2 * abs(np.prod(al[:i]) / math.factorial(i)) ** 2
+            for k in range(nfun):
+                for l in range(nfun):
+                    expected[k, l] += c * vals[k, i, j] * np.conj(vals[l, i, j])
+    got = discrete_moment_matrix(spec, SorfTable(vals, np.array(spec.nodes)))
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 def test_discrete_moment_matrix_hermitian(rng):
     spec = random_spec(rng, sigma=4, max_order=2)
     poles, _ = random_pole_list(rng, spec.m)
@@ -244,7 +265,7 @@ def test_metric_recurrence_perturbation_scaling(rng):
     _, spec, poles, sol = gegenbauer_solution()
     sys = build_jordan(spec)
     eps = 1e-8
-    sol.pencil.H[3, 4] += eps
+    sol.H[3, 4] += eps
     got = metric_recurrence(sys, sol)
     scale = np.linalg.norm(sys.J @ sol.Q @ sol.K, 2)
     assert got == pytest.approx(eps / scale, rel=0.5)
@@ -255,10 +276,9 @@ def test_metric_poles_exact_and_perturbed(rng):
     assert metric_poles(sol, poles) <= 1e-13
     H = sol.H.copy()
     H[1, 0] *= 1 + 1e-6
-    from sorf.pencil import HessenbergPencil
     from sorf.updating import IEPSolution
 
-    bad = IEPSolution(HessenbergPencil(H, sol.K.copy()), sol.Q, sol.wnorm)
+    bad = IEPSolution(H, sol.K.copy(), sol.Q, sol.wnorm)
     assert metric_poles(bad, poles) == pytest.approx(1e-6, rel=1e-3)
 
 
@@ -267,10 +287,9 @@ def test_metric_orthonormality_scaled_column():
     assert metric_orthonormality(sol) <= 1e-14
     Q = sol.Q.copy()
     Q[:, 4] *= 1 + 1e-6
-    from sorf.pencil import HessenbergPencil
     from sorf.updating import IEPSolution
 
-    bad = IEPSolution(sol.pencil, Q, sol.wnorm)
+    bad = IEPSolution(sol.H, sol.K, Q, sol.wnorm)
     assert metric_orthonormality(bad) == pytest.approx(2e-6, rel=1e-2)
 
 

@@ -206,6 +206,14 @@ def test_rational_gauss_rejects_pole_in_support():
         rational_gauss(2.0, [0.3, 0.3], 3)
 
 
+@pytest.mark.parametrize("pole", [np.inf, complex(np.nan, 0.0)])
+def test_rational_gauss_rejects_nonfinite_poles(pole):
+    # a pole at infinity adds no factor to the rule: it is not a pole of the
+    # exactness class, and it must not reach the modified measure
+    with pytest.raises(ConfigError, match="finite"):
+        rational_gauss(2.0, [pole] * 4, 3)
+
+
 def test_rule_validation_negative_weight():
     with pytest.raises(PositivityError):
         QuadratureRule(np.array([0.0, 0.5]), np.array([1.0, -0.1]))
