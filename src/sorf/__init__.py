@@ -32,7 +32,6 @@ from .quadrature import (
     rational_gauss,
     stieltjes_modified,
 )
-from .rotations import PlaneRotation, apply_left, apply_right, rotation_zeroing
 from .sobolev import (
     DiscreteSobolevSpec,
     GegenbauerSobolevConfig,

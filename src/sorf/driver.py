@@ -70,6 +70,14 @@ def _decode_scalars(doc: dict, key: str) -> list | None:
     return [_decode_scalar(p) for p in doc[key]]
 
 
+def _decode_size(value) -> int:
+    """A size field: an integer or an integral float, not a bool."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"size {value!r} is not an integer")
+    return int(value)
+
+
 def _encode_scalar(value) -> object:
     if is_infinite_pole(value):
         return "inf"
@@ -101,10 +109,10 @@ def parse_config(doc: dict) -> dict:
         out["mu"] = float(doc.get("mu", 2.0))
         out["lambda"] = float(doc.get("lambda", 1.0))
         out["omega"] = float(doc.get("omega", 1.1))
-        out["N"] = int(doc.get("N", 3))
-        out["N_range"] = (int(rng[0]), int(rng[1])) if "N_range" in doc else None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed numeric field: {exc}") from exc
+    out["N"] = _decode_size(doc.get("N", 3))
+    out["N_range"] = (_decode_size(rng[0]), _decode_size(rng[1])) if "N_range" in doc else None
     if out["N_range"] is not None and not 1 <= out["N_range"][0] <= out["N_range"][1]:
         raise ConfigError("N_range must satisfy 1 <= lo <= hi")
     method = doc.get("method", "updating")
@@ -149,7 +157,7 @@ def _solve_and_score(cfg: dict, N: int):
         if method == "updating":
             sol = solve_updating(spec, psis)
         elif method == "sop":
-            sol = solve_via_sop(spec, xi)
+            sol = solve_via_sop(spec, psis)
         else:
             sol = rational_arnoldi(system, psis)
         table = evaluate_solution(sol, nodes, max_deriv=max(spec.orders))
@@ -226,16 +234,19 @@ def import_quadrature(doc: dict) -> QuadratureRule:
     """Validate a rule document and return the rule (canonical node order)."""
     if not isinstance(doc, dict) or "nodes" not in doc or "weights" not in doc:
         raise RuleValidationError("rule document needs 'nodes' and 'weights'")
+    nodes, weights = doc["nodes"], doc["weights"]
+    if not (isinstance(nodes, (list, tuple)) and isinstance(weights, (list, tuple)) and len(nodes) == len(weights)):
+        raise RuleValidationError("'nodes' and 'weights' must be lists of equal length")
     try:
-        nodes = np.array([_decode_scalar(z) for z in doc["nodes"]], dtype=complex)
+        values = np.array([_decode_scalar(z) for z in [*nodes, *weights]], dtype=complex)
     except ConfigError as exc:
         raise RuleValidationError(str(exc)) from exc
-    weights = np.asarray(doc["weights"], dtype=float)
-    if np.max(np.abs(nodes.imag), initial=0.0) > 0.0:
-        raise RuleValidationError("imported nodes must be real")
-    order = np.argsort(nodes.real)
+    if np.max(np.abs(values.imag), initial=0.0) > 0.0:
+        raise RuleValidationError("imported nodes and weights must be real")
+    nodes, weights = np.split(values.real, 2)
+    order = np.argsort(nodes)
     try:
-        return QuadratureRule(nodes.real[order], weights[order], str(doc.get("provenance", "imported")))
+        return QuadratureRule(nodes[order], weights[order], str(doc.get("provenance", "imported")))
     except SorfError as exc:
         raise RuleValidationError(f"imported rule failed validation: {exc}") from exc
 

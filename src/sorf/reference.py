@@ -8,8 +8,8 @@ orthogonalization pass.
 
 `solve_via_sop` first produces the recurrence matrix of the Sobolev
 orthogonal polynomial sequence (all poles at infinity, K = I) and then
-installs the prescribed poles into the leading subpencil by adding each one
-at the bottom position and swapping it upward.
+installs the poles, up to the last finite one, into the leading subpencil by
+adding each one at the bottom position and swapping it upward.
 """
 
 from __future__ import annotations
@@ -98,16 +98,22 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
     return IEPSolution(H, K, Q, wnorm)
 
 
-def solve_via_sop(spec: DiscreteSobolevSpec, xi) -> IEPSolution:
+def solve_via_sop(spec: DiscreteSobolevSpec, poles) -> IEPSolution:
     """Polynomial-first route: all-infinite solve, normalize K to the
-    identity, then add and swap the prescribed poles into the leading
+    identity, then add and swap the poles psi_1, psi_2, ... into the leading
     subpencil.
+
+    `poles` may stop short of m - 1 entries; the positions after it keep
+    their infinite poles, and so do trailing infinite entries, which are
+    already in place and are not installed.
     """
     m = spec.m
-    xi = list(xi)
+    xi = list(poles)
     if len(xi) > m - 1:
         raise ValueError("more prescribed poles than pencil positions")
     check_spectrum_disjoint(xi, spec.nodes)
+    while xi and is_infinite_pole(xi[-1]):
+        xi.pop()
     sol = solve_updating(spec, [np.inf] * (m - 1))
     H, K, Q = sol.H.copy(), sol.K.copy(), sol.Q.copy()
     # all-infinite poles leave K upper triangular: fold it into H

@@ -1,4 +1,4 @@
-"""Complex plane rotations and their action on dense matrices.
+"""Complex plane rotations as raw (a, b) pairs, and their action on dense matrices.
 
 A plane rotation with parameters (a, b), |a|^2 + |b|^2 = 1, embedded at the
 row/column pair (i, k) of the identity, is the unitary matrix
@@ -6,61 +6,19 @@ row/column pair (i, k) of the identity, is the unitary matrix
     G[i, i] = conj(a)    G[i, k] = -conj(b)
     G[k, i] = b          G[k, k] = a
 
-All higher-level transformations in this package (weight introduction,
-pole-preserving elimination, pole adding and swapping) are products of these.
-Hot loops carry rotations as raw (a, b) pairs and call `rotate_rows` /
-`rotate_cols` directly; `PlaneRotation` validates them at the public boundary.
+Its conjugate transpose is the rotation (conj(a), -b) at the same pair.  All
+higher-level transformations in this package (weight introduction,
+pole-preserving elimination, pole adding and swapping) are products of these,
+carried as bare (a, b) pairs and applied with `rotate_rows` / `rotate_cols`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateRotationError
-
-#: |a|^2 + |b|^2 must equal 1 within this tolerance.
-UNITARITY_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class PlaneRotation:
-    a: complex
-    b: complex
-    i: int
-    k: int
-
-    def __post_init__(self):
-        if self.i == self.k:
-            raise ValueError("rotation indices must differ")
-        if self.i > self.k:
-            raise ValueError("rotation indices must satisfy i < k")
-        norm = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(norm - 1.0) > 1e2 * UNITARITY_TOL:
-            raise ValueError(f"rotation parameters are not unitary: |a|^2+|b|^2 = {norm!r}")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.b == 0 and self.a == 1
-
-    def inverse(self) -> "PlaneRotation":
-        """Rotation whose embedded matrix is the conjugate transpose."""
-        return PlaneRotation(np.conj(self.a), -self.b, self.i, self.k)
-
-    def embed(self, m: int) -> np.ndarray:
-        """Dense m-by-m unitary matrix carrying this rotation."""
-        G = np.eye(m, dtype=complex)
-        G[self.i, self.i] = np.conj(self.a)
-        G[self.i, self.k] = -np.conj(self.b)
-        G[self.k, self.i] = self.b
-        G[self.k, self.k] = self.a
-        return G
-
-
-def identity_rotation(i: int, k: int) -> PlaneRotation:
-    return PlaneRotation(1.0, 0.0, i, k)
 
 
 def zeroing(x: complex, y: complex) -> tuple[complex, complex]:
@@ -111,33 +69,3 @@ def rotate_cols(M: np.ndarray, a: complex, b: complex, i: int, k: int) -> None:
     ck = -b.conjugate() * M[:, i] + a * M[:, k]
     M[:, i] = ci
     M[:, k] = ck
-
-
-def rotation_zeroing(x: complex, y: complex, i: int, k: int) -> PlaneRotation:
-    """`zeroing` embedded at (i, k)."""
-    return PlaneRotation(*zeroing(x, y), i, k)
-
-
-def null_direction_rotation(z0: complex, z1: complex, i: int, k: int) -> PlaneRotation | None:
-    """`null_direction` embedded at (i, k); None for the zero row."""
-    ab = null_direction(z0, z1)
-    return None if ab is None else PlaneRotation(*ab, i, k)
-
-
-def _check_indices(rot: PlaneRotation, n: int) -> None:
-    if not (0 <= rot.i < n and 0 <= rot.k < n):
-        raise IndexError(f"rotation indices ({rot.i}, {rot.k}) out of range for dimension {n}")
-
-
-def apply_left(rot: PlaneRotation, M: np.ndarray) -> np.ndarray:
-    """M <- G M, touching only rows i and k. Mutates and returns M."""
-    _check_indices(rot, M.shape[0])
-    rotate_rows(M, rot.a, rot.b, rot.i, rot.k)
-    return M
-
-
-def apply_right(rot: PlaneRotation, M: np.ndarray) -> np.ndarray:
-    """M <- M G, touching only columns i and k. Mutates and returns M."""
-    _check_indices(rot, M.shape[1])
-    rotate_cols(M, rot.a, rot.b, rot.i, rot.k)
-    return M

@@ -13,7 +13,9 @@ eliminations, and finally installs the new block's poles by adding each one
 at the bottom position and swapping it upward.
 
 All index arguments are 0-based; pole index k refers to the subdiagonal
-position (k+1, k).
+position (k+1, k).  Rotations are raw (a, b) pairs (see `sorf.rotations`);
+the operations return the pairs they applied, or None where they applied
+none.
 """
 
 from __future__ import annotations
@@ -31,17 +33,7 @@ from .pencil import (
     pencil_scale,
     pole_pair,
 )
-from .rotations import (
-    PlaneRotation,
-    apply_left,
-    apply_right,
-    identity_rotation,
-    null_direction,
-    rotate_cols,
-    rotate_rows,
-    rotation_zeroing,
-    zeroing,
-)
+from .rotations import null_direction, rotate_cols, rotate_rows, zeroing
 from .sobolev import DiscreteSobolevSpec, check_spectrum_disjoint
 
 
@@ -115,15 +107,26 @@ def embed(hat: IEPSolution, blk: IEPSolution) -> IEPSolution:
     return IEPSolution(H, K, Q, wnorm)
 
 
-def weight_rotation(hat_norm: float, w_sigma: complex, m: int, s_sigma: int) -> PlaneRotation:
-    """Rotation P zeroing (hat_norm, |w_sigma|): its conjugate transpose,
-    applied on the right of the embedded basis matrix, makes its first
-    column the normalized combined weight vector.
+def _rotate_left(H, K, Q, rot, i: int, k: int) -> None:
+    """H, K <- G H, G K and Q <- Q G^H for the raw rotation G at (i, k)."""
+    a, b = rot
+    rotate_rows(H, a, b, i, k)
+    rotate_rows(K, a, b, i, k)
+    rotate_cols(Q, a.conjugate(), -b, i, k)
 
-    Acts on rows 0 and m - s_sigma - 1 (the first row of the appended block).
-    The embedded block carries the weight phase, so only magnitudes enter.
+
+def weight_rotation(sol: IEPSolution, hat_norm: float, w_sigma: complex, s_sigma: int) -> tuple[complex, complex]:
+    """Apply the rotation P zeroing (hat_norm, |w_sigma|) to an embedded
+    solution -- H, K <- P H, P K and Q <- Q P^H -- and return its raw pair.
+
+    P acts on rows 0 and m - s_sigma - 1 (the first row of the appended
+    block) and makes the first column of Q the normalized combined weight
+    vector.  The embedded block carries the weight phase, so only magnitudes
+    enter.
     """
-    return rotation_zeroing(hat_norm, abs(w_sigma), 0, m - s_sigma - 1)
+    rot = zeroing(hat_norm, abs(w_sigma))
+    _rotate_left(sol.H, sol.K, sol.Q, rot, 0, sol.m - s_sigma - 1)
+    return rot
 
 
 def _kernel_rotations(z0, z1, A, B, floor: float, what: str):
@@ -144,8 +147,15 @@ def _kernel_rotations(z0, z1, A, B, floor: float, what: str):
     return zeroing(*(ua if na >= nb else ub)), (ra, rb)
 
 
-def _elimination_rotations(A, B):
-    """Checked `pole_preserving_rotations` on 2x2 kernels; raw (a, b) pairs."""
+def pole_preserving_rotations(A, B):
+    """Raw (left, right) rotation pairs zeroing the (1, 0) entries of the
+    2x2 kernels A and B (rows of scalars) while preserving the ratio
+    A[0, 0] / B[0, 0].
+
+    Requires A[0, 1] = B[0, 1] = 0 (guaranteed by the elimination schedule).
+    The right rotation is built from the null direction of beta*A - delta*B;
+    the left rotation triangularizes the then-colinear first columns.
+    """
     (delta, a01), (a10, a11) = A
     (beta, b01), (b10, b11) = B
     scale = max(math.hypot(*map(abs, (delta, a01, a10, a11))), math.hypot(*map(abs, (beta, b01, b10, b11))))
@@ -157,26 +167,12 @@ def _elimination_rotations(A, B):
     return _kernel_rotations(*row, A, B, DEFLATION_RTOL * scale, "elimination would deflate the pencil")
 
 
-def pole_preserving_rotations(A: np.ndarray, B: np.ndarray) -> tuple[PlaneRotation, PlaneRotation]:
-    """Left/right rotation pair zeroing the (1, 0) entries of the 2x2 kernels
-    A and B while preserving the ratio A[0, 0] / B[0, 0].
-
-    Requires A[0, 1] = B[0, 1] = 0 (guaranteed by the elimination schedule).
-    The right rotation is built from the null direction of beta*A - delta*B;
-    the left rotation triangularizes the then-colinear first columns.
-    """
-    left, right = _elimination_rotations(A, B)
-    return PlaneRotation(*left, 0, 1), PlaneRotation(*right, 0, 1)
-
-
 def _rotate_pencil(H, K, Q, left, rows, right, cols) -> None:
     """H, K <- G H R and Q <- Q G^H for the raw left rotation G on `rows`
     and the raw right rotation R on `cols`."""
-    for M in (H, K):
-        rotate_rows(M, *left, *rows)
-        rotate_cols(M, *right, *cols)
-    if Q is not None:
-        rotate_cols(Q, left[0].conjugate(), -left[1], *rows)
+    _rotate_left(H, K, Q, left, *rows)
+    rotate_cols(H, *right, *cols)
+    rotate_cols(K, *right, *cols)
 
 
 def _eliminate(H, K, Q, r: int, c: int, tol: float):
@@ -187,7 +183,7 @@ def _eliminate(H, K, Q, r: int, c: int, tol: float):
     p = c + 1
     A = ((H.item(p, c), H.item(p, r)), (H.item(r, c), H.item(r, r)))
     B = ((K.item(p, c), K.item(p, r)), (K.item(r, c), K.item(r, r)))
-    left, right = _elimination_rotations(A, B)
+    left, right = pole_preserving_rotations(A, B)
     _rotate_pencil(H, K, Q, left, (p, r), right, (c, r))
     H[r, c] = 0.0
     K[r, c] = 0.0
@@ -198,28 +194,22 @@ def _eliminate(H, K, Q, r: int, c: int, tol: float):
     return left, right
 
 
-def op1_eliminate(
-    H: np.ndarray, K: np.ndarray, r: int, c: int, Q: np.ndarray | None = None
-) -> tuple[PlaneRotation, PlaneRotation]:
+def op1_eliminate(H: np.ndarray, K: np.ndarray, r: int, c: int, Q: np.ndarray):
     """Zero H[r, c] and K[r, c] keeping the pole ratio at column c intact.
 
     The pivot sits at (c+1, c).  Applies a left rotation on rows (c+1, r) and
     a right rotation on columns (c, r); Q picks up the conjugate-transposed
     left rotation on its columns.  Entries that were exactly zero on the
-    pivot stay exactly zero (infinite poles survive bit-for-bit).
+    pivot stay exactly zero (infinite poles survive bit-for-bit).  Returns
+    the raw (left, right) pairs, or None when both targets were already
+    negligible.
     """
-    p = c + 1
-    if not (0 <= c < r < H.shape[0]) or r == p:
+    if not (0 <= c < r < H.shape[0]) or r == c + 1:
         raise IndexError(f"invalid elimination target ({r}, {c})")
-    rots = _eliminate(H, K, Q, r, c, DEFLATION_RTOL * pencil_scale(H, K))
-    if rots is None:
-        return identity_rotation(p, r), identity_rotation(c, r)
-    return PlaneRotation(*rots[0], p, r), PlaneRotation(*rots[1], c, r)
+    return _eliminate(H, K, Q, r, c, DEFLATION_RTOL * pencil_scale(H, K))
 
 
-def restore_hessenberg(
-    H: np.ndarray, K: np.ndarray, Q: np.ndarray | None, s_sigma: int
-) -> list[tuple[int, int]]:
+def restore_hessenberg(H: np.ndarray, K: np.ndarray, Q: np.ndarray, s_sigma: int) -> list[tuple[int, int]]:
     """Eliminate everything below the first subdiagonal after a weight rotation.
 
     Column sweep: in the leading columns the fill sits in the rows of the
@@ -263,22 +253,18 @@ def expected_elimination_count(m: int, s_sigma: int) -> int:
     return (mhat - 1) * S + s_sigma * S // 2
 
 
-def op2_add_pole(H: np.ndarray, K: np.ndarray, psi) -> PlaneRotation:
+def op2_add_pole(H: np.ndarray, K: np.ndarray, psi) -> tuple[complex, complex] | None:
     """Set the pole at the last subdiagonal position (m-1, m-2) to psi.
 
     A single right rotation on the last two columns; Q is untouched.  Handles
-    psi at infinity through the homogeneous pair (mu, nu) = (1, 0).
+    psi at infinity through the homogeneous pair (mu, nu) = (1, 0).  Returns
+    the raw pair applied, or None when the ratio already equals psi.
     """
     m = H.shape[0]
-    h1, h2 = H[m - 1, m - 2], H[m - 1, m - 1]
-    k1, k2 = K[m - 1, m - 2], K[m - 1, m - 1]
     mu, nu = pole_pair(psi)
-    z0 = nu * h1 - mu * k1
-    z1 = nu * h2 - mu * k2
-    rot = null_direction(z0, z1)
-    if rot is None:
-        # the ratio at the trailing position already equals psi
-        return identity_rotation(m - 2, m - 1)
+    rot = null_direction(nu * H[m - 1, m - 2] - mu * K[m - 1, m - 2], nu * H[m - 1, m - 1] - mu * K[m - 1, m - 1])
+    if rot is None:  # the ratio at the trailing position already equals psi
+        return None
     rotate_cols(H, *rot, m - 2, m - 1)
     rotate_cols(K, *rot, m - 2, m - 1)
     if nu == 0.0:
@@ -288,17 +274,17 @@ def op2_add_pole(H: np.ndarray, K: np.ndarray, psi) -> PlaneRotation:
     tol = DEFLATION_RTOL * pencil_scale(H, K)
     if abs(H[m - 1, m - 2]) <= tol and abs(K[m - 1, m - 2]) <= tol:
         raise DeflationError("pole placement deflated the trailing position")
-    return PlaneRotation(*rot, m - 2, m - 1)
+    return rot
 
 
-def op3_swap_adjacent(
-    H: np.ndarray, K: np.ndarray, c: int, Q: np.ndarray | None = None
-) -> tuple[PlaneRotation, PlaneRotation]:
+def op3_swap_adjacent(H: np.ndarray, K: np.ndarray, c: int, Q: np.ndarray):
     """Exchange the poles at indices c and c+1; all other ratios are fixed.
 
     Works on the 2x2 upper triangular kernels at rows (c+1, c+2), columns
     (c, c+1): the right rotation comes from the null direction of
-    nu*A - mu*B, the left rotation re-triangularizes.
+    nu*A - mu*B, the left rotation re-triangularizes.  Returns the raw
+    (left, right) pairs, or None when that row vanishes (equal poles, nothing
+    to move).
     """
     m = H.shape[0]
     if not 0 <= c <= m - 3:
@@ -309,7 +295,7 @@ def op3_swap_adjacent(
     h01, k01 = H.item(p, p), K.item(p, p)
     z0, z1 = nu * tau - mu * kap, nu * h01 - mu * k01
     if z0 == 0.0 and z1 == 0.0:
-        return identity_rotation(p, p + 1), identity_rotation(c, p)
+        return None
     A, B = ((tau, h01), (0.0, mu)), ((kap, k01), (0.0, nu))
     left, right = _kernel_rotations(z0, z1, A, B, 0.0, "pole swap degenerated")
     _rotate_pencil(H, K, Q, left, (p, p + 1), right, (c, p))
@@ -324,7 +310,7 @@ def op3_swap_adjacent(
         H[p, c] = 0.0
     if tau == 0.0:
         H[p + 1, p] = 0.0
-    return PlaneRotation(*left, p, p + 1), PlaneRotation(*right, c, p)
+    return left, right
 
 
 def _install_trailing_poles(sol: IEPSolution, new_poles, first_index: int) -> None:
@@ -353,13 +339,9 @@ def add_block(current: IEPSolution | None, node, alphas, weight, new_poles) -> I
     if len(new_poles) != s_sigma + 1:
         raise ValueError("an appended block introduces exactly s + 1 poles")
     sol = embed(current, blk)
-    m = sol.m
-    rot = weight_rotation(current.wnorm, weight, m, s_sigma)
-    apply_left(rot, sol.H)
-    apply_left(rot, sol.K)
-    apply_right(rot.inverse(), sol.Q)
+    weight_rotation(sol, current.wnorm, weight, s_sigma)
     restore_hessenberg(sol.H, sol.K, sol.Q, s_sigma)
-    _install_trailing_poles(sol, new_poles, m - s_sigma - 2)
+    _install_trailing_poles(sol, new_poles, sol.m - s_sigma - 2)
     return sol
 
 

@@ -40,6 +40,18 @@ def random_pole_list(rng, m, n_finite=None):
     return default_pole_list(xi, m), xi
 
 
+def rotation_matrix(rot, i, k, m):
+    """Dense m-by-m unitary matrix carrying the raw rotation rot = (a, b) at
+    the row/column pair (i, k)."""
+    a, b = rot
+    G = np.eye(m, dtype=complex)
+    G[i, i] = np.conj(a)
+    G[i, k] = -np.conj(b)
+    G[k, i] = b
+    G[k, k] = a
+    return G
+
+
 def assert_iep_invariants(system, sol, poles, rtol=1e-12):
     """The three defining conditions of a pencil inverse-problem solution."""
     assert metric_orthonormality(sol) <= rtol

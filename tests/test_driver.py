@@ -63,6 +63,9 @@ def test_parse_config_rejects_removed_cc_order():
         {"quadrature_file": ["rule.json"]},
         {"N": 2, "poles": [[float("nan"), 0]]},
         {"mu": 0, "omega": 1.7, "N": 5, "poles": [[-2, 0], [2, 0], "inf", [3, 0]]},
+        {"N": 2.7},
+        {"N_range": [2.5, 4]},
+        {"N": True},
     ],
 )
 def test_malformed_config_is_a_config_error(doc):
@@ -86,6 +89,17 @@ def test_run_solve_reference_configuration():
 def test_run_solve_all_methods_with_agreement():
     report = run_solve({**BASE, "method": "all"})
     assert [r["method"] for r in report["reports"]] == ["updating", "sop", "krylov"]
+    assert report["cross_agreement"] <= 1e-10
+
+
+def test_run_solve_all_methods_with_free_poles():
+    # every route installs the finite and complex free poles, not only the
+    # prescribed prefix
+    free = [[-5, 0], [5, 0], [2, 1], "inf", [-3, 0.5], [6, 0], [-2.5, -1]]
+    report = run_solve({**BASE, "method": "all", "free_poles": free})
+    for r in report["reports"]:
+        assert r["metrics"]["E_p"] <= 1e-10, r["method"]
+        assert r["poles"][4] == pytest.approx([2, 1], abs=1e-10)
     assert report["cross_agreement"] <= 1e-10
 
 
@@ -172,6 +186,12 @@ def test_infinite_prescribed_pole_with_imported_rule(tmp_path):
 def test_import_rejects_negative_weight():
     with pytest.raises(RuleValidationError):
         import_quadrature({"nodes": [0.0, 0.5], "weights": [1.0, -0.2]})
+
+
+@pytest.mark.parametrize("weights", [["a", 1.0], [1.0], [1.0, 1.0, 1.0], 1.0, [[1.0, 0.5], 1.0]])
+def test_import_rejects_malformed_weights(weights):
+    with pytest.raises(RuleValidationError):
+        import_quadrature({"nodes": [0.0, 0.5], "weights": weights})
 
 
 def test_import_rejects_coincident_nodes():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import assert_iep_invariants, random_pole_list, random_spec
+from conftest import assert_iep_invariants, random_pole_list, random_spec, rotation_matrix
 
 from sorf.errors import DeflationError
 from sorf.pencil import INFINITY, is_infinite_pole, pole_at
-from sorf.rotations import apply_left, apply_right
 from sorf.sobolev import DiscreteSobolevSpec, build_jordan, default_pole_list
 from sorf.updating import (
+    IEPSolution,
     add_block,
     embed,
     expected_elimination_count,
@@ -117,14 +117,23 @@ def test_embed_preserves_hat_poles_and_residual(rng):
     assert res <= 1e-13 * np.linalg.norm(emb.H)
 
 
+def identity_solution(m):
+    return IEPSolution(*(np.eye(m, dtype=complex) for _ in range(3)), 1.0)
+
+
 def test_weight_rotation_zero_new_weight_is_identity():
-    rot = weight_rotation(1.0, 0.0, 6, 1)
-    assert rot.a == 1.0 and rot.b == 0.0
+    sol = identity_solution(6)
+    a, b = weight_rotation(sol, 1.0, 0.0, 1)
+    assert a == 1.0 and b == 0.0
+    assert np.array_equal(sol.Q, np.eye(6))
 
 
 def test_weight_rotation_zero_hat_norm_is_pure_swap():
-    rot = weight_rotation(0.0, 2.0, 6, 1)
-    assert rot.a == 0.0 and abs(rot.b) == 1.0
+    sol = identity_solution(6)
+    a, b = weight_rotation(sol, 0.0, 2.0, 1)
+    assert a == 0.0 and abs(b) == 1.0
+    # rows 0 and 4 (the first row of the appended block) trade places
+    assert np.array_equal(np.abs(sol.H), np.eye(6)[[4, 1, 2, 3, 0, 5]])
 
 
 def test_weight_rotation_fixes_first_column(rng):
@@ -134,8 +143,7 @@ def test_weight_rotation_fixes_first_column(rng):
     w_new = 1.7
     blk = single_block_solution(0.9, [0.8], w_new)
     emb = embed(hat, blk)
-    rot = weight_rotation(hat.wnorm, w_new, emb.m, 1)
-    apply_right(rot.inverse(), emb.Q)
+    weight_rotation(emb, hat.wnorm, w_new, 1)
     w_full = np.concatenate([build_jordan(spec).w, [0.0, w_new]])
     assert np.linalg.norm(emb.Q[:, 0] - w_full / np.linalg.norm(w_full)) <= 1e-14
 
@@ -146,10 +154,7 @@ def weight_rotated_6x6():
     hat = add_block(hat, 0.1, [1.0], 1.1, [2.2, -1.9])
     blk = single_block_solution(0.7, [1.0], 1.2)
     emb = embed(hat, blk)
-    rot = weight_rotation(hat.wnorm, 1.2, 6, 1)
-    apply_left(rot, emb.H)
-    apply_left(rot, emb.K)
-    apply_right(rot.inverse(), emb.Q)
+    weight_rotation(emb, hat.wnorm, 1.2, 1)
     return emb
 
 
@@ -193,8 +198,9 @@ def test_op1_kernel_named_example():
     A = np.array([[0.7, 0.0], [0.31, -1.2]], dtype=complex)
     B = np.array([[1.0, 0.0], [0.55, 0.4]], dtype=complex)
     left, right = pole_preserving_rotations(A, B)
-    A2 = left.embed(2) @ A @ right.embed(2)
-    B2 = left.embed(2) @ B @ right.embed(2)
+    GL, GR = rotation_matrix(left, 0, 1, 2), rotation_matrix(right, 0, 1, 2)
+    A2 = GL @ A @ GR
+    B2 = GL @ B @ GR
     scale = max(np.linalg.norm(A), np.linalg.norm(B))
     assert abs(A2[1, 0]) <= 1e-14 * scale
     assert abs(B2[1, 0]) <= 1e-14 * scale
@@ -214,8 +220,9 @@ def test_op1_kernel_random_ratios(rng):
         A = np.array([[delta, 0.0], [rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal()]])
         B = np.array([[beta, 0.0], [rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal()]])
         left, right = pole_preserving_rotations(A, B)
-        A2 = left.embed(2) @ A @ right.embed(2)
-        B2 = left.embed(2) @ B @ right.embed(2)
+        GL, GR = rotation_matrix(left, 0, 1, 2), rotation_matrix(right, 0, 1, 2)
+        A2 = GL @ A @ GR
+        B2 = GL @ B @ GR
         scale = max(np.linalg.norm(A), np.linalg.norm(B))
         assert abs(A2[1, 0]) <= 1e-12 * scale
         assert abs(B2[1, 0]) <= 1e-12 * scale
@@ -229,8 +236,7 @@ def test_op1_already_zero_targets_are_identity(rng):
     H = np.triu(rng.normal(size=(5, 5)) + 0j, -1)
     K = np.triu(rng.normal(size=(5, 5)) + 0j, -1)
     before_H, before_K = H.copy(), K.copy()
-    left, right = op1_eliminate(H, K, 4, 0)
-    assert left.is_identity and right.is_identity
+    assert op1_eliminate(H, K, 4, 0, np.eye(5, dtype=complex)) is None
     assert np.array_equal(H, before_H) and np.array_equal(K, before_K)
 
 
@@ -240,7 +246,7 @@ def test_op1_deflated_pivot_raises():
     H[1, 0] = K[1, 0] = 0.0
     H[3, 0] = K[3, 0] = 0.5
     with pytest.raises(DeflationError):
-        op1_eliminate(H, K, 3, 0)
+        op1_eliminate(H, K, 3, 0, np.eye(4, dtype=complex))
 
 
 def test_op1_first_elimination_display():
@@ -276,7 +282,7 @@ def test_restore_on_hessenberg_input_is_noop(rng):
     H = np.triu(rng.normal(size=(6, 6)) + 0j, -1)
     K = np.triu(rng.normal(size=(6, 6)) + 0j, -1)
     before_H = H.copy()
-    targets = restore_hessenberg(H, K, None, 1)
+    targets = restore_hessenberg(H, K, np.eye(6, dtype=complex), 1)
     assert targets == []
     assert np.array_equal(H, before_H)
 
@@ -310,10 +316,7 @@ def test_restore_elimination_count_random_blocks(seed):
             first = 0
         else:
             emb = embed(sol, blk)
-            rot = weight_rotation(sol.wnorm, spec.weights[j], emb.m, s)
-            apply_left(rot, emb.H)
-            apply_left(rot, emb.K)
-            apply_right(rot.inverse(), emb.Q)
+            weight_rotation(emb, sol.wnorm, spec.weights[j], s)
             targets = restore_hessenberg(emb.H, emb.K, emb.Q, s)
             assert len(targets) == expected_elimination_count(emb.m, s)
             sol = emb
@@ -334,10 +337,7 @@ def test_restore_preserves_hat_poles(rng):
     hat_poles = hat.poles()
     blk = single_block_solution(0.9, [1.1], 0.7)
     emb = embed(hat, blk)
-    rot = weight_rotation(hat.wnorm, 0.7, emb.m, 1)
-    apply_left(rot, emb.H)
-    apply_left(rot, emb.K)
-    apply_right(rot.inverse(), emb.Q)
+    weight_rotation(emb, hat.wnorm, 0.7, 1)
     q_col0 = emb.Q[:, 0].copy()
     restore_hessenberg(emb.H, emb.K, emb.Q, 1)
     for k in range(spec.m - 1):
@@ -447,6 +447,20 @@ def test_op3_random_pencils_exchange_exactly_two(rng):
         for col in range(m - 2):
             assert np.all(np.abs(H[col + 2 :, col]) <= 1e-13 * np.linalg.norm(H))
             assert np.all(np.abs(K[col + 2 :, col]) <= 1e-13 * np.linalg.norm(K))
+
+
+def test_op2_op3_return_the_pairs_they_applied(rng):
+    sol, _ = random_unreduced_pencil(rng, 6, poles=[-1.3, 1.7, INFINITY, -2.0, 1.1])
+    H, K, Q = sol.H.copy(), sol.K.copy(), sol.Q.copy()
+    left, right = op3_swap_adjacent(H, K, 1, Q)
+    GL, GR = rotation_matrix(left, 2, 3, 6), rotation_matrix(right, 1, 2, 6)
+    for new, old in ((H, sol.H), (K, sol.K)):
+        assert np.linalg.norm(new - GL @ old @ GR) <= 1e-13 * np.linalg.norm(old)
+    assert np.linalg.norm(Q - sol.Q @ GL.conj().T) <= 1e-13
+    H0, K0 = H.copy(), K.copy()
+    G = rotation_matrix(op2_add_pole(H, K, -1.1), 4, 5, 6)
+    assert np.linalg.norm(H - H0 @ G) <= 1e-13 * np.linalg.norm(H0)
+    assert np.linalg.norm(K - K0 @ G) <= 1e-13 * np.linalg.norm(K0)
 
 
 def test_op2_then_swaps_places_pole_at_target(rng):
