@@ -42,20 +42,25 @@ SWEEP_CSV_HEADER = "N,m,method,E_r,E_p,E_Q,E_S_discrete,E_S_cont_leading,ms"
 METHODS = ("updating", "sop", "krylov")
 
 
+def _decode_real(value) -> float:
+    """A real number field: an int or a float, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an int beyond the float range
+        raise ConfigError(f"number {value} is out of range") from exc
+
+
 def _decode_scalar(value) -> complex:
     if isinstance(value, str):
         if value.strip().lower() in ("inf", "infinity"):
             return INFINITY
         raise ConfigError(f"unrecognized scalar literal {value!r}")
-    if isinstance(value, (int, float)):
-        z = complex(value)
-    elif isinstance(value, (list, tuple)) and len(value) == 2:
-        try:
-            z = complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"cannot parse scalar {value!r}: {exc}") from exc
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        z = complex(_decode_real(value[0]), _decode_real(value[1]))
     else:
-        raise ConfigError(f"cannot parse scalar {value!r}")
+        z = complex(_decode_real(value))
     # is_infinite_pole would read a NaN component as the point at infinity
     if np.isnan(z):
         raise ConfigError(f"scalar {value!r} has a NaN component")
@@ -72,8 +77,7 @@ def _decode_scalars(doc: dict, key: str) -> list | None:
 
 def _decode_size(value) -> int:
     """A size field: an integer or an integral float, not a bool."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
+    if not _decode_real(value).is_integer():
         raise ConfigError(f"size {value!r} is not an integer")
     return int(value)
 
@@ -105,12 +109,9 @@ def parse_config(doc: dict) -> dict:
     if "N_range" in doc and not (isinstance(rng, (list, tuple)) and len(rng) == 2):
         raise ConfigError("N_range must be a [lo, hi] pair")
     out = {}
-    try:
-        out["mu"] = float(doc.get("mu", 2.0))
-        out["lambda"] = float(doc.get("lambda", 1.0))
-        out["omega"] = float(doc.get("omega", 1.1))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed numeric field: {exc}") from exc
+    out["mu"] = _decode_real(doc.get("mu", 2.0))
+    out["lambda"] = _decode_real(doc.get("lambda", 1.0))
+    out["omega"] = _decode_real(doc.get("omega", 1.1))
     out["N"] = _decode_size(doc.get("N", 3))
     out["N_range"] = (_decode_size(rng[0]), _decode_size(rng[1])) if "N_range" in doc else None
     if out["N_range"] is not None and not 1 <= out["N_range"][0] <= out["N_range"][1]:

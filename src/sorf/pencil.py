@@ -59,10 +59,6 @@ def poles(H: np.ndarray, K: np.ndarray) -> list[complex]:
     return [_subdiagonal_pole(H, K, k, tol) for k in range(H.shape[0] - 1)]
 
 
-def is_upper_hessenberg(A: np.ndarray, tol: float = 0.0) -> bool:
-    return bool(np.all(np.abs(np.tril(A, -2)) <= tol))
-
-
 def assert_unreduced(H: np.ndarray, K: np.ndarray) -> None:
     """Raise DeflationError at the first position where the pencil is reduced."""
     poles(H, K)

@@ -55,9 +55,6 @@ class QuadratureRule:
     def n(self) -> int:
         return self.nodes.size
 
-    def integrate(self, f):
-        return np.sum(self.weights * f(self.nodes))
-
 
 @dataclass(frozen=True)
 class ThreeTermCoefficients:

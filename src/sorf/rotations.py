@@ -10,6 +10,9 @@ Its conjugate transpose is the rotation (conj(a), -b) at the same pair.  All
 higher-level transformations in this package (weight introduction,
 pole-preserving elimination, pole adding and swapping) are products of these,
 carried as bare (a, b) pairs and applied with `rotate_rows` / `rotate_cols`.
+Each is one 2x2 product on the strided view M[..., i:k+1:k-i, :] (or
+M[..., i:k+1:k-i]), so one call rotates a whole stack M[..., :, :]; the view
+holds rows (columns) i and k only when i < k, which both check.
 """
 
 from __future__ import annotations
@@ -56,16 +59,16 @@ def null_direction(z0: complex, z1: complex) -> tuple[complex, complex] | None:
 
 
 def rotate_rows(M: np.ndarray, a: complex, b: complex, i: int, k: int) -> None:
-    """M <- G M for the rotation (a, b) at (i, k), touching only rows i and k."""
-    ri = a.conjugate() * M[i, :] - b.conjugate() * M[k, :]
-    rk = b * M[i, :] + a * M[k, :]
-    M[i, :] = ri
-    M[k, :] = rk
+    """M <- G M for the rotation (a, b) at rows i < k of M or of each matrix of a stack."""
+    if not i < k:
+        raise ValueError(f"rotation rows need i < k, got ({i}, {k})")
+    v = M[..., i : k + 1 : k - i, :]
+    v[...] = np.array(((a.conjugate(), -b.conjugate()), (b, a))) @ v
 
 
 def rotate_cols(M: np.ndarray, a: complex, b: complex, i: int, k: int) -> None:
-    """M <- M G for the rotation (a, b) at (i, k), touching only columns i and k."""
-    ci = a.conjugate() * M[:, i] + b * M[:, k]
-    ck = -b.conjugate() * M[:, i] + a * M[:, k]
-    M[:, i] = ci
-    M[:, k] = ck
+    """M <- M G for the rotation (a, b) at columns i < k of M or of each matrix of a stack."""
+    if not i < k:
+        raise ValueError(f"rotation columns need i < k, got ({i}, {k})")
+    v = M[..., i : k + 1 : k - i]
+    v[...] = v @ np.array(((a.conjugate(), -b.conjugate()), (b, a)))

@@ -167,30 +167,23 @@ def pole_preserving_rotations(A, B):
     return _kernel_rotations(*row, A, B, DEFLATION_RTOL * scale, "elimination would deflate the pencil")
 
 
-def _rotate_pencil(H, K, Q, left, rows, right, cols) -> None:
-    """H, K <- G H R and Q <- Q G^H for the raw left rotation G on `rows`
-    and the raw right rotation R on `cols`."""
-    _rotate_left(H, K, Q, left, *rows)
-    rotate_cols(H, *right, *cols)
-    rotate_cols(K, *right, *cols)
-
-
-def _eliminate(H, K, Q, r: int, c: int, tol: float):
-    """Body of `op1_eliminate` without the index check: raw (left, right)
-    pairs, or None when both target entries are at most `tol`."""
-    if abs(H.item(r, c)) <= tol and abs(K.item(r, c)) <= tol:
+def _eliminate(X, r: int, c: int, tol: float):
+    """Body of `op1_eliminate` on the stack X = (H, K, Q^H), without the
+    index check: raw (left, right) pairs, or None when both target entries
+    are at most `tol`."""
+    if abs(X.item(0, r, c)) <= tol and abs(X.item(1, r, c)) <= tol:
         return None
     p = c + 1
-    A = ((H.item(p, c), H.item(p, r)), (H.item(r, c), H.item(r, r)))
-    B = ((K.item(p, c), K.item(p, r)), (K.item(r, c), K.item(r, r)))
+    A = ((X.item(0, p, c), X.item(0, p, r)), (X.item(0, r, c), X.item(0, r, r)))
+    B = ((X.item(1, p, c), X.item(1, p, r)), (X.item(1, r, c), X.item(1, r, r)))
     left, right = pole_preserving_rotations(A, B)
-    _rotate_pencil(H, K, Q, left, (p, r), right, (c, r))
-    H[r, c] = 0.0
-    K[r, c] = 0.0
+    rotate_rows(X, *left, p, r)
+    rotate_cols(X[:2], *right, c, r)
+    X[:2, r, c] = 0.0
     if A[0][0] == 0.0:
-        H[p, c] = 0.0
+        X[0, p, c] = 0.0
     if B[0][0] == 0.0:
-        K[p, c] = 0.0
+        X[1, p, c] = 0.0
     return left, right
 
 
@@ -206,7 +199,10 @@ def op1_eliminate(H: np.ndarray, K: np.ndarray, r: int, c: int, Q: np.ndarray):
     """
     if not (0 <= c < r < H.shape[0]) or r == c + 1:
         raise IndexError(f"invalid elimination target ({r}, {c})")
-    return _eliminate(H, K, Q, r, c, DEFLATION_RTOL * pencil_scale(H, K))
+    X = np.stack((H, K, Q.conj().T))
+    rots = _eliminate(X, r, c, DEFLATION_RTOL * pencil_scale(H, K))
+    H[...], K[...], Q[...] = X[0], X[1], X[2].conj().T
+    return rots
 
 
 def restore_hessenberg(H: np.ndarray, K: np.ndarray, Q: np.ndarray, s_sigma: int) -> list[tuple[int, int]]:
@@ -217,21 +213,26 @@ def restore_hessenberg(H: np.ndarray, K: np.ndarray, Q: np.ndarray, s_sigma: int
     trailing columns clean the corner below their subdiagonal.  Rotations
     keep both Frobenius norms, so the deflation tolerance is fixed for the
     sweep.  Returns the list of positions actually eliminated, in order.
+
+    The sweep rotates one stack X = (H, K, Q^H), written back before the
+    residue check: Q <- Q G^H is Q^H <- G Q^H, so Q rides on the left
+    rotation, and each elimination is one `rotate_rows` and one `rotate_cols`.
     """
     m = H.shape[0]
     mhat = m - s_sigma - 1
     scale = pencil_scale(H, K)
     tol = DEFLATION_RTOL * scale
     targets: list[tuple[int, int]] = []
+    X = np.stack((H, K, Q.conj().T))
     for c in range(m - 2):
         for r in range(max(mhat, c + 2), m):
-            if _eliminate(H, K, Q, r, c, tol) is not None:
+            if _eliminate(X, r, c, tol) is not None:
                 targets.append((r, c))
-    residue = max(np.abs(np.tril(H, -2)).max(), np.abs(np.tril(K, -2)).max())
+    H[...], K[...], Q[...] = X[0], X[1], X[2].conj().T
+    residue = np.abs(np.tril(X[:2], -2)).max()
     if residue > 1e-10 * scale:
         raise NumericalError(f"Hessenberg restoration left residue {residue:.3e}")
-    H[...] = np.triu(H, -1)
-    K[...] = np.triu(K, -1)
+    H[...], K[...] = np.triu(H, -1), np.triu(K, -1)
     return targets
 
 
@@ -298,7 +299,9 @@ def op3_swap_adjacent(H: np.ndarray, K: np.ndarray, c: int, Q: np.ndarray):
         return None
     A, B = ((tau, h01), (0.0, mu)), ((kap, k01), (0.0, nu))
     left, right = _kernel_rotations(z0, z1, A, B, 0.0, "pole swap degenerated")
-    _rotate_pencil(H, K, Q, left, (p, p + 1), right, (c, p))
+    _rotate_left(H, K, Q, left, p, p + 1)
+    rotate_cols(H, *right, c, p)
+    rotate_cols(K, *right, c, p)
     H[p + 1, c] = 0.0
     K[p + 1, c] = 0.0
     # poles travel with their homogeneous pairs: keep exact zeros exact

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sorf.evaluation import metric_orthonormality, metric_poles, metric_recurrence
-from sorf.pencil import is_upper_hessenberg
 from sorf.sobolev import DiscreteSobolevSpec, default_pole_list
 
 
@@ -38,6 +37,15 @@ def random_pole_list(rng, m, n_finite=None):
         mag = rng.uniform(1.05, 3.0)
         xi.append(complex(mag if rng.random() < 0.5 else -mag))
     return default_pole_list(xi, m), xi
+
+
+def is_upper_hessenberg(A):
+    return not np.tril(A, -2).any()
+
+
+def integrate(rule, f):
+    """Apply a quadrature rule to the integrand f."""
+    return np.sum(rule.weights * f(rule.nodes))
 
 
 def rotation_matrix(rot, i, k, m):

@@ -66,11 +66,30 @@ def test_parse_config_rejects_removed_cc_order():
         {"N": 2.7},
         {"N_range": [2.5, 4]},
         {"N": True},
+        {"mu": 10**400},
     ],
 )
 def test_malformed_config_is_a_config_error(doc):
     with pytest.raises(ConfigError):
         run_solve({**BASE, **doc})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"mu": True},
+        {"mu": "2"},
+        {"lambda": "0.5"},
+        {"poles": [True]},
+        {"poles": [["1", 0]]},
+        {"free_poles": [[True, 0]]},
+    ],
+)
+def test_non_number_is_a_config_error(doc):
+    # JSON booleans and numeric strings are not numbers; parse_config itself
+    # refuses them, before any size or pole check could
+    with pytest.raises(ConfigError):
+        parse_config({**BASE, **doc})
 
 
 def test_run_solve_reference_configuration():
@@ -194,6 +213,11 @@ def test_import_rejects_malformed_weights(weights):
         import_quadrature({"nodes": [0.0, 0.5], "weights": weights})
 
 
+def test_import_rejects_boolean_node():
+    with pytest.raises(RuleValidationError):
+        import_quadrature({"nodes": [True, 0.5], "weights": [1.0, 1.0]})
+
+
 def test_import_rejects_coincident_nodes():
     with pytest.raises(RuleValidationError):
         import_quadrature({"nodes": [0.5, 0.5], "weights": [1.0, 1.0]})
@@ -261,6 +285,15 @@ def test_cli_config_error_exit_code(tmp_path):
 def test_cli_malformed_config_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**BASE, "poles": 5}))
+    proc = run_cli("solve", str(cfg))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_non_number_config_exit_code(tmp_path):
+    # JSON booleans and numeric strings are not numbers
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE, "mu": True, "lambda": "0.5"}))
     proc = run_cli("solve", str(cfg))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr

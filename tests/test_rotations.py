@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rotation_matrix
 
@@ -122,3 +124,33 @@ def test_null_direction_rotation_annihilates_row(rng):
 
 def test_null_direction_rotation_zero_row_returns_none():
     assert null_direction(0.0, 0.0) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    angles=st.tuples(*[st.floats(0.0, 2 * np.pi)] * 3),
+    m=st.integers(2, 9),
+    depth=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_rotate_stack_matches_dense_product(angles, m, depth, seed, data):
+    t, phi, psi = angles
+    a, b = np.cos(t) * np.exp(1j * phi), np.sin(t) * np.exp(1j * psi)
+    i = data.draw(st.integers(0, m - 2))
+    k = data.draw(st.integers(i + 1, m - 1))  # adjacent and distant pairs
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(depth, m, m)) + 1j * rng.normal(size=(depth, m, m))
+    G = rotation_matrix((a, b), i, k, m)
+    rows, cols = M.copy(), M.copy()
+    rotate_rows(rows, a, b, i, k)
+    rotate_cols(cols, a, b, i, k)
+    for j in range(depth):
+        assert np.linalg.norm(rows[j] - G @ M[j]) <= 1e-14 * np.linalg.norm(M[j])
+        assert np.linalg.norm(cols[j] - M[j] @ G) <= 1e-14 * np.linalg.norm(M[j])
+    # numpy alone would also refuse these views, but with an unrelated message
+    for bad in ((k, i), (i, i)):
+        with pytest.raises(ValueError, match="i < k"):
+            rotate_rows(M, a, b, *bad)
+        with pytest.raises(ValueError, match="i < k"):
+            rotate_cols(M, a, b, *bad)
