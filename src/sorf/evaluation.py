@@ -12,8 +12,8 @@ Moment matrices collect the inner products of the computed functions.  Both
 are sums sum_{d,j} c[d, j] v_dj v_dj^H over the (derivative, point) axes of a
 table, v_dj = (r_k^(d)(t_j))_k, and one Gram kernel assembles them: the
 discrete one with the coefficients of the spec's inner product at its nodes,
-the continuous one with Clenshaw-Curtis weights times (1-t^2)^mu for values
-and lambda times those for first derivatives (doubled-order self-check).
+the continuous one with cached Clenshaw-Curtis weights times (1-t^2)^mu for
+values and lambda times those for first derivatives (doubled-order check).
 """
 
 from __future__ import annotations
@@ -131,11 +131,11 @@ def continuous_moment_matrix(
 ) -> np.ndarray:
     """Gram matrix under the continuous Gegenbauer-Sobolev inner product.
 
-    Entries are Clenshaw-Curtis integrals of order CC_ORDER with the weight
-    (1-t^2)^mu folded into the integrand; the computation is accepted only
-    when doubling the order reproduces it to 1e-12 relative.  The rule
-    samples t = +-1, where the weight is infinite for mu < 0, so such a
-    weight is refused before any evaluation.
+    Entries are Clenshaw-Curtis integrals of order CC_ORDER (one cached
+    rule per order) with the weight (1-t^2)^mu folded into the integrand,
+    accepted only when doubling the order reproduces them to 1e-12
+    relative.  The rule samples t = +-1, where the weight is infinite for
+    mu < 0, so such a weight is refused before any evaluation.
     """
     if mu < 0.0:
         raise AccuracyError("mu < 0: (1-t^2)^mu is infinite at the Clenshaw-Curtis nodes t = +-1")

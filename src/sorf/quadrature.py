@@ -17,6 +17,7 @@ Three constructions feed the discretized Sobolev inner product:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -114,11 +115,13 @@ def gauss_gegenbauer(mu: float, n: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights, "gegenbauer")
 
 
+@functools.lru_cache(maxsize=8)
 def clenshaw_curtis(n: int) -> QuadratureRule:
     """n-node Clenshaw-Curtis rule on [-1, 1] with unit weight.
 
     Exact for polynomials of degree <= n-1.  The cosine-expansion weights
     follow Trefethen's clencurt; nodes are returned in increasing order.
+    Each rule is built once and cached; its nodes and weights are read-only.
     """
     if n < 2:
         raise ConfigError("Clenshaw-Curtis needs at least two nodes")
@@ -138,7 +141,9 @@ def clenshaw_curtis(n: int) -> QuadratureRule:
         for k in range(1, (N - 1) // 2 + 1):
             v -= 2.0 * np.cos(2.0 * k * interior) / (4.0 * k * k - 1)
     w[1:N] = 2.0 * v / N
-    return QuadratureRule(x[::-1].copy(), w[::-1].copy(), "clenshaw-curtis")
+    rule = QuadratureRule(x[::-1].copy(), w[::-1].copy(), "clenshaw-curtis")
+    rule.nodes.flags.writeable = rule.weights.flags.writeable = False
+    return rule
 
 
 def _pole_factors(points: np.ndarray, poles) -> np.ndarray:

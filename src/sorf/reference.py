@@ -6,21 +6,20 @@ pencil off the recurrence; shifted systems with the bidiagonal J are solved
 by back substitution and the basis is kept orthogonal with a second
 orthogonalization pass.
 
-`solve_via_sop` first produces the recurrence matrix of the Sobolev
-orthogonal polynomial sequence (all poles at infinity, K = I) and then
-installs the poles, up to the last finite one, into the leading subpencil by
-adding each one at the bottom position and swapping it upward.
+`solve_via_sop` takes the recurrence matrix of the Sobolev orthogonal
+polynomials from polynomial Arnoldi (all poles at infinity, K = I exactly;
+no updating solve) and then installs the poles, up to the last finite one,
+by adding each one at the bottom position and swapping it upward.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import KrylovBreakdownError, SpectrumOverlapError
 from .pencil import assert_unreduced, is_infinite_pole
-from .sobolev import DiscreteSobolevSpec, JordanSystem, check_spectrum_disjoint
-from .updating import IEPSolution, op2_add_pole, op3_swap_adjacent, solve_updating
+from .sobolev import DiscreteSobolevSpec, JordanSystem, build_jordan, check_spectrum_disjoint
+from .updating import IEPSolution, op2_add_pole, op3_swap_adjacent, solve_updating  # noqa: F401 (traced here by name)
 
 
 def _solve_shifted_bidiagonal(J: np.ndarray, psi: complex, rhs: np.ndarray) -> np.ndarray:
@@ -93,14 +92,13 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
     ortho = np.linalg.norm(Q.conj().T @ Q - np.eye(m), 2)
     if ortho > 1e-10:
         raise KrylovBreakdownError(f"basis lost orthogonality: {ortho:.3e}")
-    if m > 1:
-        assert_unreduced(H, K)
+    assert_unreduced(H, K)
     return IEPSolution(H, K, Q, wnorm)
 
 
 def solve_via_sop(spec: DiscreteSobolevSpec, poles) -> IEPSolution:
-    """Polynomial-first route: all-infinite solve, normalize K to the
-    identity, then add and swap the poles psi_1, psi_2, ... into the leading
+    """Polynomial-first route: polynomial Arnoldi gives H with K = I, then
+    the poles psi_1, psi_2, ... are added and swapped into the leading
     subpencil.
 
     `poles` may stop short of m - 1 entries; the positions after it keep
@@ -114,15 +112,11 @@ def solve_via_sop(spec: DiscreteSobolevSpec, poles) -> IEPSolution:
     check_spectrum_disjoint(xi, spec.nodes)
     while xi and is_infinite_pole(xi[-1]):
         xi.pop()
-    sol = solve_updating(spec, [np.inf] * (m - 1))
-    H, K, Q = sol.H.copy(), sol.K.copy(), sol.Q.copy()
-    # all-infinite poles leave K upper triangular: fold it into H
-    H = np.triu(solve_triangular(K.T, H.T, lower=True).T, -1)
-    K = np.eye(m, dtype=complex)
+    sol = rational_arnoldi(build_jordan(spec), [np.inf] * (m - 1))
+    H, K, Q = sol.H, sol.K, sol.Q
     for j, pole in enumerate(xi):
         op2_add_pole(H, K, pole)
         for c in range(m - 3, j - 1, -1):
             op3_swap_adjacent(H, K, c, Q)
-    if m > 1:
-        assert_unreduced(H, K)
+    assert_unreduced(H, K)
     return IEPSolution(H, K, Q, sol.wnorm)

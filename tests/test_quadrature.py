@@ -60,6 +60,19 @@ def test_cc_requires_two_nodes():
         clenshaw_curtis(1)
 
 
+def test_cc_rule_is_cached_and_read_only():
+    rule = clenshaw_curtis(17)
+    assert clenshaw_curtis(17) is rule
+    with pytest.raises(ValueError):
+        rule.nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        rule.weights[0] = 0.0
+    # a refused size is not cached: it raises on every call
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            clenshaw_curtis(1)
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Gegenbauer
 # ---------------------------------------------------------------------------

@@ -5,11 +5,18 @@ import pytest
 
 from conftest import assert_iep_invariants, random_pole_list, random_spec
 
+from sorf import reference, updating
 from sorf.errors import SpectrumOverlapError
-from sorf.evaluation import evaluate_solution, table_agreement
+from sorf.evaluation import evaluate_solution, metric_poles, table_agreement
 from sorf.pencil import INFINITY, is_infinite_pole, pole_at
 from sorf.reference import rational_arnoldi, solve_via_sop
-from sorf.sobolev import build_jordan, default_pole_list
+from sorf.sobolev import (
+    GegenbauerSobolevConfig,
+    build_jordan,
+    default_pole_list,
+    discretize_gegenbauer,
+    gegenbauer_pole_ladder,
+)
 from sorf.updating import solve_updating
 
 
@@ -86,6 +93,34 @@ def test_sop_empty_prefix_gives_identity_k():
     sol = solve_via_sop(spec, [])
     assert np.array_equal(sol.K, np.eye(spec.m, dtype=complex))
     assert_iep_invariants(build_jordan(spec), sol, [INFINITY] * (spec.m - 1))
+
+
+def gegenbauer_problem(N, mu=2.0, omega=1.5):
+    spec = discretize_gegenbauer(GegenbauerSobolevConfig(mu=mu, lam=1.0, omega=omega, N=N))
+    poles = default_pole_list(gegenbauer_pole_ladder(omega, N - 1), spec.m, nodes=spec.nodes)
+    return spec, build_jordan(spec), poles
+
+
+def test_sop_does_not_use_the_updating_solver(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sop must not run the updating solver")
+
+    monkeypatch.setattr(updating, "restore_hessenberg", forbidden)
+    monkeypatch.setattr(updating, "solve_updating", forbidden)
+    monkeypatch.setattr(reference, "solve_updating", forbidden)
+    spec, system, poles = gegenbauer_problem(N=12)
+    sol = solve_via_sop(spec, poles)
+    assert_iep_invariants(system, sol, poles)
+
+
+def test_sop_basis_matches_krylov_at_m94():
+    spec, system, poles = gegenbauer_problem(N=24)
+    assert spec.m == 94
+    sop = solve_via_sop(spec, poles)
+    kry = rational_arnoldi(system, poles)
+    # equal bases up to one unimodular phase per column
+    assert np.max(np.abs(np.abs(sop.Q.conj().T @ kry.Q) - np.eye(spec.m))) <= 1e-10
+    assert metric_poles(sop, poles) <= 1e-13
 
 
 def test_sop_leading_subpencil_carries_prescribed_poles(rng):
