@@ -47,6 +47,7 @@ from .updating import (
     add_block,
     embed,
     expected_elimination_count,
+    install_poles,
     op1_eliminate,
     op2_add_pole,
     op3_swap_adjacent,

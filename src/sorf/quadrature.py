@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConfigError, IllPosedMeasureError, PositivityError
+from .errors import ConfigError, IllPosedMeasureError, NumericalError, PositivityError
 
 #: minimum admissible gap between quadrature nodes
 NODE_GAP = 1e-12
@@ -75,8 +75,16 @@ class ThreeTermCoefficients:
 
 
 def _gegenbauer_mass(mu: float) -> float:
-    # int_{-1}^{1} (1-t^2)^mu dt = 2^(2mu+1) * B(mu+1, mu+1)
-    return 2.0 ** (2 * mu + 1) * math.exp(2 * math.lgamma(mu + 1) - math.lgamma(2 * mu + 2))
+    # int_{-1}^{1} (1-t^2)^mu dt = 2^(2mu+1) * B(mu+1, mu+1).  While the beta
+    # function is a normal float the power of two scales it directly; from
+    # mu ~ 504 on (2^(2mu+1) overflows at 511.5) both are summed in log space
+    try:
+        log_beta = 2 * math.lgamma(mu + 1) - math.lgamma(2 * mu + 2)
+        if log_beta > -700.0:
+            return 2.0 ** (2 * mu + 1) * math.exp(log_beta)
+        return math.exp((2 * mu + 1) * math.log(2.0) + log_beta)
+    except OverflowError:
+        raise NumericalError(f"Gegenbauer mass for mu = {mu} is out of floating-point range") from None
 
 
 def gegenbauer_coefficients(mu: float, n: int) -> ThreeTermCoefficients:
@@ -176,12 +184,13 @@ def stieltjes_modified(base: QuadratureRule, finite_poles, n: int) -> ThreeTermC
     if n > base.n:
         raise ConfigError("cannot extract more coefficients than base nodes")
     _check_poles_outside(base.nodes, finite_poles)
-    denom = _pole_factors(base.nodes, finite_poles) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives NaN or 0 weights, refused below
+        denom = _pole_factors(base.nodes, finite_poles) ** 2
     if len(finite_poles) and np.max(np.abs(denom.imag)) > 1e-12 * np.max(np.abs(denom)):
         raise PositivityError("pole list does not define a real modified measure")
     mod = base.weights / denom.real
-    if np.any(mod <= 0.0):
-        raise PositivityError("modified measure has a nonpositive weight")
+    if not np.all(mod > 0.0):  # also refuses NaN
+        raise PositivityError("modified measure has a nonpositive or NaN weight")
     x = base.nodes
     alpha = np.zeros(n)
     beta = np.zeros(n)

@@ -9,7 +9,7 @@ orthogonalization pass.
 `solve_via_sop` takes the recurrence matrix of the Sobolev orthogonal
 polynomials from polynomial Arnoldi (all poles at infinity, K = I exactly;
 no updating solve) and then installs the poles, up to the last finite one,
-by adding each one at the bottom position and swapping it upward.
+with the updating solver's add-and-swap loop `install_poles`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 from .errors import KrylovBreakdownError, SpectrumOverlapError
 from .pencil import assert_unreduced, is_infinite_pole
 from .sobolev import DiscreteSobolevSpec, JordanSystem, build_jordan, check_spectrum_disjoint
-from .updating import IEPSolution, op2_add_pole, op3_swap_adjacent, solve_updating  # noqa: F401 (traced here by name)
+from .updating import IEPSolution, install_poles
+from .updating import op2_add_pole, op3_swap_adjacent, solve_updating  # noqa: F401 (traced here by name)
 
 
 def _solve_shifted_bidiagonal(J: np.ndarray, psi: complex, rhs: np.ndarray) -> np.ndarray:
@@ -63,9 +64,9 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
         v = J @ Q[:, k] if infinite else _solve_shifted_bidiagonal(J, complex(psi), Q[:, k])
         vnorm0 = np.linalg.norm(v)
         basis = Q[:, : k + 1]
-        coeff = basis.conj().T @ v
+        coeff = (v.conj() @ basis).conj()
         v = v - basis @ coeff
-        extra = basis.conj().T @ v
+        extra = (v.conj() @ basis).conj()
         v = v - basis @ extra
         coeff += extra
         beta = float(np.linalg.norm(v))
@@ -89,7 +90,7 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
         Q[:, k + 1] = q_next
     K[m - 1, m - 1] = 1.0
     H[:, m - 1] = Q.conj().T @ (J @ Q[:, m - 1])
-    ortho = np.linalg.norm(Q.conj().T @ Q - np.eye(m), 2)
+    ortho = np.linalg.norm(Q.conj().T @ Q - np.eye(m))
     if ortho > 1e-10:
         raise KrylovBreakdownError(f"basis lost orthogonality: {ortho:.3e}")
     assert_unreduced(H, K)
@@ -113,10 +114,6 @@ def solve_via_sop(spec: DiscreteSobolevSpec, poles) -> IEPSolution:
     while xi and is_infinite_pole(xi[-1]):
         xi.pop()
     sol = rational_arnoldi(build_jordan(spec), [np.inf] * (m - 1))
-    H, K, Q = sol.H, sol.K, sol.Q
-    for j, pole in enumerate(xi):
-        op2_add_pole(H, K, pole)
-        for c in range(m - 3, j - 1, -1):
-            op3_swap_adjacent(H, K, c, Q)
-    assert_unreduced(H, K)
-    return IEPSolution(H, K, Q, sol.wnorm)
+    install_poles(sol, xi, 0)
+    assert_unreduced(sol.H, sol.K)
+    return sol

@@ -13,9 +13,11 @@ eliminations, and finally installs the new block's poles by adding each one
 at the bottom position and swapping it upward.
 
 All index arguments are 0-based; pole index k refers to the subdiagonal
-position (k+1, k).  Rotations are raw (a, b) pairs (see `sorf.rotations`);
-the operations return the pairs they applied, or None where they applied
-none.
+position (k+1, k).  Rotations are raw (a, b) pairs (see `sorf.rotations`).
+The pencil operations act on one stack X = (H, K, Q^H): Q <- Q G^H is
+Q^H <- G Q^H, so a left rotation G is one `rotate_rows` on X and a right
+rotation one `rotate_cols` on X[:2].  They return the pairs they applied,
+or None where they applied none.
 """
 
 from __future__ import annotations
@@ -107,14 +109,6 @@ def embed(hat: IEPSolution, blk: IEPSolution) -> IEPSolution:
     return IEPSolution(H, K, Q, wnorm)
 
 
-def _rotate_left(H, K, Q, rot, i: int, k: int) -> None:
-    """H, K <- G H, G K and Q <- Q G^H for the raw rotation G at (i, k)."""
-    a, b = rot
-    rotate_rows(H, a, b, i, k)
-    rotate_rows(K, a, b, i, k)
-    rotate_cols(Q, a.conjugate(), -b, i, k)
-
-
 def weight_rotation(sol: IEPSolution, hat_norm: float, w_sigma: complex, s_sigma: int) -> tuple[complex, complex]:
     """Apply the rotation P zeroing (hat_norm, |w_sigma|) to an embedded
     solution -- H, K <- P H, P K and Q <- Q P^H -- and return its raw pair.
@@ -124,8 +118,10 @@ def weight_rotation(sol: IEPSolution, hat_norm: float, w_sigma: complex, s_sigma
     vector.  The embedded block carries the weight phase, so only magnitudes
     enter.
     """
-    rot = zeroing(hat_norm, abs(w_sigma))
-    _rotate_left(sol.H, sol.K, sol.Q, rot, 0, sol.m - s_sigma - 1)
+    a, b = rot = zeroing(hat_norm, abs(w_sigma))
+    for M in (sol.H, sol.K):
+        rotate_rows(M, a, b, 0, sol.m - s_sigma - 1)
+    rotate_cols(sol.Q, a.conjugate(), -b, 0, sol.m - s_sigma - 1)
     return rot
 
 
@@ -187,22 +183,18 @@ def _eliminate(X, r: int, c: int, tol: float):
     return left, right
 
 
-def op1_eliminate(H: np.ndarray, K: np.ndarray, r: int, c: int, Q: np.ndarray):
+def op1_eliminate(X: np.ndarray, r: int, c: int):
     """Zero H[r, c] and K[r, c] keeping the pole ratio at column c intact.
 
     The pivot sits at (c+1, c).  Applies a left rotation on rows (c+1, r) and
-    a right rotation on columns (c, r); Q picks up the conjugate-transposed
-    left rotation on its columns.  Entries that were exactly zero on the
-    pivot stay exactly zero (infinite poles survive bit-for-bit).  Returns
-    the raw (left, right) pairs, or None when both targets were already
-    negligible.
+    a right rotation on columns (c, r) of the stack X = (H, K, Q^H).  Entries
+    that were exactly zero on the pivot stay exactly zero (infinite poles
+    survive bit-for-bit).  Returns the raw (left, right) pairs, or None when
+    both targets were already negligible.
     """
-    if not (0 <= c < r < H.shape[0]) or r == c + 1:
+    if not (0 <= c < r < X.shape[1]) or r == c + 1:
         raise IndexError(f"invalid elimination target ({r}, {c})")
-    X = np.stack((H, K, Q.conj().T))
-    rots = _eliminate(X, r, c, DEFLATION_RTOL * pencil_scale(H, K))
-    H[...], K[...], Q[...] = X[0], X[1], X[2].conj().T
-    return rots
+    return _eliminate(X, r, c, DEFLATION_RTOL * pencil_scale(X[0], X[1]))
 
 
 def restore_hessenberg(H: np.ndarray, K: np.ndarray, Q: np.ndarray, s_sigma: int) -> list[tuple[int, int]]:
@@ -213,10 +205,8 @@ def restore_hessenberg(H: np.ndarray, K: np.ndarray, Q: np.ndarray, s_sigma: int
     trailing columns clean the corner below their subdiagonal.  Rotations
     keep both Frobenius norms, so the deflation tolerance is fixed for the
     sweep.  Returns the list of positions actually eliminated, in order.
-
-    The sweep rotates one stack X = (H, K, Q^H), written back before the
-    residue check: Q <- Q G^H is Q^H <- G Q^H, so Q rides on the left
-    rotation, and each elimination is one `rotate_rows` and one `rotate_cols`.
+    The sweep rotates the stack (H, K, Q^H), written back before the residue
+    check.
     """
     m = H.shape[0]
     mhat = m - s_sigma - 1
@@ -254,20 +244,20 @@ def expected_elimination_count(m: int, s_sigma: int) -> int:
     return (mhat - 1) * S + s_sigma * S // 2
 
 
-def op2_add_pole(H: np.ndarray, K: np.ndarray, psi) -> tuple[complex, complex] | None:
+def op2_add_pole(X: np.ndarray, psi) -> tuple[complex, complex] | None:
     """Set the pole at the last subdiagonal position (m-1, m-2) to psi.
 
     A single right rotation on the last two columns; Q is untouched.  Handles
     psi at infinity through the homogeneous pair (mu, nu) = (1, 0).  Returns
     the raw pair applied, or None when the ratio already equals psi.
     """
+    H, K = X[0], X[1]
     m = H.shape[0]
     mu, nu = pole_pair(psi)
     rot = null_direction(nu * H[m - 1, m - 2] - mu * K[m - 1, m - 2], nu * H[m - 1, m - 1] - mu * K[m - 1, m - 1])
     if rot is None:  # the ratio at the trailing position already equals psi
         return None
-    rotate_cols(H, *rot, m - 2, m - 1)
-    rotate_cols(K, *rot, m - 2, m - 1)
+    rotate_cols(X[:2], *rot, m - 2, m - 1)
     if nu == 0.0:
         K[m - 1, m - 2] = 0.0
     if mu == 0.0:
@@ -278,7 +268,7 @@ def op2_add_pole(H: np.ndarray, K: np.ndarray, psi) -> tuple[complex, complex] |
     return rot
 
 
-def op3_swap_adjacent(H: np.ndarray, K: np.ndarray, c: int, Q: np.ndarray):
+def op3_swap_adjacent(X: np.ndarray, c: int):
     """Exchange the poles at indices c and c+1; all other ratios are fixed.
 
     Works on the 2x2 upper triangular kernels at rows (c+1, c+2), columns
@@ -287,43 +277,42 @@ def op3_swap_adjacent(H: np.ndarray, K: np.ndarray, c: int, Q: np.ndarray):
     (left, right) pairs, or None when that row vanishes (equal poles, nothing
     to move).
     """
-    m = H.shape[0]
-    if not 0 <= c <= m - 3:
+    if not 0 <= c <= X.shape[1] - 3:
         raise IndexError(f"swap index {c} out of range")
     p = c + 1
-    tau, kap = H.item(p, c), K.item(p, c)
-    mu, nu = H.item(p + 1, p), K.item(p + 1, p)
-    h01, k01 = H.item(p, p), K.item(p, p)
+    tau, kap = X.item(0, p, c), X.item(1, p, c)
+    mu, nu = X.item(0, p + 1, p), X.item(1, p + 1, p)
+    h01, k01 = X.item(0, p, p), X.item(1, p, p)
     z0, z1 = nu * tau - mu * kap, nu * h01 - mu * k01
     if z0 == 0.0 and z1 == 0.0:
         return None
     A, B = ((tau, h01), (0.0, mu)), ((kap, k01), (0.0, nu))
     left, right = _kernel_rotations(z0, z1, A, B, 0.0, "pole swap degenerated")
-    _rotate_left(H, K, Q, left, p, p + 1)
-    rotate_cols(H, *right, c, p)
-    rotate_cols(K, *right, c, p)
-    H[p + 1, c] = 0.0
-    K[p + 1, c] = 0.0
+    rotate_rows(X, *left, p, p + 1)
+    rotate_cols(X[:2], *right, c, p)
+    X[:2, p + 1, c] = 0.0
     # poles travel with their homogeneous pairs: keep exact zeros exact
     if nu == 0.0:
-        K[p, c] = 0.0
+        X[1, p, c] = 0.0
     if kap == 0.0:
-        K[p + 1, p] = 0.0
+        X[1, p + 1, p] = 0.0
     if mu == 0.0:
-        H[p, c] = 0.0
+        X[0, p, c] = 0.0
     if tau == 0.0:
-        H[p + 1, p] = 0.0
+        X[0, p + 1, p] = 0.0
     return left, right
 
 
-def _install_trailing_poles(sol: IEPSolution, new_poles, first_index: int) -> None:
-    """Add poles (deepest target first) at the bottom and swap each upward."""
-    H, K, Q = sol.H, sol.K, sol.Q
-    m = H.shape[0]
-    for j, psi in enumerate(new_poles):
-        op2_add_pole(H, K, psi)
+def install_poles(sol: IEPSolution, poles, first_index: int) -> None:
+    """Add each pole at the bottom and swap it up to index first_index + j
+    (j its place in `poles`), on one stack (H, K, Q^H) written back once."""
+    m = sol.m
+    X = np.stack((sol.H, sol.K, sol.Q.conj().T))
+    for j, psi in enumerate(poles):
+        op2_add_pole(X, psi)
         for c in range(m - 3, first_index + j - 1, -1):
-            op3_swap_adjacent(H, K, c, Q)
+            op3_swap_adjacent(X, c)
+    sol.H[...], sol.K[...], sol.Q[...] = X[0], X[1], X[2].conj().T
 
 
 def add_block(current: IEPSolution | None, node, alphas, weight, new_poles) -> IEPSolution:
@@ -336,7 +325,7 @@ def add_block(current: IEPSolution | None, node, alphas, weight, new_poles) -> I
     if current is None:
         if len(new_poles) != len(alphas):
             raise ValueError("the first block introduces exactly s poles")
-        _install_trailing_poles(blk, new_poles, 0)
+        install_poles(blk, new_poles, 0)
         return blk
     s_sigma = len(alphas)
     if len(new_poles) != s_sigma + 1:
@@ -344,7 +333,7 @@ def add_block(current: IEPSolution | None, node, alphas, weight, new_poles) -> I
     sol = embed(current, blk)
     weight_rotation(sol, current.wnorm, weight, s_sigma)
     restore_hessenberg(sol.H, sol.K, sol.Q, s_sigma)
-    _install_trailing_poles(sol, new_poles, sol.m - s_sigma - 2)
+    install_poles(sol, new_poles, sol.m - s_sigma - 2)
     return sol
 
 

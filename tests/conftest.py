@@ -60,6 +60,18 @@ def rotation_matrix(rot, i, k, m):
     return G
 
 
+def on_stack(op, H, K, Q, *args):
+    """Run a pencil operation of `sorf.updating` on the stack (H, K, Q^H) it
+    acts on, write the result back into H, K and Q (Q = None stands for the
+    identity and is not written) and return what the operation returned."""
+    X = np.stack((H, K, np.eye(len(H), dtype=complex) if Q is None else Q.conj().T))
+    out = op(X, *args)
+    H[...], K[...] = X[0], X[1]
+    if Q is not None:
+        Q[...] = X[2].conj().T
+    return out
+
+
 def assert_iep_invariants(system, sol, poles, rtol=1e-12):
     """The three defining conditions of a pencil inverse-problem solution."""
     assert metric_orthonormality(sol) <= rtol

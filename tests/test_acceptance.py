@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from conftest import assert_iep_invariants, integrate, random_pole_list, random_spec, rotation_matrix
+from conftest import assert_iep_invariants, integrate, on_stack, random_pole_list, random_spec, rotation_matrix
 
 from sorf.evaluation import (
     continuous_moment_matrix,
@@ -32,6 +32,7 @@ from sorf.sobolev import (
 from sorf.updating import (
     embed,
     expected_elimination_count,
+    install_poles,
     op2_add_pole,
     op3_swap_adjacent,
     pole_preserving_rotations,
@@ -164,7 +165,7 @@ def test_criterion_4b_swap_exchanges_exactly_two():
         H, K, Q = sol.H.copy(), sol.K.copy(), sol.Q.copy()
         before = [pole_at(H, K, k) for k in range(m - 1)]
         c = int(rng.integers(0, m - 2))
-        op3_swap_adjacent(H, K, c, Q)
+        on_stack(op3_swap_adjacent, H, K, Q, c)
         after = [pole_at(H, K, k) for k in range(m - 1)]
         expect = list(before)
         expect[c], expect[c + 1] = expect[c + 1], expect[c]
@@ -199,11 +200,7 @@ def test_criterion_4c_elimination_count():
                 sol = emb
                 new_poles = [complex(rng.uniform(1.05, 3.0)) for _ in range(s + 1)]
                 first = emb.m - s - 2
-            m_now = sol.m
-            for i, psi in enumerate(new_poles):
-                op2_add_pole(sol.H, sol.K, psi)
-                for c in range(m_now - 3, first + i - 1, -1):
-                    op3_swap_adjacent(sol.H, sol.K, c, sol.Q)
+            install_poles(sol, new_poles, first)
 
 
 def test_criterion_4d_pole_placement_by_add_and_swap():
@@ -218,9 +215,9 @@ def test_criterion_4d_pole_placement_by_add_and_swap():
         H, K, Q = sol.H.copy(), sol.K.copy(), sol.Q.copy()
         psi = complex(rng.uniform(1.1, 2.5) * (1 if rng.random() < 0.5 else -1))
         target = int(rng.integers(2, m - 1))
-        op2_add_pole(H, K, psi)
+        on_stack(op2_add_pole, H, K, None, psi)
         for c in range(m - 3, target - 1, -1):
-            op3_swap_adjacent(H, K, c, Q)
+            on_stack(op3_swap_adjacent, H, K, Q, c)
         assert abs(pole_at(H, K, target) - psi) <= 1e-12 * abs(psi)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from sorf.driver import (
     run_solve,
     run_sweep,
 )
-from sorf.errors import AccuracyError, ConfigError, RuleValidationError
+from sorf.errors import AccuracyError, ConfigError, NumericalError, RuleValidationError, SorfError
 from sorf.sobolev import (
     GegenbauerSobolevConfig,
     default_pole_list,
@@ -313,6 +314,33 @@ def test_cli_infinite_endpoint_weight_exits_numerical(tmp_path):
     cfg.write_text(json.dumps({"mu": -0.5, "N": 4}))
     proc = run_cli("solve", str(cfg))
     assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+EXTREME_DOCS = [{"mu": mu, "N": 3} for mu in (512, 1e6, 1e300, 1e308)] + [{"mu": 600, "N": 8}]
+HUGE_OMEGA_DOCS = [{"omega": omega, "N": 3} for omega in (1e154, 1e200, 1e308)]
+
+
+@pytest.mark.parametrize("doc", EXTREME_DOCS + HUGE_OMEGA_DOCS)
+def test_extreme_admissible_config_ends_in_metrics_or_typed_error(doc):
+    try:
+        report = run_solve({**doc, "method": "all"})
+    except SorfError as exc:
+        assert isinstance(exc, NumericalError)
+        return
+    assert "omega" not in doc  # huge omega overflows the pole factors
+    assert math.isfinite(report["cross_agreement"])
+    for entry in report["reports"]:
+        assert all(math.isfinite(v) for v in entry["metrics"].values())
+
+
+@pytest.mark.parametrize("doc", EXTREME_DOCS + HUGE_OMEGA_DOCS)
+def test_cli_extreme_admissible_config_exits_cleanly(tmp_path, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    proc = run_cli("solve", str(cfg), "-o", str(tmp_path / "report.json"))
+    assert proc.returncode in ((3,) if "omega" in doc else (0, 3)), proc.stderr
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
 

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import integrate
 
-from sorf.errors import ConfigError, IllPosedMeasureError, PositivityError
+from sorf.errors import ConfigError, IllPosedMeasureError, NumericalError, PositivityError
 from sorf.quadrature import (
     QuadratureRule,
     clenshaw_curtis,
@@ -113,6 +115,21 @@ def test_gegenbauer_exactness_degree(rng):
         assert integrate(rule, p) == pytest.approx(ref, rel=1e-11, abs=1e-13)
 
 
+@pytest.mark.parametrize("mu", [-0.5, 0.0, 2.5, 100.0, 500.0])
+def test_gegenbauer_mass_matches_power_of_two_formula(mu):
+    # the direct formula 2^(2mu+1) B(mu+1, mu+1), valid while 2^(2mu+1) is finite
+    direct = 2.0 ** (2 * mu + 1) * math.exp(2 * math.lgamma(mu + 1) - math.lgamma(2 * mu + 2))
+    assert gegenbauer_coefficients(mu, 1).beta[0] == pytest.approx(direct, rel=1e-13)
+
+
+def test_gegenbauer_mass_beyond_power_of_two_range():
+    # 2^(2mu+1) overflows from mu = 511.5 on; the mass itself tends to sqrt(pi/mu)
+    for mu in (512.0, 600.0, 1e6):
+        assert gegenbauer_coefficients(mu, 1).beta[0] == pytest.approx(math.sqrt(math.pi / mu), rel=1e-3)
+    with pytest.raises(NumericalError):
+        gegenbauer_coefficients(1e308, 1)
+
+
 def test_gegenbauer_rejects_bad_mu():
     with pytest.raises(ConfigError):
         gauss_gegenbauer(-1.0, 4)
@@ -156,6 +173,13 @@ def test_stieltjes_pole_inside_support_raises():
     base = gauss_gegenbauer(2.0, 32)
     with pytest.raises(IllPosedMeasureError):
         stieltjes_modified(base, [0.5], 4)
+
+
+@pytest.mark.parametrize("pole", [1e154, 1e200, 1e308])
+def test_stieltjes_refuses_overflowing_pole_factors(pole):
+    # squared pole factors overflow to complex infinity; their square is NaN
+    with pytest.raises(PositivityError):
+        stieltjes_modified(gauss_gegenbauer(2.0, 64), [-pole, pole], 3)
 
 
 def test_stieltjes_rejects_more_coefficients_than_nodes():

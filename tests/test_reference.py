@@ -113,6 +113,29 @@ def test_sop_does_not_use_the_updating_solver(monkeypatch):
     assert_iep_invariants(system, sol, poles)
 
 
+def test_sop_installs_poles_through_the_updating_loop(monkeypatch):
+    # sop adds and swaps with the operations the updating solver uses, looked
+    # up by name in sorf.updating: each of the 11 prescribed poles is added
+    # once and swapped from the bottom up to its index
+    calls = {"add": 0, "swap": 0}
+
+    def counting(key, op):
+        def wrapped(*args):
+            calls[key] += 1
+            return op(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(updating, "op2_add_pole", counting("add", updating.op2_add_pole))
+    monkeypatch.setattr(updating, "op3_swap_adjacent", counting("swap", updating.op3_swap_adjacent))
+    spec, system, poles = gegenbauer_problem(N=12)
+    m = spec.m
+    assert m == 46
+    sol = solve_via_sop(spec, poles)
+    assert calls == {"add": 11, "swap": sum(m - 2 - j for j in range(11))}  # 429 swaps
+    assert_iep_invariants(system, sol, poles)
+
+
 def test_sop_basis_matches_krylov_at_m94():
     spec, system, poles = gegenbauer_problem(N=24)
     assert spec.m == 94

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import assert_iep_invariants, random_pole_list, random_spec, rotation_matrix
+from conftest import assert_iep_invariants, on_stack, random_pole_list, random_spec, rotation_matrix
 
 from sorf.errors import DeflationError
 from sorf.pencil import INFINITY, is_infinite_pole, pole_at
@@ -11,6 +11,7 @@ from sorf.updating import (
     add_block,
     embed,
     expected_elimination_count,
+    install_poles,
     op1_eliminate,
     op2_add_pole,
     op3_swap_adjacent,
@@ -236,7 +237,7 @@ def test_op1_already_zero_targets_are_identity(rng):
     H = np.triu(rng.normal(size=(5, 5)) + 0j, -1)
     K = np.triu(rng.normal(size=(5, 5)) + 0j, -1)
     before_H, before_K = H.copy(), K.copy()
-    assert op1_eliminate(H, K, 4, 0, np.eye(5, dtype=complex)) is None
+    assert on_stack(op1_eliminate, H, K, np.eye(5, dtype=complex), 4, 0) is None
     assert np.array_equal(H, before_H) and np.array_equal(K, before_K)
 
 
@@ -246,13 +247,13 @@ def test_op1_deflated_pivot_raises():
     H[1, 0] = K[1, 0] = 0.0
     H[3, 0] = K[3, 0] = 0.5
     with pytest.raises(DeflationError):
-        op1_eliminate(H, K, 3, 0, np.eye(4, dtype=complex))
+        on_stack(op1_eliminate, H, K, np.eye(4, dtype=complex), 3, 0)
 
 
 def test_op1_first_elimination_display():
     # eliminating (5, 1) of the weight-rotated 6x6 pencil fills (6, 1)
     emb = weight_rotated_6x6()
-    op1_eliminate(emb.H, emb.K, 4, 0, emb.Q)
+    on_stack(op1_eliminate, emb.H, emb.K, emb.Q, 4, 0)
     expect_H = np.array(
         [
             [1, 1, 1, 1, 1, 0],
@@ -322,11 +323,7 @@ def test_restore_elimination_count_random_blocks(seed):
             sol = emb
             new_poles = [complex(rng.uniform(1.05, 3.0)) for _ in range(s + 1)]
             first = emb.m - s - 2
-        m_now = sol.m
-        for i, psi in enumerate(new_poles):
-            op2_add_pole(sol.H, sol.K, psi)
-            for c in range(m_now - 3, first + i - 1, -1):
-                op3_swap_adjacent(sol.H, sol.K, c, sol.Q)
+        install_poles(sol, new_poles, first)
         pos += s + 1
 
 
@@ -368,14 +365,14 @@ def test_op2_pole_already_in_place_is_identity(rng):
     sol, _ = random_unreduced_pencil(rng, 6, poles=[-1.4, 2.0, -1.2, 1.5, 1.9])
     psi = pole_at(sol.H, sol.K, 4)
     H, K = sol.H.copy(), sol.K.copy()
-    op2_add_pole(H, K, psi)
+    on_stack(op2_add_pole, H, K, None, psi)
     assert abs(pole_at(H, K, 4) - psi) <= 1e-13 * abs(psi)
 
 
 def test_op2_infinite_pole_zeroes_k_subdiagonal(rng):
     sol, _ = random_unreduced_pencil(rng, 6, poles=[-1.4, 2.0, -1.2, 1.5, 1.9])
     H, K = sol.H.copy(), sol.K.copy()
-    op2_add_pole(H, K, INFINITY)
+    on_stack(op2_add_pole, H, K, None, INFINITY)
     assert K[5, 4] == 0.0
     assert is_infinite_pole(pole_at(H, K, 4))
 
@@ -387,7 +384,7 @@ def test_op2_random_pencil_places_pole_and_keeps_residual(rng):
     sys = build_jordan(spec)
     res_before = np.linalg.norm(sys.J @ sol.Q @ sol.K - sol.Q @ sol.H)
     H, K = sol.H.copy(), sol.K.copy()
-    op2_add_pole(H, K, -1.1)
+    on_stack(op2_add_pole, H, K, None, -1.1)
     m = spec.m
     assert abs(pole_at(H, K, m - 2) + 1.1) <= 1e-13 * 1.1
     res_after = np.linalg.norm(sys.J @ sol.Q @ K - sol.Q @ H)
@@ -402,8 +399,8 @@ def test_op3_swap_then_swap_restores(rng):
     sol, _ = random_unreduced_pencil(rng, 6, poles=[-1.3, 1.7, INFINITY, -2.0, 1.1])
     H, K, Q = sol.H.copy(), sol.K.copy(), sol.Q.copy()
     before = [pole_at(H, K, k) for k in range(5)]
-    op3_swap_adjacent(H, K, 1, Q)
-    op3_swap_adjacent(H, K, 1, Q)
+    on_stack(op3_swap_adjacent, H, K, Q, 1)
+    on_stack(op3_swap_adjacent, H, K, Q, 1)
     after = [pole_at(H, K, k) for k in range(5)]
     for a, b in zip(before, after):
         if is_infinite_pole(a):
@@ -419,7 +416,7 @@ def test_op3_named_example_swaps_first_pair():
     poles = default_pole_list([2.0, 5.0], spec.m, nodes=spec.nodes)
     sol = solve_updating(spec, poles)
     H, K, Q = sol.H.copy(), sol.K.copy(), sol.Q.copy()
-    op3_swap_adjacent(H, K, 0, Q)
+    on_stack(op3_swap_adjacent, H, K, Q, 0)
     assert pole_at(H, K, 0) == pytest.approx(5.0, rel=1e-12)
     assert pole_at(H, K, 1) == pytest.approx(2.0, rel=1e-12)
     assert is_infinite_pole(pole_at(H, K, 2))
@@ -435,7 +432,7 @@ def test_op3_random_pencils_exchange_exactly_two(rng):
         H, K, Q = sol.H.copy(), sol.K.copy(), sol.Q.copy()
         before = [pole_at(H, K, k) for k in range(m - 1)]
         c = int(rng.integers(0, m - 2))
-        op3_swap_adjacent(H, K, c, Q)
+        on_stack(op3_swap_adjacent, H, K, Q, c)
         after = [pole_at(H, K, k) for k in range(m - 1)]
         expect = list(before)
         expect[c], expect[c + 1] = expect[c + 1], expect[c]
@@ -452,13 +449,13 @@ def test_op3_random_pencils_exchange_exactly_two(rng):
 def test_op2_op3_return_the_pairs_they_applied(rng):
     sol, _ = random_unreduced_pencil(rng, 6, poles=[-1.3, 1.7, INFINITY, -2.0, 1.1])
     H, K, Q = sol.H.copy(), sol.K.copy(), sol.Q.copy()
-    left, right = op3_swap_adjacent(H, K, 1, Q)
+    left, right = on_stack(op3_swap_adjacent, H, K, Q, 1)
     GL, GR = rotation_matrix(left, 2, 3, 6), rotation_matrix(right, 1, 2, 6)
     for new, old in ((H, sol.H), (K, sol.K)):
         assert np.linalg.norm(new - GL @ old @ GR) <= 1e-13 * np.linalg.norm(old)
     assert np.linalg.norm(Q - sol.Q @ GL.conj().T) <= 1e-13
     H0, K0 = H.copy(), K.copy()
-    G = rotation_matrix(op2_add_pole(H, K, -1.1), 4, 5, 6)
+    G = rotation_matrix(on_stack(op2_add_pole, H, K, None, -1.1), 4, 5, 6)
     assert np.linalg.norm(H - H0 @ G) <= 1e-13 * np.linalg.norm(H0)
     assert np.linalg.norm(K - K0 @ G) <= 1e-13 * np.linalg.norm(K0)
 
@@ -473,9 +470,9 @@ def test_op2_then_swaps_places_pole_at_target(rng):
         H, K, Q = sol.H.copy(), sol.K.copy(), sol.Q.copy()
         psi = complex(rng.uniform(1.1, 2.5) * (1 if rng.random() < 0.5 else -1))
         target = int(rng.integers(2, m - 1))
-        op2_add_pole(H, K, psi)
+        on_stack(op2_add_pole, H, K, None, psi)
         for c in range(m - 3, target - 1, -1):
-            op3_swap_adjacent(H, K, c, Q)
+            on_stack(op3_swap_adjacent, H, K, Q, c)
         assert abs(pole_at(H, K, target) - psi) <= 1e-12 * abs(psi)
 
 
@@ -487,7 +484,7 @@ def test_op2_then_swaps_places_pole_at_target(rng):
 def test_add_block_first_block_reduces_to_single_solution():
     sol = add_block(None, 0.5, [1.0], 2.0, [-1.5])
     ref = single_block_solution(0.5, [1.0], 2.0)
-    op2_add_pole(ref.H, ref.K, -1.5)
+    on_stack(op2_add_pole, ref.H, ref.K, None, -1.5)
     assert np.array_equal(sol.H, ref.H)
     assert np.array_equal(sol.K, ref.K)
     assert np.array_equal(sol.Q, ref.Q)
@@ -576,7 +573,7 @@ def test_solve_updating_complex_nodes_and_weights(rng):
 def test_op2_zero_pole_zeroes_h_subdiagonal(rng):
     sol, _ = random_unreduced_pencil(rng, 5, poles=[-1.4, 2.0, -1.2, 1.5])
     H, K = sol.H.copy(), sol.K.copy()
-    op2_add_pole(H, K, 0.0)
+    on_stack(op2_add_pole, H, K, None, 0.0)
     assert H[4, 3] == 0.0
     assert pole_at(H, K, 3) == 0.0
 
