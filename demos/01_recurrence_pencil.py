@@ -18,7 +18,6 @@ from sorf import (
     build_jordan,
     default_pole_list,
     discretize_gegenbauer,
-    gegenbauer_pole_ladder,
     metric_orthonormality,
     metric_poles,
     metric_recurrence,
@@ -34,9 +33,8 @@ system = build_jordan(spec)
 print(f"\nmatrix size m = {system.m}; weight vector pattern (zeros at derivative slots):")
 print(np.round(np.abs(system.w), 4))
 
-xi = gegenbauer_pole_ladder(config.omega, config.N - 1)
-poles = default_pole_list(xi, spec.m, nodes=spec.nodes)
-print(f"\nprescribed poles: {xi}; remaining positions default to infinity")
+poles = default_pole_list(config.poles, spec.m, nodes=spec.nodes)
+print(f"\nprescribed poles: {list(config.poles)}; remaining positions default to infinity")
 
 solution = solve_updating(spec, poles)
 print("\nsubdiagonal pole ratios of the computed pencil:")

@@ -17,15 +17,13 @@ from sorf import (
     discrete_moment_matrix,
     discretize_gegenbauer,
     evaluate_solution,
-    gegenbauer_pole_ladder,
     solve_updating,
 )
 
 N = 3
 config = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, N=N)
 spec = discretize_gegenbauer(config)
-xi = gegenbauer_pole_ladder(config.omega, N - 1)
-poles = default_pole_list(xi, spec.m, nodes=spec.nodes)
+poles = default_pole_list(config.poles, spec.m, nodes=spec.nodes)
 solution = solve_updating(spec, poles)
 
 table = evaluate_solution(solution, np.array(spec.nodes), max_deriv=1)

@@ -26,7 +26,6 @@ from .errors import (
 from .pencil import INFINITY, is_infinite_pole, pole_at
 from .quadrature import (
     QuadratureRule,
-    ThreeTermCoefficients,
     clenshaw_curtis,
     gauss_gegenbauer,
     rational_gauss,

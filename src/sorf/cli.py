@@ -1,7 +1,10 @@
 """Command-line driver.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure (deflation,
-positivity, ...), 4 validation failure on an imported quadrature rule.
+positivity, ...), 4 validation failure on an imported quadrature rule.  A
+config file that cannot be read or is not UTF-8 JSON, or an output file that
+cannot be written, is a config error; a rule file that cannot be read or
+parsed fails validation.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .driver import dump_quadrature, import_quadrature, rule_document, run_solve, run_sweep
+from .driver import dump_quadrature, import_quadrature, read_json, rule_document, run_solve, run_sweep
 from .errors import ConfigError, NumericalError, RuleValidationError, SorfError
 
 EXIT_OK = 0
@@ -19,24 +22,17 @@ EXIT_NUMERICAL = 3
 EXIT_VALIDATION = 4
 
 
-def _read_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path!r} is not valid JSON: {exc}") from exc
-
-
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,20 +64,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "solve":
-            report = run_solve(_read_json(args.config))
+            report = run_solve(read_json(args.config))
             _write(json.dumps(report, indent=2), args.output)
         elif args.command == "sweep":
-            _write(run_sweep(_read_json(args.config)), args.output)
+            _write(run_sweep(read_json(args.config)), args.output)
         elif args.command == "dump-quadrature":
-            _write(json.dumps(dump_quadrature(_read_json(args.config)), indent=2), args.output)
+            _write(json.dumps(dump_quadrature(read_json(args.config)), indent=2), args.output)
         elif args.command == "import-quadrature":
-            try:
-                with open(args.rule, "r", encoding="utf-8") as fh:
-                    doc = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_VALIDATION
-            rule = import_quadrature(doc)
+            rule = import_quadrature(read_json(args.rule, RuleValidationError, RuleValidationError))
             _write(json.dumps(rule_document(rule), indent=2), args.output)
     except RuleValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -32,7 +32,6 @@ from .sobolev import (
     build_jordan,
     default_pole_list,
     discretize_gegenbauer,
-    gegenbauer_pole_ladder,
     gegenbauer_rule,
 )
 from .updating import solve_updating
@@ -128,15 +127,9 @@ def parse_config(doc: dict) -> dict:
     return out
 
 
-def _config_and_poles(cfg: dict, N: int):
-    """Validated Gegenbauer-Sobolev config and prescribed poles for size N."""
-    gcfg = GegenbauerSobolevConfig(mu=cfg["mu"], lam=cfg["lambda"], omega=cfg["omega"], N=N)
-    if cfg["poles"] is None:
-        return gcfg, gegenbauer_pole_ladder(cfg["omega"], N - 1)
-    xi = cfg["poles"][: N - 1]
-    if len(xi) != N - 1:
-        raise ConfigError(f"need N - 1 = {N - 1} prescribed poles, got {len(xi)}")
-    return gcfg, xi
+def _gegenbauer_config(cfg: dict, N: int) -> GegenbauerSobolevConfig:
+    poles = None if cfg["poles"] is None else cfg["poles"][: N - 1]
+    return GegenbauerSobolevConfig(mu=cfg["mu"], lam=cfg["lambda"], omega=cfg["omega"], N=N, poles=poles)
 
 
 def _solve_and_score(cfg: dict, N: int):
@@ -147,10 +140,10 @@ def _solve_and_score(cfg: dict, N: int):
     methods.  Solvers and metrics are looked up in this module's globals at
     call time, so a wrapper installed under one of those names takes effect.
     """
-    gcfg, xi = _config_and_poles(cfg, N)
+    gcfg = _gegenbauer_config(cfg, N)
     rule = load_quadrature(cfg["quadrature_file"]) if cfg["quadrature_file"] else None
-    spec = discretize_gegenbauer(gcfg, rule=rule, xi=xi)
-    psis = default_pole_list(xi, spec.m, nodes=spec.nodes, free=cfg["free_poles"])
+    spec = discretize_gegenbauer(gcfg, rule=rule)
+    psis = default_pole_list(gcfg.poles, spec.m, nodes=spec.nodes, free=cfg["free_poles"])
     system = build_jordan(spec)
     nodes = np.array(spec.nodes)
     for method in METHODS if cfg["method"] == "all" else (cfg["method"],):
@@ -220,7 +213,7 @@ def run_sweep(doc: dict) -> str:
 def dump_quadrature(doc: dict) -> dict:
     """Construct the configured rational Gauss rule and emit a rule document."""
     cfg = parse_config(doc)
-    return rule_document(gegenbauer_rule(*_config_and_poles(cfg, cfg["N"])))
+    return rule_document(gegenbauer_rule(_gegenbauer_config(cfg, cfg["N"])))
 
 
 def rule_document(rule: QuadratureRule) -> dict:
@@ -252,12 +245,17 @@ def import_quadrature(doc: dict) -> QuadratureRule:
         raise RuleValidationError(f"imported rule failed validation: {exc}") from exc
 
 
-def load_quadrature(path: str) -> QuadratureRule:
+def read_json(path: str, unreadable=ConfigError, malformed=ConfigError):
+    """The JSON document at `path`; raises `unreadable` when the file cannot
+    be read and `malformed` when it is not UTF-8 JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read quadrature file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise RuleValidationError(f"quadrature file {path!r} is not valid JSON: {exc}") from exc
-    return import_quadrature(doc)
+        raise unreadable(f"cannot read {path!r}: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # the last for deep nesting
+        raise malformed(f"{path!r} is not valid UTF-8 JSON: {exc}") from exc
+
+
+def load_quadrature(path: str) -> QuadratureRule:
+    return import_quadrature(read_json(path, malformed=RuleValidationError))

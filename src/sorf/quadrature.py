@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,38 +58,25 @@ class QuadratureRule:
         return self.nodes.size
 
 
-@dataclass(frozen=True)
-class ThreeTermCoefficients:
-    """Recurrence shifts alpha_k and norms beta_k of an orthonormal polynomial
-    family; beta_0 carries the total mass of the measure."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.beta) <= 0.0):
-            raise PositivityError("recurrence norms beta_k must be positive")
-
-    @property
-    def n(self) -> int:
-        return len(self.alpha)
-
-
 def _gegenbauer_mass(mu: float) -> float:
-    # int_{-1}^{1} (1-t^2)^mu dt = 2^(2mu+1) * B(mu+1, mu+1).  While the beta
-    # function is a normal float the power of two scales it directly; from
-    # mu ~ 504 on (2^(2mu+1) overflows at 511.5) both are summed in log space
+    # int_{-1}^{1} (1-t^2)^mu dt = 2^(2mu+1) * B(mu+1, mu+1) = sqrt(pi) / (mu+1)_{1/2}.
+    # While the beta function is a normal float the power of two scales it
+    # directly; from mu ~ 504 on (2^(2mu+1) overflows at 511.5) the Pochhammer
+    # form takes over, where the lgamma difference would cancel
     try:
         log_beta = 2 * math.lgamma(mu + 1) - math.lgamma(2 * mu + 2)
-        if log_beta > -700.0:
-            return 2.0 ** (2 * mu + 1) * math.exp(log_beta)
-        return math.exp((2 * mu + 1) * math.log(2.0) + log_beta)
     except OverflowError:
         raise NumericalError(f"Gegenbauer mass for mu = {mu} is out of floating-point range") from None
+    if log_beta > -700.0:
+        return 2.0 ** (2 * mu + 1) * math.exp(log_beta)
+    from scipy.special import poch  # loaded only for such large mu
+
+    return math.sqrt(math.pi) / poch(mu + 1, 0.5)
 
 
-def gegenbauer_coefficients(mu: float, n: int) -> ThreeTermCoefficients:
-    """Three-term coefficients of the weight (1-t^2)^mu on [-1, 1].
+def gegenbauer_coefficients(mu: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recurrence shifts alpha_k and norms beta_k (beta_0 the total mass) of
+    the weight (1-t^2)^mu on [-1, 1].
 
     Jacobi recurrence with alpha = beta = mu; all shifts vanish by symmetry.
     """
@@ -101,16 +89,16 @@ def gegenbauer_coefficients(mu: float, n: int) -> ThreeTermCoefficients:
         beta[1] = 1.0 / (3.0 + 2.0 * mu)
     for k in range(2, n):
         beta[k] = k * (k + 2.0 * mu) / ((2.0 * k + 2.0 * mu + 1.0) * (2.0 * k + 2.0 * mu - 1.0))
-    return ThreeTermCoefficients(alpha, beta)
+    return alpha, beta
 
 
-def golub_welsch(coeffs: ThreeTermCoefficients) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Gauss rule from recurrence coefficients."""
-    n = coeffs.n
-    if n == 1:
-        return np.array([coeffs.alpha[0]]), np.array([coeffs.beta[0]])
-    nodes, vecs = eigh_tridiagonal(coeffs.alpha, np.sqrt(coeffs.beta[1:]))
-    weights = coeffs.beta[0] * vecs[0, :] ** 2
+def golub_welsch(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss rule from recurrence shifts alpha_k and
+    norms beta_k, beta_0 carrying the total mass."""
+    if not np.all(beta > 0.0):  # also refuses NaN
+        raise PositivityError("recurrence norms beta_k must be positive")
+    nodes, vecs = eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
+    weights = beta[0] * vecs[0, :] ** 2
     order = np.argsort(nodes)
     return nodes[order], weights[order]
 
@@ -119,7 +107,7 @@ def gauss_gegenbauer(mu: float, n: int) -> QuadratureRule:
     """n-node Gauss rule for the weight (1-t^2)^mu on [-1, 1]."""
     if n < 1:
         raise ConfigError("a Gauss rule needs at least one node")
-    nodes, weights = golub_welsch(gegenbauer_coefficients(mu, n))
+    nodes, weights = golub_welsch(*gegenbauer_coefficients(mu, n))
     return QuadratureRule(nodes, weights, "gegenbauer")
 
 
@@ -171,8 +159,9 @@ def _check_poles_outside(points: np.ndarray, poles) -> None:
             raise IllPosedMeasureError(f"pole {z} lies inside the support [{lo}, {hi}]")
 
 
-def stieltjes_modified(base: QuadratureRule, finite_poles, n: int) -> ThreeTermCoefficients:
-    """Orthonormal-polynomial recurrence of the pole-modified discrete measure.
+def stieltjes_modified(base: QuadratureRule, finite_poles, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recurrence (alpha, beta) of the orthonormal polynomials of the
+    pole-modified discrete measure.
 
     The measure is sum_j base.weights[j] / prod_k (z_j - xi_k)^2 placed at the
     base nodes; each pole in `finite_poles` contributes one squared factor.
@@ -207,22 +196,7 @@ def stieltjes_modified(base: QuadratureRule, finite_poles, n: int) -> ThreeTermC
             raise PositivityError(f"Stieltjes norm beta_{k + 1} is nonpositive")
         beta[k + 1] = beta_next
         p_prev, p = p, q / math.sqrt(beta_next)
-    return ThreeTermCoefficients(alpha, beta)
-
-
-def _halve_multiplicities(finite_poles) -> list[complex]:
-    remaining = [complex(xi) for xi in finite_poles]
-    half: list[complex] = []
-    while remaining:
-        xi = remaining.pop()
-        try:
-            remaining.remove(xi)
-        except ValueError:
-            raise PositivityError(
-                "rational Gauss poles must come in exact duplicate pairs (even multiplicity)"
-            ) from None
-        half.append(xi)
-    return half
+    return alpha, beta
 
 
 def rational_gauss(mu: float, finite_poles, sigma: int) -> QuadratureRule:
@@ -239,9 +213,12 @@ def rational_gauss(mu: float, finite_poles, sigma: int) -> QuadratureRule:
         raise ConfigError("rational Gauss poles must be finite")
     base_order = max(64, 8 * sigma)
     base = gauss_gegenbauer(mu, base_order)
-    half = _halve_multiplicities(finite_poles)
-    coeffs = stieltjes_modified(base, half, sigma)
-    nodes, lam = golub_welsch(coeffs)
+    # half of each pole's multiplicity, poles ordered from the end of the list
+    counts = Counter(complex(xi) for xi in reversed(finite_poles))
+    if any(c % 2 for c in counts.values()):
+        raise PositivityError("rational Gauss poles must come in exact duplicate pairs (even multiplicity)")
+    half = [xi for xi, c in counts.items() for _ in range(c // 2)]
+    nodes, lam = golub_welsch(*stieltjes_modified(base, half, sigma))
     demod = _pole_factors(nodes, finite_poles)
     if np.max(np.abs(demod.imag)) > 1e-10 * np.max(np.abs(demod)):
         raise PositivityError("pole configuration produced complex quadrature weights")

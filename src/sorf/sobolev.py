@@ -92,10 +92,15 @@ class JordanSystem:
 
 @dataclass(frozen=True)
 class GegenbauerSobolevConfig:
+    """The Gegenbauer-Sobolev problem generating N functions; it owns the
+    N - 1 prescribed poles (default the ladder -w, w, -2w, 2w, ...) and the
+    node count sigma of the rule that discretizes it."""
+
     mu: float
     lam: float
     omega: float
     N: int
+    poles: tuple | None = None
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.mu, self.lam, self.omega)):
@@ -108,6 +113,17 @@ class GegenbauerSobolevConfig:
             raise ConfigError("omega must exceed 1")
         if self.N < 1:
             raise ConfigError("N must be at least 1")
+        poles = tuple(gegenbauer_pole_ladder(self.omega, self.N - 1) if self.poles is None else self.poles)
+        if len(poles) != self.N - 1:
+            raise ConfigError(f"need N - 1 = {self.N - 1} prescribed poles, got {len(poles)}")
+        object.__setattr__(self, "poles", poles)
+
+    @property
+    def sigma(self) -> int:
+        """2(N-1) + 1 nodes: the exactness class of the rule carries each
+        prescribed pole with multiplicity four (squared denominators of
+        products of two functions, each with doubled poles)."""
+        return 2 * self.N - 1
 
 
 def gegenbauer_pole_ladder(omega: float, count: int) -> list[complex]:
@@ -121,26 +137,15 @@ def gegenbauer_pole_ladder(omega: float, count: int) -> list[complex]:
     return ladder[:count]
 
 
-def gegenbauer_rule(config: GegenbauerSobolevConfig, xi=None) -> QuadratureRule:
-    """Rational Gauss rule discretizing the Gegenbauer-Sobolev inner product.
-
-    Generating N functions with derivative order s = 1 needs
-    sigma = 2(N-1) + 1 nodes whose exactness class carries each prescribed
-    pole with multiplicity four (squared denominators of products of two
-    functions, each with doubled poles).  The poles default to the ladder
-    -w, w, -2w, 2w, ...
-    """
-    if xi is None:
-        xi = gegenbauer_pole_ladder(config.omega, config.N - 1)
-    elif len(xi) != config.N - 1:
-        raise ConfigError(f"need N - 1 = {config.N - 1} poles, got {len(xi)}")
-    return rational_gauss(config.mu, [x for x in xi for _ in range(4)], 2 * config.N - 1)
+def gegenbauer_rule(config: GegenbauerSobolevConfig) -> QuadratureRule:
+    """Rational Gauss rule discretizing the Gegenbauer-Sobolev inner product:
+    config.sigma nodes, each prescribed pole with multiplicity four."""
+    return rational_gauss(config.mu, [x for x in config.poles for _ in range(4)], config.sigma)
 
 
 def discretize_gegenbauer(
     config: GegenbauerSobolevConfig,
     rule: QuadratureRule | None = None,
-    xi=None,
 ) -> DiscreteSobolevSpec:
     """Discrete Sobolev spec (s = 1 at every node) for the Gegenbauer-Sobolev
     inner product, on `gegenbauer_rule` or on an externally computed rule
@@ -149,9 +154,9 @@ def discretize_gegenbauer(
     if config.lam == 0.0:
         raise ConfigError("lambda must be positive: zero derivative scaling is not admissible")
     if rule is None:
-        rule = gegenbauer_rule(config, xi)
-    elif rule.n != 2 * config.N - 1:
-        raise ConfigError(f"imported rule has {rule.n} nodes, sizing requires {2 * config.N - 1}")
+        rule = gegenbauer_rule(config)
+    elif rule.n != config.sigma:
+        raise ConfigError(f"imported rule has {rule.n} nodes, sizing requires {config.sigma}")
     sqrt_lam = math.sqrt(config.lam)
     return DiscreteSobolevSpec(
         nodes=tuple(rule.nodes),

@@ -379,3 +379,61 @@ def test_cli_sweep_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "N,m,method,E_r,E_p,E_Q,E_S_discrete,E_S_cont_leading,ms"
     assert len(lines) == 3
+
+
+# a UTF-16 byte-order mark: not UTF-8, so reading the file fails to decode
+NOT_UTF8 = b"\xff\xfe{\x00}\x00"
+
+
+# nested deeper than the JSON decoder recurses
+TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("content", [NOT_UTF8, TOO_DEEP], ids=["not-utf8", "too-deep"])
+def test_cli_undecodable_config_exits_config_error(tmp_path, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    proc = run_cli("solve", str(cfg))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("content", [None, b"{not json", NOT_UTF8])
+def test_cli_unusable_rule_file_exits_validation(tmp_path, content):
+    rule = tmp_path / "rule.json"
+    if content is not None:
+        rule.write_bytes(content)
+    proc = run_cli("import-quadrature", str(rule))
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("content, code", [(None, 2), (b"{not json", 4), (NOT_UTF8, 4)])
+def test_cli_quadrature_file_errors_exit_by_kind(tmp_path, content, code):
+    # an unreadable quadrature file is a config error, a malformed one fails validation
+    rule = tmp_path / "rule.json"
+    if content is not None:
+        rule.write_bytes(content)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE, "quadrature_file": str(rule)}))
+    proc = run_cli("solve", str(cfg))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_unwritable_output_exits_config_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE, "N": 2, "method": "updating"}))
+    proc = run_cli("solve", str(cfg), "-o", str(tmp_path / "missing" / "report.json"))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_imported_rule_of_wrong_size_exits_config_error(tmp_path):
+    rule = tmp_path / "rule.json"
+    rule.write_text(json.dumps(dump_quadrature({**BASE, "N": 3})))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE, "N": 4, "quadrature_file": str(rule)}))
+    proc = run_cli("solve", str(cfg))
+    assert proc.returncode == 2, proc.stderr
+    assert "sizing requires 7" in proc.stderr

@@ -119,15 +119,46 @@ def test_gegenbauer_exactness_degree(rng):
 def test_gegenbauer_mass_matches_power_of_two_formula(mu):
     # the direct formula 2^(2mu+1) B(mu+1, mu+1), valid while 2^(2mu+1) is finite
     direct = 2.0 ** (2 * mu + 1) * math.exp(2 * math.lgamma(mu + 1) - math.lgamma(2 * mu + 2))
-    assert gegenbauer_coefficients(mu, 1).beta[0] == pytest.approx(direct, rel=1e-13)
+    assert gegenbauer_coefficients(mu, 1)[1][0] == pytest.approx(direct, rel=1e-13)
 
 
 def test_gegenbauer_mass_beyond_power_of_two_range():
     # 2^(2mu+1) overflows from mu = 511.5 on; the mass itself tends to sqrt(pi/mu)
     for mu in (512.0, 600.0, 1e6):
-        assert gegenbauer_coefficients(mu, 1).beta[0] == pytest.approx(math.sqrt(math.pi / mu), rel=1e-3)
+        assert gegenbauer_coefficients(mu, 1)[1][0] == pytest.approx(math.sqrt(math.pi / mu), rel=1e-3)
     with pytest.raises(NumericalError):
         gegenbauer_coefficients(1e308, 1)
+
+
+@pytest.mark.parametrize("mu, rel", [(600.0, 5e-13), (1e4, 1e-15), (1e6, 1e-15), (1e15, 1e-15)])
+def test_gegenbauer_mass_matches_mpmath_for_large_mu(mu, rel):
+    # int (1-t^2)^mu dt = B(1/2, mu+1); a difference of lgammas cancels here
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = float(mpmath.beta(mpmath.mpf("0.5"), mpmath.mpf(mu) + 1))
+    assert gegenbauer_coefficients(mu, 1)[1][0] == pytest.approx(exact, rel=rel)
+
+
+@pytest.mark.parametrize("mu", [1e100, 1e300])
+def test_gegenbauer_mass_for_huge_mu(mu):
+    # the mass is sqrt(pi/mu) (1 + O(1/mu))
+    assert gegenbauer_coefficients(mu, 1)[1][0] == pytest.approx(math.sqrt(math.pi / mu), rel=1e-15)
+
+
+def test_gauss_gegenbauer_weights_sum_to_the_mass_for_large_mu():
+    assert gauss_gegenbauer(1e15, 8).weights.sum() == pytest.approx(math.sqrt(math.pi / 1e15), rel=1e-13)
+
+
+def test_gauss_gegenbauer_refuses_norms_that_underflow():
+    # beta_k ~ k / (2 mu) is 0 once (2k + 2mu)^2 overflows
+    with pytest.raises(PositivityError):
+        gauss_gegenbauer(1e300, 4)
+
+
+@pytest.mark.parametrize("beta", [[1.0, 0.0], [1.0, np.nan], [-1.0, 0.5], [np.nan, 0.5]])
+def test_golub_welsch_refuses_nonpositive_or_nan_norms(beta):
+    with pytest.raises(PositivityError):
+        golub_welsch(np.zeros(2), np.array(beta))
 
 
 def test_gegenbauer_rejects_bad_mu():
@@ -146,8 +177,8 @@ def test_stieltjes_empty_pole_list_recovers_base_measure():
     base = gauss_gegenbauer(2.0, 64)
     coeffs = stieltjes_modified(base, [], 6)
     ref = gegenbauer_coefficients(2.0, 6)
-    assert coeffs.alpha == pytest.approx(ref.alpha, abs=1e-14)
-    assert coeffs.beta == pytest.approx(ref.beta, rel=1e-13)
+    assert coeffs[0] == pytest.approx(ref[0], abs=1e-14)
+    assert coeffs[1] == pytest.approx(ref[1], rel=1e-13)
 
 
 def test_stieltjes_modified_weights_positive_for_symmetric_poles():
@@ -166,7 +197,7 @@ def test_stieltjes_beta0_equals_direct_summation():
         for xi in poles:
             prod *= (z - xi) ** 2
         direct += w / prod
-    assert coeffs.beta[0] == pytest.approx(direct, rel=1e-14)
+    assert coeffs[1][0] == pytest.approx(direct, rel=1e-14)
 
 
 def test_stieltjes_pole_inside_support_raises():
@@ -265,6 +296,6 @@ def test_rule_validation_coincident_nodes():
 
 def test_golub_welsch_single_node():
     coeffs = gegenbauer_coefficients(2.0, 1)
-    nodes, weights = golub_welsch(coeffs)
+    nodes, weights = golub_welsch(*coeffs)
     assert nodes == pytest.approx([0.0], abs=1e-15)
     assert weights == pytest.approx([GEGENBAUER_MASS_MU2], rel=1e-14)

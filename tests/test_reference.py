@@ -11,6 +11,7 @@ from sorf.evaluation import evaluate_solution, metric_poles, table_agreement
 from sorf.pencil import INFINITY, is_infinite_pole, pole_at
 from sorf.reference import rational_arnoldi, solve_via_sop
 from sorf.sobolev import (
+    DiscreteSobolevSpec,
     GegenbauerSobolevConfig,
     build_jordan,
     default_pole_list,
@@ -198,3 +199,20 @@ def test_solvers_agree_with_mixed_free_poles(rng):
     assert table_agreement(ta, tb) <= 1e-10
     assert_iep_invariants(sys, a, poles)
     assert_iep_invariants(sys, b, poles)
+
+
+def test_zero_poles_give_exactly_zero_h_subdiagonal_in_every_route():
+    # psi = 0 is the homogeneous pair (0, 1): H[k+1, k] must vanish exactly,
+    # through the exact-zero pivots of elimination and swap
+    spec = DiscreteSobolevSpec(
+        nodes=(-0.7, -0.3, 0.4, 0.8),
+        orders=(1, 0, 2, 1),
+        alphas=((0.9,), (), (1.1, 0.6), (1.3,)),
+        weights=(0.5, 0.8, 0.6, 0.4),
+    )
+    poles = default_pole_list([0.0, 1.5, 0.0], spec.m, nodes=spec.nodes)
+    sys = build_jordan(spec)
+    for sol in (solve_updating(spec, poles), solve_via_sop(spec, poles), rational_arnoldi(sys, poles)):
+        assert sol.H[1, 0] == 0.0 and sol.H[3, 2] == 0.0
+        assert sol.K[1, 0] != 0.0 and sol.K[3, 2] != 0.0
+        assert_iep_invariants(sys, sol, poles)

@@ -10,6 +10,7 @@ from sorf.sobolev import (
     default_pole_list,
     discretize_gegenbauer,
     gegenbauer_pole_ladder,
+    gegenbauer_rule,
 )
 
 
@@ -22,6 +23,22 @@ def test_config_validation():
         GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=0.9, N=3)
     with pytest.raises(ConfigError):
         GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, N=0)
+
+
+def test_config_owns_poles_and_node_count():
+    cfg = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, N=4)
+    assert cfg.poles == tuple(gegenbauer_pole_ladder(1.1, 3))
+    assert cfg.sigma == 7
+    cfg = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, N=3, poles=[1.5, -2.0])
+    assert cfg.poles == (1.5, -2.0)
+    with pytest.raises(ConfigError, match="need N - 1 = 2 prescribed poles, got 1"):
+        GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, N=3, poles=[1.5])
+
+
+def test_discretize_rejects_imported_rule_of_wrong_size():
+    rule = gegenbauer_rule(GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, N=3))
+    with pytest.raises(ConfigError, match="imported rule has 5 nodes, sizing requires 7"):
+        discretize_gegenbauer(GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, N=4), rule=rule)
 
 
 def test_pole_ladder():

@@ -588,3 +588,36 @@ def test_solve_updating_places_prescribed_pole_pair():
     sol = solve_updating(spec, poles)
     assert abs(pole_at(sol.H, sol.K, 0) + 1.1) <= 1e-12 * 1.1
     assert abs(pole_at(sol.H, sol.K, 1) - 1.1) <= 1e-12 * 1.1
+
+
+def test_op2_returns_none_when_the_trailing_row_already_has_ratio_psi():
+    # the last row of H is 3 times the last row of K on the trailing columns
+    H = np.array([[1.0, 2.0], [1.5, 3.0]], dtype=complex)
+    K = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
+    X = np.stack((H, K, np.eye(2, dtype=complex)))
+    before = X.copy()
+    assert op2_add_pole(X, 3.0) is None
+    assert np.array_equal(X, before)
+
+
+def test_op3_returns_none_for_equal_poles_with_a_matching_diagonal_ratio():
+    # poles 2 at positions 0 and 1, and H[1, 1] / K[1, 1] = 2 between them:
+    # the kernel row nu*A - mu*B vanishes and there is nothing to move
+    H = np.array([[1.0, 0.3, 0.2], [2.0, 1.0, 0.4], [0.0, 4.0, 0.5]], dtype=complex)
+    K = np.array([[1.0, 0.1, 0.7], [1.0, 0.5, 0.9], [0.0, 2.0, 1.2]], dtype=complex)
+    X = np.stack((H, K, np.eye(3, dtype=complex)))
+    before = X.copy()
+    assert op3_swap_adjacent(X, 0) is None
+    assert np.array_equal(X, before)
+
+
+def test_op3_moves_a_zero_pole_both_ways_keeping_h_exactly_zero(rng):
+    sol, _ = random_unreduced_pencil(rng, 5, poles=[-1.4, 0.0, -1.2, 1.5])
+    H, K = sol.H.copy(), sol.K.copy()
+    assert H[2, 1] == 0.0
+    on_stack(op3_swap_adjacent, H, K, None, 1)  # zero pole moves down
+    assert H[3, 2] == 0.0 and H[2, 1] != 0.0
+    assert abs(pole_at(H, K, 1) + 1.2) <= 1e-13 * 1.2
+    on_stack(op3_swap_adjacent, H, K, None, 1)  # and back up
+    assert H[2, 1] == 0.0 and H[3, 2] != 0.0
+    assert abs(pole_at(H, K, 2) + 1.2) <= 1e-13 * 1.2
