@@ -33,7 +33,7 @@ system = build_jordan(spec)
 print(f"\nmatrix size m = {system.m}; weight vector pattern (zeros at derivative slots):")
 print(np.round(np.abs(system.w), 4))
 
-poles = default_pole_list(config.poles, spec.m, nodes=spec.nodes)
+poles = default_pole_list(config.poles, spec.m)
 print(f"\nprescribed poles: {list(config.poles)}; remaining positions default to infinity")
 
 solution = solve_updating(spec, poles)

@@ -23,7 +23,7 @@ from sorf import (
 N = 3
 config = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, N=N)
 spec = discretize_gegenbauer(config)
-poles = default_pole_list(config.poles, spec.m, nodes=spec.nodes)
+poles = default_pole_list(config.poles, spec.m)
 solution = solve_updating(spec, poles)
 
 table = evaluate_solution(solution, np.array(spec.nodes), max_deriv=1)

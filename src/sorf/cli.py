@@ -2,15 +2,18 @@
 
 Exit codes: 0 success, 2 config error, 3 numerical failure (deflation,
 positivity, ...), 4 validation failure on an imported quadrature rule.  A
-config file that cannot be read or is not UTF-8 JSON, or an output file that
-cannot be written, is a config error; a rule file that cannot be read or
-parsed fails validation.
+config file that cannot be read or is not UTF-8 JSON, or an output (file or
+stdout) that cannot be written, is a config error; a rule file that cannot be
+read or parsed fails validation.  The output file is created or truncated
+once the input document is read, before any work.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from .driver import dump_quadrature, import_quadrature, read_json, rule_document, run_solve, run_sweep
@@ -22,17 +25,29 @@ EXIT_NUMERICAL = 3
 EXIT_VALIDATION = 4
 
 
-def _write(text: str, out: str | None) -> None:
+def _output(out: str | None):
+    """The stream the result goes to: stdout, or the file `out`, opened now."""
     if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
+        return contextlib.nullcontext(sys.stdout)
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return open(out, "w", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write {out!r}: {exc}") from exc
+
+
+def _write(text: str, fh) -> None:
+    if fh is sys.stdout and not text.endswith("\n"):
+        text += "\n"
+    try:
+        fh.write(text)
+        fh.flush()
+    except OSError as exc:
+        if fh is not sys.stdout:
+            raise ConfigError(f"cannot write {fh.name!r}: {exc}") from exc
+        # mostly a reader that closed the pipe: point stdout at devnull, so the flush at exit cannot fail again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise ConfigError(f"cannot write to stdout: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,16 +78,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            report = run_solve(read_json(args.config))
-            _write(json.dumps(report, indent=2), args.output)
-        elif args.command == "sweep":
-            _write(run_sweep(read_json(args.config)), args.output)
-        elif args.command == "dump-quadrature":
-            _write(json.dumps(dump_quadrature(read_json(args.config)), indent=2), args.output)
-        elif args.command == "import-quadrature":
-            rule = import_quadrature(read_json(args.rule, RuleValidationError, RuleValidationError))
-            _write(json.dumps(rule_document(rule), indent=2), args.output)
+        if args.command == "import-quadrature":
+            doc = read_json(args.rule, RuleValidationError, RuleValidationError)
+        else:
+            doc = read_json(args.config)
+        with _output(args.output) as fh:
+            if args.command == "solve":
+                text = json.dumps(run_solve(doc), indent=2)
+            elif args.command == "sweep":
+                text = run_sweep(doc)
+            elif args.command == "dump-quadrature":
+                text = json.dumps(dump_quadrature(doc), indent=2)
+            else:
+                text = json.dumps(rule_document(import_quadrature(doc)), indent=2)
+            _write(text, fh)
     except RuleValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -143,7 +143,7 @@ def _solve_and_score(cfg: dict, N: int):
     gcfg = _gegenbauer_config(cfg, N)
     rule = load_quadrature(cfg["quadrature_file"]) if cfg["quadrature_file"] else None
     spec = discretize_gegenbauer(gcfg, rule=rule)
-    psis = default_pole_list(gcfg.poles, spec.m, nodes=spec.nodes, free=cfg["free_poles"])
+    psis = default_pole_list(gcfg.poles, spec.m, free=cfg["free_poles"])
     system = build_jordan(spec)
     nodes = np.array(spec.nodes)
     for method in METHODS if cfg["method"] == "all" else (cfg["method"],):

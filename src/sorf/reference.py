@@ -2,9 +2,10 @@
 
 `rational_arnoldi` builds the orthonormal basis of the rational Krylov
 subspace generated by (J, w) with the prescribed pole sequence and reads the
-pencil off the recurrence; shifted systems with the bidiagonal J are solved
-by back substitution and the basis is kept orthogonal with a second
-orthogonalization pass.
+pencil off the recurrence; each shifted system (J - psi I) x = q is a LAPACK
+banded solve (`scipy.linalg.solve_banded`, J upper bidiagonal) once
+`check_spectrum_disjoint` has kept the poles off the nodes, and the basis is
+kept orthogonal with a second orthogonalization pass.
 
 `solve_via_sop` takes the recurrence matrix of the Sobolev orthogonal
 polynomials from polynomial Arnoldi (all poles at infinity, K = I exactly;
@@ -15,26 +16,13 @@ with the updating solver's add-and-swap loop `install_poles`.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_banded
 
-from .errors import KrylovBreakdownError, SpectrumOverlapError
+from .errors import KrylovBreakdownError
 from .pencil import assert_unreduced, is_infinite_pole
 from .sobolev import DiscreteSobolevSpec, JordanSystem, build_jordan, check_spectrum_disjoint
 from .updating import IEPSolution, install_poles
 from .updating import op2_add_pole, op3_swap_adjacent, solve_updating  # noqa: F401 (traced here by name)
-
-
-def _solve_shifted_bidiagonal(J: np.ndarray, psi: complex, rhs: np.ndarray) -> np.ndarray:
-    """Back substitution for (J - psi I) x = rhs with J upper bidiagonal."""
-    n = J.shape[0]
-    d = J.diagonal() - psi
-    if np.min(np.abs(d)) <= 1e-14 * max(1.0, abs(psi)):
-        raise SpectrumOverlapError(f"shift {psi} coincides with a node of J")
-    e = J.diagonal(1)
-    x = np.empty(n, dtype=complex)
-    x[n - 1] = rhs[n - 1] / d[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (rhs[i] - e[i] * x[i + 1]) / d[i]
-    return x
 
 
 def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
@@ -51,6 +39,7 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
     poles = list(poles)
     if len(poles) != m - 1:
         raise ValueError(f"need m - 1 = {m - 1} poles, got {len(poles)}")
+    check_spectrum_disjoint(poles, J.diagonal())
     wnorm = float(np.linalg.norm(w))
     if wnorm == 0.0:
         raise KrylovBreakdownError("starting vector is zero")
@@ -58,10 +47,11 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
     H = np.zeros((m, m), dtype=complex)
     K = np.zeros((m, m), dtype=complex)
     Q[:, 0] = w / wnorm
+    upper = np.concatenate(([0.0], J.diagonal(1)))  # band row 0: the superdiagonal after a leading 0
     for k in range(m - 1):
         psi = poles[k]
         infinite = is_infinite_pole(psi)
-        v = J @ Q[:, k] if infinite else _solve_shifted_bidiagonal(J, complex(psi), Q[:, k])
+        v = J @ Q[:, k] if infinite else solve_banded((0, 1), np.array((upper, J.diagonal() - psi)), Q[:, k])
         vnorm0 = np.linalg.norm(v)
         basis = Q[:, : k + 1]
         coeff = (v.conj() @ basis).conj()

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, SpectrumOverlapError
 from .pencil import INFINITY, is_infinite_pole
-from .quadrature import QuadratureRule, rational_gauss
+from .quadrature import NODE_GAP, QuadratureRule, rational_gauss
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class DiscreteSobolevSpec:
         z = np.array(nodes)
         if sigma > 1:
             gap = np.min(np.abs(z[:, None] - z[None, :])[~np.eye(sigma, dtype=bool)])
-            if gap <= 1e-12:
+            if gap <= NODE_GAP:
                 raise ConfigError("nodes must be pairwise distinct")
 
     @property
@@ -107,8 +107,8 @@ class GegenbauerSobolevConfig:
             raise ConfigError("mu, lambda and omega must be finite")
         if self.mu <= -1.0:
             raise ConfigError("mu must exceed -1")
-        if self.lam < 0.0:
-            raise ConfigError("lambda must be nonnegative")
+        if self.lam <= 0.0:
+            raise ConfigError("lambda must be positive")
         if self.omega <= 1.0:
             raise ConfigError("omega must exceed 1")
         if self.N < 1:
@@ -151,8 +151,6 @@ def discretize_gegenbauer(
     inner product, on `gegenbauer_rule` or on an externally computed rule
     with the node count that rule would have.
     """
-    if config.lam == 0.0:
-        raise ConfigError("lambda must be positive: zero derivative scaling is not admissible")
     if rule is None:
         rule = gegenbauer_rule(config)
     elif rule.n != config.sigma:
@@ -186,11 +184,11 @@ def build_jordan(spec: DiscreteSobolevSpec) -> JordanSystem:
     return JordanSystem(J, w)
 
 
-def default_pole_list(xi, m: int, nodes=None, free=None) -> list[complex]:
+def default_pole_list(xi, m: int, free=None) -> list[complex]:
     """Pole list psi_1..psi_{m-1}: the prescribed prefix xi, then free poles.
 
     Free poles default to infinity, which keeps the trailing subdiagonal of K
-    zero.  Any pole coinciding with a node is rejected.
+    zero; each solver checks the list against the nodes on entry.
     """
     xi = [INFINITY if is_infinite_pole(x) else complex(x) for x in xi]
     if len(xi) > m - 1:
@@ -201,17 +199,16 @@ def default_pole_list(xi, m: int, nodes=None, free=None) -> list[complex]:
         free = [INFINITY if is_infinite_pole(x) else complex(x) for x in free]
         if len(free) != m - 1 - len(xi):
             raise ConfigError(f"need exactly {m - 1 - len(xi)} free poles, got {len(free)}")
-    poles = xi + free
-    if nodes is not None:
-        check_spectrum_disjoint(poles, nodes)
-    return poles
+    return xi + free
 
 
 def check_spectrum_disjoint(poles, nodes) -> None:
+    """The one pole-versus-node rule of all three solvers: a finite pole
+    within NODE_GAP * max(1, |psi|) of a node raises SpectrumOverlapError."""
     z = np.array([complex(t) for t in nodes])
     for k, psi in enumerate(poles):
         if is_infinite_pole(psi):
             continue
         d = np.min(np.abs(z - complex(psi)))
-        if d <= 1e-12 * max(1.0, abs(complex(psi))):
+        if d <= NODE_GAP * max(1.0, abs(complex(psi))):
             raise SpectrumOverlapError(f"pole psi_{k + 1} = {psi} coincides with a node")

@@ -29,12 +29,7 @@ import numpy as np
 
 from . import pencil
 from .errors import DeflationError, NumericalError
-from .pencil import (
-    DEFLATION_RTOL,
-    assert_unreduced,
-    pencil_scale,
-    pole_pair,
-)
+from .pencil import DEFLATION_RTOL, assert_unreduced, pencil_scale, pole_at, pole_pair
 from .rotations import null_direction, rotate_cols, rotate_rows, zeroing
 from .sobolev import DiscreteSobolevSpec, check_spectrum_disjoint
 
@@ -205,8 +200,8 @@ def restore_hessenberg(H: np.ndarray, K: np.ndarray, Q: np.ndarray, s_sigma: int
     trailing columns clean the corner below their subdiagonal.  Rotations
     keep both Frobenius norms, so the deflation tolerance is fixed for the
     sweep.  Returns the list of positions actually eliminated, in order.
-    The sweep rotates the stack (H, K, Q^H), written back before the residue
-    check.
+    The sweep rotates the stack (H, K, Q^H), written back once after the
+    residue check.
     """
     m = H.shape[0]
     mhat = m - s_sigma - 1
@@ -218,11 +213,10 @@ def restore_hessenberg(H: np.ndarray, K: np.ndarray, Q: np.ndarray, s_sigma: int
         for r in range(max(mhat, c + 2), m):
             if _eliminate(X, r, c, tol) is not None:
                 targets.append((r, c))
-    H[...], K[...], Q[...] = X[0], X[1], X[2].conj().T
     residue = np.abs(np.tril(X[:2], -2)).max()
     if residue > 1e-10 * scale:
         raise NumericalError(f"Hessenberg restoration left residue {residue:.3e}")
-    H[...], K[...] = np.triu(H, -1), np.triu(K, -1)
+    H[...], K[...], Q[...] = np.triu(X[0], -1), np.triu(X[1], -1), X[2].conj().T
     return targets
 
 
@@ -249,7 +243,8 @@ def op2_add_pole(X: np.ndarray, psi) -> tuple[complex, complex] | None:
 
     A single right rotation on the last two columns; Q is untouched.  Handles
     psi at infinity through the homogeneous pair (mu, nu) = (1, 0).  Returns
-    the raw pair applied, or None when the ratio already equals psi.
+    the raw pair applied, or None when the ratio already equals psi; raises
+    DeflationError (`pencil.pole_at`) when the new position has deflated.
     """
     H, K = X[0], X[1]
     m = H.shape[0]
@@ -262,9 +257,7 @@ def op2_add_pole(X: np.ndarray, psi) -> tuple[complex, complex] | None:
         K[m - 1, m - 2] = 0.0
     if mu == 0.0:
         H[m - 1, m - 2] = 0.0
-    tol = DEFLATION_RTOL * pencil_scale(H, K)
-    if abs(H[m - 1, m - 2]) <= tol and abs(K[m - 1, m - 2]) <= tol:
-        raise DeflationError("pole placement deflated the trailing position")
+    pole_at(H, K, m - 2)
     return rot
 
 
@@ -354,6 +347,5 @@ def solve_updating(spec: DiscreteSobolevSpec, poles) -> IEPSolution:
         sol = add_block(sol, node, alphas, weight, poles[max(pos - 1, 0) : pos + s])
         pos += s + 1
     assert sol is not None
-    if sol.m > 1:
-        assert_unreduced(sol.H, sol.K)
+    assert_unreduced(sol.H, sol.K)
     return sol

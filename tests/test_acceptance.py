@@ -47,7 +47,7 @@ def reference_problem(N=3, omega=1.1):
     cfg = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=omega, N=N)
     spec = discretize_gegenbauer(cfg)
     xi = gegenbauer_pole_ladder(omega, N - 1)
-    poles = default_pole_list(xi, spec.m, nodes=spec.nodes)
+    poles = default_pole_list(xi, spec.m)
     return cfg, spec, build_jordan(spec), xi, poles
 
 

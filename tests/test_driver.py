@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ from sorf.driver import (
     run_solve,
     run_sweep,
 )
-from sorf.errors import AccuracyError, ConfigError, NumericalError, RuleValidationError, SorfError
+import sorf.cli
+from sorf.errors import AccuracyError, ConfigError, DeflationError, NumericalError, RuleValidationError, SorfError
 from sorf.sobolev import (
     GegenbauerSobolevConfig,
     default_pole_list,
@@ -345,6 +347,32 @@ def test_cli_extreme_admissible_config_exits_cleanly(tmp_path, doc):
     assert "RuntimeWarning" not in proc.stderr
 
 
+# a derivative scaling of 1e150 (1e-150) swamps (vanishes beside) the rest of
+# the pencil, so placing a pole at the trailing position deflates it
+EXTREME_LAMBDA_DOCS = [{"N": 3, "lambda": 1e300}, {"N": 3, "lambda": 1e-300}]
+
+
+@pytest.mark.parametrize("doc", EXTREME_LAMBDA_DOCS)
+def test_extreme_lambda_deflates_in_pole_placement(tmp_path, doc):
+    with pytest.raises(DeflationError) as info:
+        run_solve({**doc, "method": "all"})
+    assert "op2_add_pole" in [frame.name for frame in traceback.extract_tb(info.tb)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    proc = run_cli("solve", str(cfg))
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_dump_quadrature_refuses_zero_lambda(tmp_path):
+    # lambda > 0 holds for every command, not only for the solves
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 4, "lambda": 0}))
+    proc = run_cli("dump-quadrature", str(cfg))
+    assert proc.returncode == 2, proc.stderr
+    assert "lambda must be positive" in proc.stderr
+
+
 @pytest.mark.parametrize("doc", [{"N": 4, "poles": [1.5, 1.5]}, {"N": 4, "omega": 1.0}])
 def test_cli_dump_quadrature_config_error_exit_code(tmp_path, doc):
     cfg = tmp_path / "cfg.json"
@@ -427,6 +455,51 @@ def test_cli_unwritable_output_exits_config_error(tmp_path):
     proc = run_cli("solve", str(cfg), "-o", str(tmp_path / "missing" / "report.json"))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_closed_stdout_exits_config_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 2, "method": "updating"}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sorf", "solve", str(cfg)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    proc.stdout.close()  # the reader goes away before the report is written
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2, stderr
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
+
+
+@pytest.mark.parametrize("command, entry", [("solve", "run_solve"), ("sweep", "run_sweep")])
+def test_cli_unwritable_output_exits_before_the_solve(tmp_path, monkeypatch, command, entry):
+    def never(doc):
+        raise AssertionError(f"{entry} ran although the output cannot be written")
+
+    monkeypatch.setattr(sorf.cli, entry, never)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE, "N_range": [2, 3]}))
+    assert sorf.cli.main([command, str(cfg), "-o", str(tmp_path / "missing" / "r.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "read, doc, error",
+    [
+        (parse_config, [1, 2], ConfigError),
+        (parse_config, {"N_range": [2]}, ConfigError),
+        (parse_config, {"N_range": 3}, ConfigError),
+        (parse_config, {"N_range": [4, 2]}, ConfigError),
+        (import_quadrature, {"weights": [1.0]}, RuleValidationError),
+        (import_quadrature, {"nodes": [0.0]}, RuleValidationError),
+    ],
+    ids=["config-not-an-object", "short-range", "scalar-range", "lo-above-hi", "rule-without-nodes",
+         "rule-without-weights"],
+)
+def test_driver_refuses_malformed_documents(read, doc, error):
+    with pytest.raises(error):
+        read(doc)
 
 
 def test_cli_imported_rule_of_wrong_size_exits_config_error(tmp_path):

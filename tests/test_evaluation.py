@@ -11,6 +11,7 @@ from sorf.evaluation import (
     continuous_moment_matrix,
     discrete_moment_matrix,
     evaluate_solution,
+    evaluate_sorfs,
     metric_orthonormality,
     metric_poles,
     metric_recurrence,
@@ -27,14 +28,14 @@ from sorf.sobolev import (
     discretize_gegenbauer,
     gegenbauer_pole_ladder,
 )
-from sorf.updating import solve_updating
+from sorf.updating import IEPSolution, solve_updating
 
 
 def gegenbauer_solution(N=3, lam=1.0):
     cfg = GegenbauerSobolevConfig(mu=2.0, lam=lam, omega=1.1, N=N)
     spec = discretize_gegenbauer(cfg)
     xi = gegenbauer_pole_ladder(1.1, N - 1)
-    poles = default_pole_list(xi, spec.m, nodes=spec.nodes)
+    poles = default_pole_list(xi, spec.m)
     return cfg, spec, poles, solve_updating(spec, poles)
 
 
@@ -310,3 +311,36 @@ def test_table_agreement_detects_mismatch(rng):
     vals2[3] *= 1.01  # genuine scale change: disagrees
     t3 = SorfTable(vals2, pts)
     assert table_agreement(t1, t3) >= 1e-3
+
+
+# both subdiagonal entries exactly zero: no pole is realized at position 0
+REDUCED = IEPSolution(np.eye(2, dtype=complex), np.eye(2, dtype=complex), np.eye(2, dtype=complex), 1.0)
+ONES = SorfTable(np.ones((1, 1, 2), dtype=complex), np.zeros(2))
+TWO_NODES = DiscreteSobolevSpec(nodes=(-0.5, 0.5), orders=(1, 0), alphas=((1.0,), ()), weights=(1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "call, outcome",
+    [
+        (lambda: metric_poles(REDUCED, [1.5]), math.inf),
+        (lambda: metric_poles(REDUCED, [0.0]), math.inf),
+        (lambda: metric_poles(REDUCED, [INFINITY]), math.inf),
+        (lambda: table_agreement(ONES, SorfTable(np.zeros((1, 1, 2), dtype=complex), np.zeros(2))), math.inf),
+        (lambda: table_agreement(ONES, SorfTable(np.ones((2, 1, 2), dtype=complex), np.zeros(2))), ValueError),
+        (lambda: evaluate_sorfs(REDUCED.H, REDUCED.K, 1.0, [0.0], nfun=0), ValueError),
+        (lambda: evaluate_sorfs(REDUCED.H, REDUCED.K, 1.0, [0.0], nfun=3), ValueError),
+        (lambda: discrete_moment_matrix(TWO_NODES, SorfTable(np.ones((1, 2, 3)), np.zeros(3))), ValueError),
+        (lambda: discrete_moment_matrix(TWO_NODES, ONES), ValueError),
+    ],
+    ids=[
+        "finite-pole-on-zero-subdiagonal", "zero-pole-on-zero-subdiagonal", "infinite-pole-on-zero-subdiagonal",
+        "zero-anchor", "mismatched-tables", "no-functions", "more-functions-than-m", "table-of-wrong-size",
+        "table-without-derivatives",
+    ],
+)
+def test_degenerate_inputs_score_inf_or_are_refused(call, outcome):
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            call()
+    else:
+        assert call() == outcome

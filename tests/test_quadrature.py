@@ -299,3 +299,13 @@ def test_golub_welsch_single_node():
     nodes, weights = golub_welsch(*coeffs)
     assert nodes == pytest.approx([0.0], abs=1e-15)
     assert weights == pytest.approx([GEGENBAUER_MASS_MU2], rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "nodes, weights",
+    [([0.0, 0.5], [1.0]), ([], []), ([0.0, np.nan], [1.0, 1.0]), ([0.0, 0.5], [1.0, np.inf])],
+    ids=["mismatched-shapes", "empty", "nan-node", "infinite-weight"],
+)
+def test_rule_validation_refuses_malformed_arrays(nodes, weights):
+    with pytest.raises(PositivityError):
+        QuadratureRule(nodes, weights)

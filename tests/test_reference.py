@@ -45,7 +45,7 @@ def test_arnoldi_full_run_residual_and_weight(rng):
 def test_arnoldi_pole_ratios_exact(rng):
     spec = random_spec(rng, sigma=4, max_order=1)
     sys = build_jordan(spec)
-    poles = default_pole_list([-1.5, 2.5], spec.m, nodes=spec.nodes)
+    poles = default_pole_list([-1.5, 2.5], spec.m)
     sol = rational_arnoldi(sys, poles)
     assert pole_at(sol.H, sol.K, 0) == pytest.approx(-1.5, rel=1e-14)
     assert pole_at(sol.H, sol.K, 1) == pytest.approx(2.5, rel=1e-14)
@@ -98,7 +98,7 @@ def test_sop_empty_prefix_gives_identity_k():
 
 def gegenbauer_problem(N, mu=2.0, omega=1.5):
     spec = discretize_gegenbauer(GegenbauerSobolevConfig(mu=mu, lam=1.0, omega=omega, N=N))
-    poles = default_pole_list(gegenbauer_pole_ladder(omega, N - 1), spec.m, nodes=spec.nodes)
+    poles = default_pole_list(gegenbauer_pole_ladder(omega, N - 1), spec.m)
     return spec, build_jordan(spec), poles
 
 
@@ -210,7 +210,7 @@ def test_zero_poles_give_exactly_zero_h_subdiagonal_in_every_route():
         alphas=((0.9,), (), (1.1, 0.6), (1.3,)),
         weights=(0.5, 0.8, 0.6, 0.4),
     )
-    poles = default_pole_list([0.0, 1.5, 0.0], spec.m, nodes=spec.nodes)
+    poles = default_pole_list([0.0, 1.5, 0.0], spec.m)
     sys = build_jordan(spec)
     for sol in (solve_updating(spec, poles), solve_via_sop(spec, poles), rational_arnoldi(sys, poles)):
         assert sol.H[1, 0] == 0.0 and sol.H[3, 2] == 0.0

@@ -3,6 +3,7 @@ import pytest
 
 from sorf.errors import ConfigError, SpectrumOverlapError
 from sorf.pencil import INFINITY, is_infinite_pole
+from sorf.reference import rational_arnoldi, solve_via_sop
 from sorf.sobolev import (
     DiscreteSobolevSpec,
     GegenbauerSobolevConfig,
@@ -12,6 +13,7 @@ from sorf.sobolev import (
     gegenbauer_pole_ladder,
     gegenbauer_rule,
 )
+from sorf.updating import solve_updating
 
 
 def test_config_validation():
@@ -65,8 +67,8 @@ def test_discretize_sizing_sweep(N):
 
 
 def test_discretize_rejects_zero_lambda():
-    cfg = GegenbauerSobolevConfig(mu=2.0, lam=0.0, omega=1.1, N=3)
     with pytest.raises(ConfigError):
+        cfg = GegenbauerSobolevConfig(mu=2.0, lam=0.0, omega=1.1, N=3)
         discretize_gegenbauer(cfg)
 
 
@@ -77,6 +79,20 @@ def test_spec_validation():
         DiscreteSobolevSpec(nodes=(0.1,), orders=(1,), alphas=((0.0,),), weights=(1,))
     with pytest.raises(ConfigError):
         DiscreteSobolevSpec(nodes=(0.1,), orders=(1,), alphas=((),), weights=(1,))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"nodes": (0.1, 0.2), "orders": (0,), "alphas": ((),), "weights": (1,)},
+        {"nodes": (0.1,), "orders": (-1,), "alphas": ((),), "weights": (1,)},
+        {"nodes": (0.1,), "orders": (0,), "alphas": ((),), "weights": (0,)},
+    ],
+    ids=["unequal-lengths", "negative-order", "zero-weight"],
+)
+def test_spec_refuses_malformed_fields(fields):
+    with pytest.raises(ConfigError):
+        DiscreteSobolevSpec(**fields)
 
 
 def test_build_jordan_single_node():
@@ -156,9 +172,18 @@ def test_default_pole_list_empty_prefix():
     assert all(is_infinite_pole(p) for p in poles)
 
 
-def test_default_pole_list_rejects_node_overlap():
-    with pytest.raises(SpectrumOverlapError):
-        default_pole_list([0.5], 4, nodes=(0.5, -0.2))
+def test_every_route_rejects_a_pole_on_a_node():
+    # 2.5e-14 from the node 0.25: within the one NODE_GAP rule of all three routes
+    spec = DiscreteSobolevSpec(
+        nodes=(-0.5, 0.25, 0.75), orders=(1, 0, 1), alphas=((0.7,), (), (1.3,)), weights=(1.0, 0.8, 0.6)
+    )
+    poles = default_pole_list([0.25 * (1 + 1e-13)], spec.m)
+    messages = set()
+    for solve in (solve_updating, solve_via_sop, lambda sp, ps: rational_arnoldi(build_jordan(sp), ps)):
+        with pytest.raises(SpectrumOverlapError) as info:
+            solve(spec, poles)
+        messages.add(str(info.value))
+    assert len(messages) == 1, messages
 
 
 def test_default_pole_list_explicit_free_poles():

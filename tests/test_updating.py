@@ -413,7 +413,7 @@ def test_op3_named_example_swaps_first_pair():
     spec = DiscreteSobolevSpec(
         nodes=(-0.4, 0.3), orders=(1, 1), alphas=((1.0,), (0.8,)), weights=(1.0, 0.7)
     )
-    poles = default_pole_list([2.0, 5.0], spec.m, nodes=spec.nodes)
+    poles = default_pole_list([2.0, 5.0], spec.m)
     sol = solve_updating(spec, poles)
     H, K, Q = sol.H.copy(), sol.K.copy(), sol.Q.copy()
     on_stack(op3_swap_adjacent, H, K, Q, 0)
@@ -559,7 +559,7 @@ def test_solve_updating_complex_nodes_and_weights(rng):
     assert_iep_invariants(sys, b, poles)
 
     xi = [2.0 + 1.0j, INFINITY, -1.8]
-    psis = default_pole_list(xi, spec.m, nodes=spec.nodes)
+    psis = default_pole_list(xi, spec.m)
     routes = [solve_updating(spec, psis), solve_via_sop(spec, xi), rational_arnoldi(sys, psis)]
     nodes = np.array(spec.nodes)
     tables = [evaluate_solution(sol, nodes, max_deriv=2) for sol in routes]
@@ -584,7 +584,7 @@ def test_solve_updating_places_prescribed_pole_pair():
 
     cfg = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, N=3)
     spec = discretize_gegenbauer(cfg)
-    poles = default_pole_list([-1.1, 1.1], spec.m, nodes=spec.nodes)
+    poles = default_pole_list([-1.1, 1.1], spec.m)
     sol = solve_updating(spec, poles)
     assert abs(pole_at(sol.H, sol.K, 0) + 1.1) <= 1e-12 * 1.1
     assert abs(pole_at(sol.H, sol.K, 1) - 1.1) <= 1e-12 * 1.1

@@ -5,9 +5,14 @@
 prints one SHA-256 per workload of `perfbench/workloads.py`.  A digest covers,
 for every (config, N, method) of that seed's pool, the bytes of H, K and Q,
 the node table and the metrics; a (config, N) that raises a `SorfError`
-contributes the error's type and message instead.  Two checkouts that print
-the same digests produce bitwise identical pencils, tables, metrics and error
-messages on those pools, so a refactor that claims to change no bits is
+contributes the error's type and message instead.  Each config also runs
+through the command line, in process: `sorf sweep` when it has an `N_range`,
+else `sorf solve`, with `-o` to a file.  Its exit code, its stderr (warnings
+as category and message), and the written report or CSV without the wall
+times (the `ms` fields, the last CSV column) enter the digest; a missing
+output file reads as empty.  Two checkouts that print the same digests
+produce bitwise identical pencils, tables, metrics, error messages, reports
+and exit codes on those pools, so a refactor that claims to change no bits is
 checked by running this script in both and comparing the output.
 
 The pools are read from `perfbench/workloads.py` without importing it as a
@@ -17,10 +22,15 @@ package, so nothing is written under `perfbench/`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
 import os
 import sys
+import tempfile
 import types
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,32 +45,59 @@ def _workloads() -> types.ModuleType:
     return module
 
 
+def _cli_bytes(doc, workdir: Path) -> bytes:
+    """Exit code, stderr and timing-free output of `sorf solve|sweep` on `doc`."""
+    from sorf import cli
+
+    cfg, out = workdir / "config.json", workdir / "output"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    out.unlink(missing_ok=True)
+    command = "sweep" if "N_range" in doc else "solve"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([command, str(cfg), "-o", str(out)])
+    text = out.read_text(encoding="utf-8") if out.exists() else ""
+    if text and command == "solve":
+        report = json.loads(text)
+        for entry in report.get("reports", [report]):
+            del entry["ms"]
+        text = json.dumps(report)
+    elif text:
+        text = "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
+    shown = [f"{w.category.__name__}: {w.message}" for w in caught]
+    return f"exit {code} {stderr.getvalue()!r} {shown!r} {text}".encode()
+
+
 def digest(docs) -> str:
-    """SHA-256 hex digest over the solves of the config documents `docs`."""
+    """SHA-256 hex digest over the solves of the config documents `docs`,
+    direct and through the command line."""
     import numpy as np
 
     from sorf.driver import _solve_and_score, parse_config
     from sorf.errors import SorfError
 
     h = hashlib.sha256()
-    for doc in docs:
-        h.update(repr(sorted(doc.items())).encode())
-        try:
-            cfg = parse_config(doc)
-        except SorfError as exc:
-            h.update(f"{type(exc).__name__}: {exc}".encode())
-            continue
-        lo, hi = cfg["N_range"] or (cfg["N"], cfg["N"])
-        for N in range(lo, hi + 1):
+    with tempfile.TemporaryDirectory() as workdir:
+        for doc in docs:
+            h.update(repr(sorted(doc.items())).encode())
+            h.update(_cli_bytes(doc, Path(workdir)))
             try:
-                for method, sol, metrics, table, _ in _solve_and_score(cfg, N):
-                    h.update(f"{N} {method} {sol.wnorm!r} {sorted(metrics.items())!r}".encode())
-                    for a in (sol.H, sol.K, sol.Q, table.values, table.points):
-                        a = np.ascontiguousarray(a)
-                        h.update(f"{a.dtype} {a.shape}".encode())
-                        h.update(a.tobytes())
+                cfg = parse_config(doc)
             except SorfError as exc:
-                h.update(f"{N} {type(exc).__name__}: {exc}".encode())
+                h.update(f"{type(exc).__name__}: {exc}".encode())
+                continue
+            lo, hi = cfg["N_range"] or (cfg["N"], cfg["N"])
+            for N in range(lo, hi + 1):
+                try:
+                    for method, sol, metrics, table, _ in _solve_and_score(cfg, N):
+                        h.update(f"{N} {method} {sol.wnorm!r} {sorted(metrics.items())!r}".encode())
+                        for a in (sol.H, sol.K, sol.Q, table.values, table.points):
+                            a = np.ascontiguousarray(a)
+                            h.update(f"{a.dtype} {a.shape}".encode())
+                            h.update(a.tobytes())
+                except SorfError as exc:
+                    h.update(f"{N} {type(exc).__name__}: {exc}".encode())
     return h.hexdigest()
 
 
