@@ -2,10 +2,10 @@
 
 `rational_arnoldi` builds the orthonormal basis of the rational Krylov
 subspace generated by (J, w) with the prescribed pole sequence and reads the
-pencil off the recurrence; each shifted system (J - psi I) x = q is a LAPACK
-banded solve (`scipy.linalg.solve_banded`, J upper bidiagonal) once
-`check_spectrum_disjoint` has kept the poles off the nodes, and the basis is
-kept orthogonal with a second orthogonalization pass.
+pencil off the recurrence; each shifted system (J - psi I) x = q is one call
+of LAPACK's banded solver `?gbsv` (J upper bidiagonal, looked up once per
+pencil) once `check_spectrum_disjoint` has kept the poles off the nodes, and
+the basis is kept orthogonal with a second orthogonalization pass.
 
 `solve_via_sop` takes the recurrence matrix of the Sobolev orthogonal
 polynomials from polynomial Arnoldi (all poles at infinity, K = I exactly;
@@ -16,7 +16,7 @@ with the updating solver's add-and-swap loop `install_poles`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .errors import KrylovBreakdownError
 from .pencil import assert_unreduced, is_infinite_pole
@@ -48,10 +48,16 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
     K = np.zeros((m, m), dtype=complex)
     Q[:, 0] = w / wnorm
     upper = np.concatenate(([0.0], J.diagonal(1)))  # band row 0: the superdiagonal after a leading 0
+    gbsv = get_lapack_funcs("gbsv", (J, Q))
     for k in range(m - 1):
         psi = poles[k]
         infinite = is_infinite_pole(psi)
-        v = J @ Q[:, k] if infinite else solve_banded((0, 1), np.array((upper, J.diagonal() - psi)), Q[:, k])
+        if infinite:
+            v = J @ Q[:, k]
+        else:
+            _, _, v, info = gbsv(0, 1, np.array((upper, J.diagonal() - psi)), Q[:, k], overwrite_ab=True)
+            if info != 0 or not np.isfinite(v).all():
+                raise KrylovBreakdownError(f"shifted system at step {k + 1} is singular or not finite")
         vnorm0 = np.linalg.norm(v)
         basis = Q[:, : k + 1]
         coeff = (v.conj() @ basis).conj()

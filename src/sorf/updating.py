@@ -10,7 +10,10 @@ Blocks of J are introduced one at a time.  Each step embeds the solved
 subproblems block-diagonally, corrects the first column of Q with a single
 plane rotation, restores the Hessenberg shape with pole-preserving
 eliminations, and finally installs the new block's poles by adding each one
-at the bottom position and swapping it upward.
+at the bottom position and swapping it upward.  Elimination and swap share
+one 2x2 step, `_step`: a right rotation from the null direction of a
+rank-one combination of the H and K kernels, then a re-triangularizing left
+rotation.
 
 All index arguments are 0-based; pole index k refers to the subdiagonal
 position (k+1, k).  Rotations are raw (a, b) pairs (see `sorf.rotations`).
@@ -120,62 +123,53 @@ def weight_rotation(sol: IEPSolution, hat_norm: float, w_sigma: complex, s_sigma
     return rot
 
 
-def _kernel_rotations(z0, z1, A, B, floor: float, what: str):
-    """The 2x2 move shared by elimination and swap, on Python scalars.
+def _step(X, p: int, q: int, c: int, d: int, a, b, z0, z1, floor: float, what: str):
+    """The 2x2 move shared by elimination and swap, on the stack X.
 
-    The right rotation is the null direction of the row (z0, z1) (identity
-    for the zero row); the left rotation triangularizes the larger of the
-    two rotated first columns of the 2x2 kernels A and B.  Returns
-    (left, right) as raw (a, b) pairs; raises DeflationError(what) when that
-    column's norm is at most `floor`.
+    `a` and `b` are the H and K kernels at rows (p, q), columns (c, d) as
+    flat scalars (00, 01, 10, 11).  The right rotation is the null direction
+    of the row (z0, z1) (identity for the zero row); the left one zeroes the
+    larger rotated first column, or raises DeflationError(what) when its
+    norm is at most `floor`.  Applies both, zeroes H[q, c] and K[q, c], and
+    returns the raw (left, right) pairs.
     """
     ra, rb = null_direction(z0, z1) or (1.0, 0.0)
-    ua = [ra.conjugate() * x + rb * y for x, y in A]
-    ub = [ra.conjugate() * x + rb * y for x, y in B]
-    na, nb = math.hypot(*map(abs, ua)), math.hypot(*map(abs, ub))
+    (a00, a01, a10, a11), (b00, b01, b10, b11) = a, b
+    rc = ra.conjugate()
+    ua0, ua1, ub0, ub1 = rc * a00 + rb * a01, rc * a10 + rb * a11, rc * b00 + rb * b01, rc * b10 + rb * b11
+    na, nb = math.hypot(abs(ua0), abs(ua1)), math.hypot(abs(ub0), abs(ub1))
     if max(na, nb) <= floor:
         raise DeflationError(what)
-    return zeroing(*(ua if na >= nb else ub)), (ra, rb)
-
-
-def pole_preserving_rotations(A, B):
-    """Raw (left, right) rotation pairs zeroing the (1, 0) entries of the
-    2x2 kernels A and B (rows of scalars) while preserving the ratio
-    A[0, 0] / B[0, 0].
-
-    Requires A[0, 1] = B[0, 1] = 0 (guaranteed by the elimination schedule).
-    The right rotation is built from the null direction of beta*A - delta*B;
-    the left rotation triangularizes the then-colinear first columns.
-    """
-    (delta, a01), (a10, a11) = A
-    (beta, b01), (b10, b11) = B
-    scale = max(math.hypot(*map(abs, (delta, a01, a10, a11))), math.hypot(*map(abs, (beta, b01, b10, b11))))
-    if max(abs(delta), abs(beta)) <= DEFLATION_RTOL * scale:
-        raise DeflationError("elimination pivot has vanished in both matrices")
-    if abs(beta * a01 - delta * b01) > 1e-10 * max(abs(beta), abs(delta)) * scale:
-        raise NumericalError("elimination kernel violates the zero-corner precondition")
-    row = (beta * a10 - delta * b10, beta * a11 - delta * b11)
-    return _kernel_rotations(*row, A, B, DEFLATION_RTOL * scale, "elimination would deflate the pencil")
+    left = zeroing(ua0, ua1) if na >= nb else zeroing(ub0, ub1)
+    rotate_rows(X, *left, p, q)
+    rotate_cols(X[:2], ra, rb, c, d)
+    X[:2, q, c] = 0.0
+    return left, (ra, rb)
 
 
 def _eliminate(X, r: int, c: int, tol: float):
     """Body of `op1_eliminate` on the stack X = (H, K, Q^H), without the
     index check: raw (left, right) pairs, or None when both target entries
-    are at most `tol`."""
-    if abs(X.item(0, r, c)) <= tol and abs(X.item(1, r, c)) <= tol:
+    are at most `tol`.  The kernels at rows (c+1, r), columns (c, r) are
+    judged against their own scale; the step's row is beta*A - delta*B."""
+    a10, b10 = X.item(0, r, c), X.item(1, r, c)
+    if abs(a10) <= tol and abs(b10) <= tol:
         return None
     p = c + 1
-    A = ((X.item(0, p, c), X.item(0, p, r)), (X.item(0, r, c), X.item(0, r, r)))
-    B = ((X.item(1, p, c), X.item(1, p, r)), (X.item(1, r, c), X.item(1, r, r)))
-    left, right = pole_preserving_rotations(A, B)
-    rotate_rows(X, *left, p, r)
-    rotate_cols(X[:2], *right, c, r)
-    X[:2, r, c] = 0.0
-    if A[0][0] == 0.0:
+    delta, a01, a11 = X.item(0, p, c), X.item(0, p, r), X.item(0, r, r)
+    beta, b01, b11 = X.item(1, p, c), X.item(1, p, r), X.item(1, r, r)
+    scale = max(math.hypot(abs(delta), abs(a01), abs(a10), abs(a11)), math.hypot(abs(beta), abs(b01), abs(b10), abs(b11)))
+    if max(abs(delta), abs(beta)) <= DEFLATION_RTOL * scale:
+        raise DeflationError("elimination pivot has vanished in both matrices")
+    if abs(beta * a01 - delta * b01) > 1e-10 * max(abs(beta), abs(delta)) * scale:
+        raise NumericalError("elimination kernel violates the zero-corner precondition")
+    z0, z1 = beta * a10 - delta * b10, beta * a11 - delta * b11
+    out = _step(X, p, r, c, r, (delta, a01, a10, a11), (beta, b01, b10, b11), z0, z1, DEFLATION_RTOL * scale, "elimination would deflate the pencil")
+    if delta == 0.0:
         X[0, p, c] = 0.0
-    if B[0][0] == 0.0:
+    if beta == 0.0:
         X[1, p, c] = 0.0
-    return left, right
+    return out
 
 
 def op1_eliminate(X: np.ndarray, r: int, c: int):
@@ -264,11 +258,9 @@ def op2_add_pole(X: np.ndarray, psi) -> tuple[complex, complex] | None:
 def op3_swap_adjacent(X: np.ndarray, c: int):
     """Exchange the poles at indices c and c+1; all other ratios are fixed.
 
-    Works on the 2x2 upper triangular kernels at rows (c+1, c+2), columns
-    (c, c+1): the right rotation comes from the null direction of
-    nu*A - mu*B, the left rotation re-triangularizes.  Returns the raw
-    (left, right) pairs, or None when that row vanishes (equal poles, nothing
-    to move).
+    The step's row is nu*A - mu*B for the triangular kernels at rows
+    (c+1, c+2), columns (c, c+1).  Returns the raw (left, right) pairs, or
+    None when that row vanishes (equal poles, nothing to move).
     """
     if not 0 <= c <= X.shape[1] - 3:
         raise IndexError(f"swap index {c} out of range")
@@ -279,11 +271,7 @@ def op3_swap_adjacent(X: np.ndarray, c: int):
     z0, z1 = nu * tau - mu * kap, nu * h01 - mu * k01
     if z0 == 0.0 and z1 == 0.0:
         return None
-    A, B = ((tau, h01), (0.0, mu)), ((kap, k01), (0.0, nu))
-    left, right = _kernel_rotations(z0, z1, A, B, 0.0, "pole swap degenerated")
-    rotate_rows(X, *left, p, p + 1)
-    rotate_cols(X[:2], *right, c, p)
-    X[:2, p + 1, c] = 0.0
+    out = _step(X, p, p + 1, c, p, (tau, h01, 0.0, mu), (kap, k01, 0.0, nu), z0, z1, 0.0, "pole swap degenerated")
     # poles travel with their homogeneous pairs: keep exact zeros exact
     if nu == 0.0:
         X[1, p, c] = 0.0
@@ -293,7 +281,7 @@ def op3_swap_adjacent(X: np.ndarray, c: int):
         X[0, p, c] = 0.0
     if tau == 0.0:
         X[0, p + 1, p] = 0.0
-    return left, right
+    return out
 
 
 def install_poles(sol: IEPSolution, poles, first_index: int) -> None:

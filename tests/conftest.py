@@ -60,6 +60,16 @@ def rotation_matrix(rot, i, k, m):
     return G
 
 
+KERNEL_AT = np.ix_((1, 2), (0, 2))  # rows (1, 2), columns (0, 2): where op1_eliminate(X, 2, 0) reads
+
+
+def kernel_stack(A):
+    """3x3 matrix, zero but for the 2x2 kernel A at KERNEL_AT."""
+    M = np.zeros((3, 3), dtype=complex)
+    M[KERNEL_AT] = A
+    return M
+
+
 def on_stack(op, H, K, Q, *args):
     """Run a pencil operation of `sorf.updating` on the stack (H, K, Q^H) it
     acts on, write the result back into H, K and Q (Q = None stands for the

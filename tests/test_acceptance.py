@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from conftest import assert_iep_invariants, integrate, on_stack, random_pole_list, random_spec, rotation_matrix
+from conftest import assert_iep_invariants, integrate, kernel_stack, on_stack, random_pole_list, random_spec, rotation_matrix
 
 from sorf.evaluation import (
     continuous_moment_matrix,
@@ -33,9 +33,9 @@ from sorf.updating import (
     embed,
     expected_elimination_count,
     install_poles,
+    op1_eliminate,
     op2_add_pole,
     op3_swap_adjacent,
-    pole_preserving_rotations,
     restore_hessenberg,
     single_block_solution,
     solve_updating,
@@ -127,7 +127,8 @@ def test_criterion_3_oracle_equivalence():
 
 
 def test_criterion_4a_elimination_preserves_pivot_ratio():
-    """Operation 1 on 100 random kernels: pivot ratio preserved to 1e-12."""
+    """Operation 1 on 100 random kernels, each placed at rows (1, 2) and
+    columns (0, 2) of a 3x3 pencil: pivot ratio preserved to 1e-12."""
     rng = np.random.default_rng(42)
     for trial in range(100):
         delta = complex(rng.normal(), rng.normal())
@@ -140,7 +141,7 @@ def test_criterion_4a_elimination_preserves_pivot_ratio():
         B = np.array(
             [[beta, 0.0], [complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())]]
         )
-        left, right = pole_preserving_rotations(A, B)
+        left, right = on_stack(op1_eliminate, kernel_stack(A), kernel_stack(B), None, 2, 0)
         GL, GR = rotation_matrix(left, 0, 1, 2), rotation_matrix(right, 0, 1, 2)
         A2 = GL @ A @ GR
         B2 = GL @ B @ GR

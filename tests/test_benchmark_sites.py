@@ -1,16 +1,39 @@
 """The benchmark's tracer wraps program functions by module and name; a
 rename in `src/` would silently drop its spans and counters.  This checks
-every wrap site still resolves, without writing anything under perfbench/."""
+every wrap site still resolves and that a traced solve reports the counts it
+always did, without writing anything under perfbench/."""
 
 import types
 from pathlib import Path
 
+from sorf.driver import run_solve
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_benchmark_wrap_site_resolves():
+def load_tracing():
     module = types.ModuleType("perfbench_tracing")
     module.__file__ = str(TRACING)
     exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), module.__dict__)
-    tracer = module.Tracer()
+    return module
+
+
+def test_every_benchmark_wrap_site_resolves():
+    tracer = load_tracing().Tracer()
     assert tracer.missing == []
+
+
+def test_traced_solve_counts_are_pinned():
+    # N = 4, all three methods: the structure a kernel refactor must keep
+    tracer = load_tracing().Tracer()
+    with tracer:
+        run_solve({"N": 4, "method": "all"})
+    calls = {name: agg["calls"] for name, agg in tracer.layer_times().items()}
+    assert tracer.counts["updating.eliminations"] == 78
+    assert tracer.counts["updating.eliminations_expected"] == 78
+    assert calls["updating.op2_add_pole"] == 16
+    assert calls["updating.op3_swap_adjacent"] == 39
+    assert calls["updating.restore_hessenberg"] == 6
+    assert calls["updating.embed"] == 6
+    assert calls["updating.add_block"] == 7
+    assert tracer.counts["reference.rational_arnoldi.shifted_solves"] == 3

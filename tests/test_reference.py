@@ -6,13 +6,14 @@ import pytest
 from conftest import assert_iep_invariants, random_pole_list, random_spec
 
 from sorf import reference, updating
-from sorf.errors import SpectrumOverlapError
+from sorf.errors import KrylovBreakdownError, SpectrumOverlapError
 from sorf.evaluation import evaluate_solution, metric_poles, table_agreement
 from sorf.pencil import INFINITY, is_infinite_pole, pole_at
 from sorf.reference import rational_arnoldi, solve_via_sop
 from sorf.sobolev import (
     DiscreteSobolevSpec,
     GegenbauerSobolevConfig,
+    JordanSystem,
     build_jordan,
     default_pole_list,
     discretize_gegenbauer,
@@ -80,6 +81,14 @@ def test_arnoldi_rejects_pole_on_spectrum(rng):
     poles = [complex(spec.nodes[0])] + [INFINITY] * (spec.m - 2)
     with pytest.raises(SpectrumOverlapError):
         rational_arnoldi(sys, poles)
+
+
+def test_arnoldi_refuses_a_non_finite_shifted_solution():
+    # the huge superdiagonal overflows the back substitution of (J - 2I) x = e_3
+    J = np.array([[0.0, 1e308, 0.0], [0.0, 0.0, 1e308], [0.0, 0.0, 1.0]], dtype=complex)
+    sys = JordanSystem(J, np.array([0.0, 0.0, 1.0], dtype=complex))
+    with pytest.raises(KrylovBreakdownError, match="^shifted system at step 1 is singular or not finite$"):
+        rational_arnoldi(sys, [2.0, 2.0])
 
 
 def test_arnoldi_pole_count_mismatch(rng):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import assert_iep_invariants, on_stack, random_pole_list, random_spec, rotation_matrix
+from conftest import KERNEL_AT, assert_iep_invariants, kernel_stack, on_stack, random_pole_list, random_spec, rotation_matrix
 
-from sorf.errors import DeflationError
+from sorf.errors import DeflationError, NumericalError
 from sorf.pencil import INFINITY, is_infinite_pole, pole_at
 from sorf.sobolev import DiscreteSobolevSpec, build_jordan, default_pole_list
 from sorf.updating import (
@@ -15,7 +15,6 @@ from sorf.updating import (
     op1_eliminate,
     op2_add_pole,
     op3_swap_adjacent,
-    pole_preserving_rotations,
     restore_hessenberg,
     single_block_solution,
     solve_updating,
@@ -198,11 +197,16 @@ def test_op1_kernel_named_example():
     # delta/beta = 0.7 must survive the transformation
     A = np.array([[0.7, 0.0], [0.31, -1.2]], dtype=complex)
     B = np.array([[1.0, 0.0], [0.55, 0.4]], dtype=complex)
-    left, right = pole_preserving_rotations(A, B)
+    H, K = kernel_stack(A), kernel_stack(B)
+    left, right = on_stack(op1_eliminate, H, K, None, 2, 0)
     GL, GR = rotation_matrix(left, 0, 1, 2), rotation_matrix(right, 0, 1, 2)
     A2 = GL @ A @ GR
     B2 = GL @ B @ GR
     scale = max(np.linalg.norm(A), np.linalg.norm(B))
+    # the stack holds the rotated kernels, with the targets set to zero
+    A2_stack, B2_stack = H[KERNEL_AT], K[KERNEL_AT]
+    assert np.allclose(A2_stack, A2, rtol=0, atol=1e-14 * scale) and A2_stack[1, 0] == 0
+    assert np.allclose(B2_stack, B2, rtol=0, atol=1e-14 * scale) and B2_stack[1, 0] == 0
     assert abs(A2[1, 0]) <= 1e-14 * scale
     assert abs(B2[1, 0]) <= 1e-14 * scale
     assert A2[0, 0] / B2[0, 0] == pytest.approx(0.7, abs=1e-13)
@@ -220,7 +224,7 @@ def test_op1_kernel_random_ratios(rng):
             delta += 1.0
         A = np.array([[delta, 0.0], [rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal()]])
         B = np.array([[beta, 0.0], [rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal()]])
-        left, right = pole_preserving_rotations(A, B)
+        left, right = on_stack(op1_eliminate, kernel_stack(A), kernel_stack(B), None, 2, 0)
         GL, GR = rotation_matrix(left, 0, 1, 2), rotation_matrix(right, 0, 1, 2)
         A2 = GL @ A @ GR
         B2 = GL @ B @ GR
@@ -248,6 +252,26 @@ def test_op1_deflated_pivot_raises():
     H[3, 0] = K[3, 0] = 0.5
     with pytest.raises(DeflationError):
         on_stack(op1_eliminate, H, K, np.eye(4, dtype=complex), 3, 0)
+
+
+def test_op1_zero_corner_violation_raises():
+    # H[1, 2] / K[1, 2] = 1/2 differs from the pivot ratio H[1, 0] / K[1, 0] = 1
+    H = kernel_stack(np.array([[1.0, 1.0], [0.5, 1.0]], dtype=complex))
+    K = kernel_stack(np.array([[1.0, 2.0], [0.5, 1.0]], dtype=complex))
+    with pytest.raises(NumericalError) as err:
+        on_stack(op1_eliminate, H, K, None, 2, 0)
+    assert type(err.value) is NumericalError
+    assert str(err.value) == "elimination kernel violates the zero-corner precondition"
+
+
+def test_op1_rank_one_kernels_would_deflate():
+    # beta*A - delta*B has the null direction (1, -1), which annihilates both first columns
+    H = kernel_stack(np.array([[1.0, 1.0], [2.0, 2.0]], dtype=complex))
+    K = kernel_stack(np.array([[1.0, 1.0], [3.0, 3.0]], dtype=complex))
+    with pytest.raises(DeflationError) as err:
+        on_stack(op1_eliminate, H, K, None, 2, 0)
+    assert type(err.value) is DeflationError
+    assert str(err.value) == "elimination would deflate the pencil"
 
 
 def test_op1_first_elimination_display():
@@ -609,6 +633,19 @@ def test_op3_returns_none_for_equal_poles_with_a_matching_diagonal_ratio():
     before = X.copy()
     assert op3_swap_adjacent(X, 0) is None
     assert np.array_equal(X, before)
+
+
+def test_op3_deflated_first_pair_raises():
+    # H[1, 0] = K[1, 0] = 0: the row (0, -1) leaves the columns unrotated and
+    # both first columns of the triangular kernels are zero
+    H = np.triu(np.ones((3, 3), dtype=complex), -1)
+    K = np.triu(np.ones((3, 3), dtype=complex), -1)
+    H[1, 0] = K[1, 0] = 0.0
+    H[2, 1], K[2, 1] = 2.0, 1.0
+    with pytest.raises(DeflationError) as err:
+        on_stack(op3_swap_adjacent, H, K, None, 0)
+    assert type(err.value) is DeflationError
+    assert str(err.value) == "pole swap degenerated"
 
 
 def test_op3_moves_a_zero_pole_both_ways_keeping_h_exactly_zero(rng):
