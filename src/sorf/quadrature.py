@@ -103,12 +103,18 @@ def golub_welsch(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.nd
     return nodes[order], weights[order]
 
 
+@functools.lru_cache(maxsize=64)
 def gauss_gegenbauer(mu: float, n: int) -> QuadratureRule:
-    """n-node Gauss rule for the weight (1-t^2)^mu on [-1, 1]."""
+    """n-node Gauss rule for the weight (1-t^2)^mu on [-1, 1].
+
+    Each rule is built once per (mu, n) and cached, the 64 most recently
+    used kept; its nodes and weights are read-only.
+    """
     if n < 1:
         raise ConfigError("a Gauss rule needs at least one node")
-    nodes, weights = golub_welsch(*gegenbauer_coefficients(mu, n))
-    return QuadratureRule(nodes, weights, "gegenbauer")
+    rule = QuadratureRule(*golub_welsch(*gegenbauer_coefficients(mu, n)), "gegenbauer")
+    rule.nodes.flags.writeable = rule.weights.flags.writeable = False
+    return rule
 
 
 @functools.lru_cache(maxsize=8)

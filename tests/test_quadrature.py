@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from conftest import integrate
 
+import sorf.quadrature
+from sorf.driver import run_solve
 from sorf.errors import ConfigError, IllPosedMeasureError, NumericalError, PositivityError
 from sorf.quadrature import (
     QuadratureRule,
@@ -168,6 +171,38 @@ def test_gegenbauer_rejects_bad_mu():
         gauss_gegenbauer(-1.5, 4)
 
 
+def test_gauss_gegenbauer_rule_is_cached_and_read_only():
+    rule = gauss_gegenbauer(2, 64)
+    assert gauss_gegenbauer(2.0, 64) is rule
+    with pytest.raises(ValueError):
+        rule.nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        rule.weights[0] = 0.0
+    # a refused argument is not cached: it raises on every call
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            gauss_gegenbauer(2.0, 0)
+        with pytest.raises(ConfigError):
+            gauss_gegenbauer(-1.0, 4)
+        with pytest.raises(PositivityError):
+            gauss_gegenbauer(1e300, 4)
+
+
+def test_krylov_solves_build_the_base_rule_once(monkeypatch):
+    sizes = []
+
+    def counting(d, e, *args, **kwargs):
+        sizes.append(len(d))
+        return eigh_tridiagonal(d, e, *args, **kwargs)
+
+    gauss_gegenbauer.cache_clear()
+    monkeypatch.setattr(sorf.quadrature, "eigh_tridiagonal", counting)
+    for omega in (1.5, 1.7):
+        run_solve({"mu": 2, "omega": omega, "N": 4, "method": "krylov"})
+    # one 64-point base rule shared by both solves, one 7-point rule each
+    assert sorted(sizes) == [7, 7, 64]
+
+
 # ---------------------------------------------------------------------------
 # Stieltjes on the pole-modified measure
 # ---------------------------------------------------------------------------
@@ -233,6 +268,15 @@ def test_rational_gauss_no_poles_degenerates_to_gegenbauer():
     b = gauss_gegenbauer(2.0, 5)
     assert a.nodes == pytest.approx(b.nodes, abs=1e-13)
     assert a.weights == pytest.approx(b.weights, rel=1e-13)
+
+
+def test_rational_gauss_is_bitwise_the_same_on_a_cold_and_a_warm_cache():
+    gauss_gegenbauer.cache_clear()
+    cold = rational_gauss(2.0, full_pole_list(), 5)
+    warm = rational_gauss(2.0, full_pole_list(), 5)
+    assert gauss_gegenbauer.cache_info().hits >= 1
+    assert np.array_equal(cold.nodes, warm.nodes)
+    assert np.array_equal(cold.weights, warm.weights)
 
 
 def test_rational_gauss_sizing_five_nodes():
