@@ -141,7 +141,8 @@ def _solve_and_score(cfg: dict, N: int):
     call time, so a wrapper installed under one of those names takes effect.
     """
     gcfg = _gegenbauer_config(cfg, N)
-    rule = load_quadrature(cfg["quadrature_file"]) if cfg["quadrature_file"] else None
+    path = cfg["quadrature_file"]
+    rule = import_quadrature(read_json(path, malformed=RuleValidationError)) if path else None
     spec = discretize_gegenbauer(gcfg, rule=rule)
     psis = default_pole_list(gcfg.poles, spec.m, free=cfg["free_poles"])
     system = build_jordan(spec)
@@ -151,7 +152,7 @@ def _solve_and_score(cfg: dict, N: int):
         if method == "updating":
             sol = solve_updating(spec, psis)
         elif method == "sop":
-            sol = solve_via_sop(spec, psis)
+            sol = solve_via_sop(system, psis)
         else:
             sol = rational_arnoldi(system, psis)
         table = evaluate_solution(sol, nodes, max_deriv=max(spec.orders))
@@ -256,6 +257,3 @@ def read_json(path: str, unreadable=ConfigError, malformed=ConfigError):
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # the last for deep nesting
         raise malformed(f"{path!r} is not valid UTF-8 JSON: {exc}") from exc
 
-
-def load_quadrature(path: str) -> QuadratureRule:
-    return import_quadrature(read_json(path, malformed=RuleValidationError))

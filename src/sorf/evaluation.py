@@ -74,19 +74,19 @@ def evaluate_sorfs(
     for j in range(1, nfun):
         hcol = H[:j, j - 1]
         kcol = K[:j, j - 1]
-        denom = pts * K[j, j - 1] - H[j, j - 1]
-        local = np.abs(pts * K[j, j - 1]) + abs(H[j, j - 1])
-        bad = np.abs(denom) <= 1e-13 * local
+        tk = pts * K[j, j - 1]
+        denom = tk - H[j, j - 1]
+        bad = np.abs(denom) <= 1e-13 * (np.abs(tk) + abs(H[j, j - 1]))
         if np.any(bad):
-            raise PoleCollisionError(
-                f"evaluation point {pts[bad][0]} collides with a pole of r_{j}"
-            )
+            raise PoleCollisionError(f"evaluation point {pts[bad][0]} collides with a pole of r_{j}")
         for d in range(max_deriv + 1):
-            rhs = hcol @ vals[:j, d, :] - pts * (kcol @ vals[:j, d, :])
-            if d > 0:
-                rhs -= d * (kcol @ vals[:j, d - 1, :])
+            kv = kcol @ vals[:j, d, :]
+            rhs = hcol @ vals[:j, d, :] - pts * kv
+            if d > 0:  # product rule; kv_prev is the K-column term of order d - 1
+                rhs -= d * kv_prev
                 rhs -= d * K[j, j - 1] * vals[j, d - 1, :]
             vals[j, d, :] = rhs / denom
+            kv_prev = kv
     return SorfTable(vals, pts)
 
 

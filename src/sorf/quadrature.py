@@ -94,13 +94,12 @@ def gegenbauer_coefficients(mu: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def golub_welsch(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the Gauss rule from recurrence shifts alpha_k and
-    norms beta_k, beta_0 carrying the total mass."""
+    norms beta_k, beta_0 carrying the total mass; the nodes are ascending,
+    in the order LAPACK's tridiagonal eigensolver returns them."""
     if not np.all(beta > 0.0):  # also refuses NaN
         raise PositivityError("recurrence norms beta_k must be positive")
     nodes, vecs = eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
-    weights = beta[0] * vecs[0, :] ** 2
-    order = np.argsort(nodes)
-    return nodes[order], weights[order]
+    return nodes, beta[0] * vecs[0, :] ** 2
 
 
 @functools.lru_cache(maxsize=64)

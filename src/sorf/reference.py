@@ -10,7 +10,8 @@ the basis is kept orthogonal with a second orthogonalization pass.
 `solve_via_sop` takes the recurrence matrix of the Sobolev orthogonal
 polynomials from polynomial Arnoldi (all poles at infinity, K = I exactly;
 no updating solve) and then installs the poles, up to the last finite one,
-with the updating solver's add-and-swap loop `install_poles`.
+with the updating solver's add-and-swap loop `install_poles`.  Both routes
+take the caller's `JordanSystem` (J, w).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from scipy.linalg import get_lapack_funcs
 
 from .errors import KrylovBreakdownError
 from .pencil import assert_unreduced, is_infinite_pole
-from .sobolev import DiscreteSobolevSpec, JordanSystem, build_jordan, check_spectrum_disjoint
+from .sobolev import JordanSystem, check_spectrum_disjoint
 from .updating import IEPSolution, install_poles
 from .updating import op2_add_pole, op3_swap_adjacent, solve_updating  # noqa: F401 (traced here by name)
 
@@ -39,7 +40,8 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
     poles = list(poles)
     if len(poles) != m - 1:
         raise ValueError(f"need m - 1 = {m - 1} poles, got {len(poles)}")
-    check_spectrum_disjoint(poles, J.diagonal())
+    diag = J.diagonal()
+    check_spectrum_disjoint(poles, diag)
     wnorm = float(np.linalg.norm(w))
     if wnorm == 0.0:
         raise KrylovBreakdownError("starting vector is zero")
@@ -55,7 +57,7 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
         if infinite:
             v = J @ Q[:, k]
         else:
-            _, _, v, info = gbsv(0, 1, np.array((upper, J.diagonal() - psi)), Q[:, k], overwrite_ab=True)
+            _, _, v, info = gbsv(0, 1, np.array((upper, diag - psi)), Q[:, k], overwrite_ab=True)
             if info != 0 or not np.isfinite(v).all():
                 raise KrylovBreakdownError(f"shifted system at step {k + 1} is singular or not finite")
         vnorm0 = np.linalg.norm(v)
@@ -85,31 +87,32 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
             H[k + 1, k] = complex(psi) * beta_eff
         Q[:, k + 1] = q_next
     K[m - 1, m - 1] = 1.0
-    H[:, m - 1] = Q.conj().T @ (J @ Q[:, m - 1])
-    ortho = np.linalg.norm(Q.conj().T @ Q - np.eye(m))
+    QH = Q.conj().T
+    H[:, m - 1] = QH @ (J @ Q[:, m - 1])
+    ortho = np.linalg.norm(QH @ Q - np.eye(m))
     if ortho > 1e-10:
         raise KrylovBreakdownError(f"basis lost orthogonality: {ortho:.3e}")
     assert_unreduced(H, K)
     return IEPSolution(H, K, Q, wnorm)
 
 
-def solve_via_sop(spec: DiscreteSobolevSpec, poles) -> IEPSolution:
-    """Polynomial-first route: polynomial Arnoldi gives H with K = I, then
-    the poles psi_1, psi_2, ... are added and swapped into the leading
-    subpencil.
+def solve_via_sop(sys: JordanSystem, poles) -> IEPSolution:
+    """Polynomial-first route on the Jordan system `sys`: polynomial Arnoldi
+    gives H with K = I, then the poles psi_1, psi_2, ... are added and
+    swapped into the leading subpencil.
 
     `poles` may stop short of m - 1 entries; the positions after it keep
     their infinite poles, and so do trailing infinite entries, which are
     already in place and are not installed.
     """
-    m = spec.m
+    m = sys.m
     xi = list(poles)
     if len(xi) > m - 1:
         raise ValueError("more prescribed poles than pencil positions")
-    check_spectrum_disjoint(xi, spec.nodes)
+    check_spectrum_disjoint(xi, sys.J.diagonal())
     while xi and is_infinite_pole(xi[-1]):
         xi.pop()
-    sol = rational_arnoldi(build_jordan(spec), [np.inf] * (m - 1))
+    sol = rational_arnoldi(sys, [np.inf] * (m - 1))
     install_poles(sol, xi, 0)
     assert_unreduced(sol.H, sol.K)
     return sol

@@ -191,7 +191,7 @@ def test_discrete_moment_matrix_identity_all_solvers_up_to_m20(rng):
         sys = build_jordan(spec)
         for sol in (
             solve_updating(spec, poles),
-            solve_via_sop(spec, xi),
+            solve_via_sop(sys, xi),
             rational_arnoldi(sys, poles),
         ):
             table = evaluate_solution(sol, np.array(spec.nodes), max_deriv=max(spec.orders))

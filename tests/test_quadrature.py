@@ -338,6 +338,24 @@ def test_rule_validation_coincident_nodes():
         QuadratureRule(np.array([0.5, 0.5 + 1e-14]), np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "recurrence",
+    [
+        # nonzero shifts: a one-sided pole list tilts the modified measure
+        lambda: stieltjes_modified(gauss_gegenbauer(2.0, 64), [1.3, 1.3, 2.9, 2.9], 12),
+        lambda: gegenbauer_coefficients(-0.5, 40),
+    ],
+    ids=["one-sided-poles", "gegenbauer-mu-minus-half"],
+)
+def test_golub_welsch_nodes_ascend_in_lapack_order(recurrence):
+    # golub_welsch returns eigh_tridiagonal's eigenvalue order without sorting
+    alpha, beta = recurrence()
+    nodes, weights = golub_welsch(alpha, beta)
+    assert np.all(np.diff(nodes) > 0.0)
+    assert np.all(weights > 0.0)
+    assert weights.sum() == pytest.approx(beta[0], rel=1e-13)
+
+
 def test_golub_welsch_single_node():
     coeffs = gegenbauer_coefficients(2.0, 1)
     nodes, weights = golub_welsch(*coeffs)

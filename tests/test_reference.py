@@ -100,9 +100,10 @@ def test_arnoldi_pole_count_mismatch(rng):
 
 def test_sop_empty_prefix_gives_identity_k():
     spec = random_spec(np.random.default_rng(7), sigma=3, max_order=1)
-    sol = solve_via_sop(spec, [])
+    sys = build_jordan(spec)
+    sol = solve_via_sop(sys, [])
     assert np.array_equal(sol.K, np.eye(spec.m, dtype=complex))
-    assert_iep_invariants(build_jordan(spec), sol, [INFINITY] * (spec.m - 1))
+    assert_iep_invariants(sys, sol, [INFINITY] * (spec.m - 1))
 
 
 def gegenbauer_problem(N, mu=2.0, omega=1.5):
@@ -119,7 +120,7 @@ def test_sop_does_not_use_the_updating_solver(monkeypatch):
     monkeypatch.setattr(updating, "solve_updating", forbidden)
     monkeypatch.setattr(reference, "solve_updating", forbidden)
     spec, system, poles = gegenbauer_problem(N=12)
-    sol = solve_via_sop(spec, poles)
+    sol = solve_via_sop(system, poles)
     assert_iep_invariants(system, sol, poles)
 
 
@@ -141,7 +142,7 @@ def test_sop_installs_poles_through_the_updating_loop(monkeypatch):
     spec, system, poles = gegenbauer_problem(N=12)
     m = spec.m
     assert m == 46
-    sol = solve_via_sop(spec, poles)
+    sol = solve_via_sop(system, poles)
     assert calls == {"add": 11, "swap": sum(m - 2 - j for j in range(11))}  # 429 swaps
     assert_iep_invariants(system, sol, poles)
 
@@ -149,7 +150,7 @@ def test_sop_installs_poles_through_the_updating_loop(monkeypatch):
 def test_sop_basis_matches_krylov_at_m94():
     spec, system, poles = gegenbauer_problem(N=24)
     assert spec.m == 94
-    sop = solve_via_sop(spec, poles)
+    sop = solve_via_sop(system, poles)
     kry = rational_arnoldi(system, poles)
     # equal bases up to one unimodular phase per column
     assert np.max(np.abs(np.abs(sop.Q.conj().T @ kry.Q) - np.eye(spec.m))) <= 1e-10
@@ -159,12 +160,13 @@ def test_sop_basis_matches_krylov_at_m94():
 def test_sop_leading_subpencil_carries_prescribed_poles(rng):
     spec = random_spec(rng, sigma=4, max_order=1)
     xi = [-1.7, 1.3, -2.4][: max(1, min(3, spec.m - 1))]
-    sol = solve_via_sop(spec, xi)
+    sys = build_jordan(spec)
+    sol = solve_via_sop(sys, xi)
     for k, x in enumerate(xi):
         assert pole_at(sol.H, sol.K, k) == pytest.approx(x, rel=1e-12)
     for k in range(len(xi), spec.m - 1):
         assert is_infinite_pole(pole_at(sol.H, sol.K, k))
-    assert_iep_invariants(build_jordan(spec), sol, default_pole_list(xi, spec.m))
+    assert_iep_invariants(sys, sol, default_pole_list(xi, spec.m))
 
 
 def test_three_solvers_agree_on_function_tables(rng):
@@ -176,7 +178,7 @@ def test_three_solvers_agree_on_function_tables(rng):
         sys = build_jordan(spec)
         sols = {
             "updating": solve_updating(spec, poles),
-            "sop": solve_via_sop(spec, xi),
+            "sop": solve_via_sop(sys, xi),
             "krylov": rational_arnoldi(sys, poles),
         }
         pts = np.array(spec.nodes)
@@ -221,7 +223,7 @@ def test_zero_poles_give_exactly_zero_h_subdiagonal_in_every_route():
     )
     poles = default_pole_list([0.0, 1.5, 0.0], spec.m)
     sys = build_jordan(spec)
-    for sol in (solve_updating(spec, poles), solve_via_sop(spec, poles), rational_arnoldi(sys, poles)):
+    for sol in (solve_updating(spec, poles), solve_via_sop(sys, poles), rational_arnoldi(sys, poles)):
         assert sol.H[1, 0] == 0.0 and sol.H[3, 2] == 0.0
         assert sol.K[1, 0] != 0.0 and sol.K[3, 2] != 0.0
         assert_iep_invariants(sys, sol, poles)

@@ -179,7 +179,11 @@ def test_every_route_rejects_a_pole_on_a_node():
     )
     poles = default_pole_list([0.25 * (1 + 1e-13)], spec.m)
     messages = set()
-    for solve in (solve_updating, solve_via_sop, lambda sp, ps: rational_arnoldi(build_jordan(sp), ps)):
+    for solve in (
+        solve_updating,
+        lambda sp, ps: solve_via_sop(build_jordan(sp), ps),
+        lambda sp, ps: rational_arnoldi(build_jordan(sp), ps),
+    ):
         with pytest.raises(SpectrumOverlapError) as info:
             solve(spec, poles)
         messages.add(str(info.value))

@@ -584,7 +584,7 @@ def test_solve_updating_complex_nodes_and_weights(rng):
 
     xi = [2.0 + 1.0j, INFINITY, -1.8]
     psis = default_pole_list(xi, spec.m)
-    routes = [solve_updating(spec, psis), solve_via_sop(spec, xi), rational_arnoldi(sys, psis)]
+    routes = [solve_updating(spec, psis), solve_via_sop(sys, xi), rational_arnoldi(sys, psis)]
     nodes = np.array(spec.nodes)
     tables = [evaluate_solution(sol, nodes, max_deriv=2) for sol in routes]
     for sol in routes:
