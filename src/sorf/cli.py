@@ -36,7 +36,7 @@ def _output(out: str | None):
 
 
 def _write(text: str, fh) -> None:
-    if fh is sys.stdout and not text.endswith("\n"):
+    if not text.endswith("\n"):
         text += "\n"
     try:
         fh.write(text)
@@ -84,13 +84,13 @@ def main(argv=None) -> int:
             doc = read_json(args.config)
         with _output(args.output) as fh:
             if args.command == "solve":
-                text = json.dumps(run_solve(doc), indent=2)
+                text = json.dumps(run_solve(doc))
             elif args.command == "sweep":
                 text = run_sweep(doc)
             elif args.command == "dump-quadrature":
-                text = json.dumps(dump_quadrature(doc), indent=2)
+                text = json.dumps(dump_quadrature(doc))
             else:
-                text = json.dumps(rule_document(import_quadrature(doc)), indent=2)
+                text = json.dumps(rule_document(import_quadrature(doc)))
             _write(text, fh)
     except RuleValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

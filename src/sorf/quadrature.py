@@ -11,8 +11,8 @@ Three constructions feed the discretized Sobolev inner product:
   d(mu) / prod_k (t - xi_k)^2 by a discrete Stieltjes procedure on a large
   auxiliary Gauss-Gegenbauer rule, followed by Golub-Welsch; the weights are
   de-modified afterwards.
-* Clenshaw-Curtis rules with unit weight, used as the reference integrator
-  everywhere (callers fold the weight function into the integrand).
+* Clenshaw-Curtis rules with unit weight, integrating the continuous metric,
+  the tests and demo 04 (callers fold the weight function into the integrand).
 """
 
 from __future__ import annotations

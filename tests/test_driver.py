@@ -311,6 +311,13 @@ def test_cli_numerical_error_exit_code(tmp_path):
     assert proc.returncode == 3
 
 
+def test_cli_complex_pole_without_its_conjugate_exits_numerical(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 2, "poles": [[2, 1]]}))
+    assert sorf.cli.main(["solve", str(cfg)]) == 3
+    assert "does not define a real modified measure" in capsys.readouterr().err
+
+
 def test_cli_infinite_endpoint_weight_exits_numerical(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mu": -0.5, "N": 4}))
@@ -396,6 +403,20 @@ def test_cli_import_round_trip(tmp_path):
     reimported = tmp_path / "rule2.json"
     assert run_cli("import-quadrature", str(dumped), "-o", str(reimported)).returncode == 0
     assert json.loads(dumped.read_text()) == json.loads(reimported.read_text())
+
+
+@pytest.mark.parametrize("command", ["solve", "dump-quadrature", "import-quadrature"])
+def test_cli_writes_one_compact_json_line(tmp_path, capsys, command):
+    doc = {**BASE, "N": 2, "method": "krylov"}
+    if command == "import-quadrature":
+        doc = dump_quadrature(doc)
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert sorf.cli.main([command, str(src), "-o", str(out)]) == 0
+    assert sorf.cli.main([command, str(src)]) == 0
+    for text in (out.read_text(), capsys.readouterr().out):
+        assert text == json.dumps(json.loads(text)) + "\n"
 
 
 def test_cli_sweep_csv(tmp_path):

@@ -315,6 +315,12 @@ def test_rational_gauss_rejects_odd_multiplicities():
         rational_gauss(2.0, [-1.1, -1.1, 1.1], 3)
 
 
+def test_rational_gauss_refuses_a_complex_pole_without_its_conjugate():
+    # the squared factors (t - 2 - i)^2 are complex on [-1, 1]
+    with pytest.raises(PositivityError, match="does not define a real modified measure"):
+        rational_gauss(2.0, [2 + 1j] * 4, 3)
+
+
 def test_rational_gauss_rejects_pole_in_support():
     with pytest.raises(IllPosedMeasureError):
         rational_gauss(2.0, [0.3, 0.3], 3)

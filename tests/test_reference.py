@@ -91,6 +91,21 @@ def test_arnoldi_refuses_a_non_finite_shifted_solution():
         rational_arnoldi(sys, [2.0, 2.0])
 
 
+def diagonal_system(w):
+    return JordanSystem(np.diag([0.1, 0.5]).astype(complex), np.array(w, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "w, message",
+    # w = e_1 is an eigenvector of the diagonal J, so J w adds no direction
+    [([1, 0], "rational Krylov space degenerated at step 1"), ([0, 0], "starting vector is zero")],
+    ids=["eigenvector", "zero"],
+)
+def test_arnoldi_refuses_a_degenerate_starting_vector(w, message):
+    with pytest.raises(KrylovBreakdownError, match=f"^{message}$"):
+        rational_arnoldi(diagonal_system(w), [INFINITY])
+
+
 def test_arnoldi_pole_count_mismatch(rng):
     spec = random_spec(rng, sigma=2, max_order=0)
     sys = build_jordan(spec)
@@ -104,6 +119,11 @@ def test_sop_empty_prefix_gives_identity_k():
     sol = solve_via_sop(sys, [])
     assert np.array_equal(sol.K, np.eye(spec.m, dtype=complex))
     assert_iep_invariants(sys, sol, [INFINITY] * (spec.m - 1))
+
+
+def test_sop_refuses_more_poles_than_positions():
+    with pytest.raises(ValueError, match="^more prescribed poles than pencil positions$"):
+        solve_via_sop(diagonal_system([1, 0]), [INFINITY, INFINITY])
 
 
 def gegenbauer_problem(N, mu=2.0, omega=1.5):

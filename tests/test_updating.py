@@ -83,6 +83,11 @@ def test_single_block_complex_weight_phase():
     assert np.linalg.norm(J @ sol.Q - sol.Q @ sol.H) <= 1e-15
 
 
+def test_single_block_refuses_a_zero_weight():
+    with pytest.raises(NumericalError, match="^block weight amplitude must be nonzero$"):
+        single_block_solution(0.1, (1.0,), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # embedding and the weight rotation
 # ---------------------------------------------------------------------------
@@ -272,6 +277,13 @@ def test_op1_rank_one_kernels_would_deflate():
         on_stack(op1_eliminate, H, K, None, 2, 0)
     assert type(err.value) is DeflationError
     assert str(err.value) == "elimination would deflate the pencil"
+
+
+@pytest.mark.parametrize("r, c", [(1, 0), (0, 1)], ids=["pivot", "above-diagonal"])
+def test_op1_refuses_targets_outside_the_fill(r, c):
+    X = np.stack([np.eye(4, dtype=complex)] * 3)
+    with pytest.raises(IndexError):
+        op1_eliminate(X, r, c)
 
 
 def test_op1_first_elimination_display():
@@ -540,6 +552,14 @@ def test_add_block_residual(rng):
     assert res <= 1e-12 * scale
 
 
+def test_add_block_refuses_a_wrong_pole_count():
+    with pytest.raises(ValueError, match="first block introduces exactly s poles"):
+        add_block(None, 0.1, (1.0,), 1.0, [2.0, 3.0])
+    hat = add_block(None, 0.1, (1.0,), 1.0, [2.0])
+    with pytest.raises(ValueError, match="appended block introduces exactly s \\+ 1 poles"):
+        add_block(hat, 0.7, (1.0,), 1.2, [2.5])
+
+
 def test_solve_updating_single_node_spec():
     spec = DiscreteSobolevSpec(nodes=(0.3,), orders=(0,), alphas=((),), weights=(2.0,))
     sol = solve_updating(spec, [])
@@ -614,6 +634,29 @@ def test_solve_updating_places_prescribed_pole_pair():
     assert abs(pole_at(sol.H, sol.K, 1) - 1.1) <= 1e-12 * 1.1
 
 
+@pytest.mark.parametrize(
+    "method",
+    [pytest.param("updating", marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3")), "sop", "krylov"],
+)
+def test_large_prescribed_poles_are_placed_on_every_route(method):
+    # poles at +-1e8: updating re-reads each ratio from a K subdiagonal entry
+    # of size |h|/|psi|, so its E_p grows like eps * |psi| (about 9e-9 here)
+    from sorf.evaluation import metric_poles
+    from sorf.reference import rational_arnoldi, solve_via_sop
+    from sorf.sobolev import GegenbauerSobolevConfig, discretize_gegenbauer
+
+    cfg = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, N=3, poles=(1e8, -1e8))
+    spec = discretize_gegenbauer(cfg)
+    poles = default_pole_list(cfg.poles, spec.m)
+    if method == "updating":
+        sol = solve_updating(spec, poles)
+    elif method == "sop":
+        sol = solve_via_sop(build_jordan(spec), poles)
+    else:
+        sol = rational_arnoldi(build_jordan(spec), poles)
+    assert metric_poles(sol, poles) <= 1e-12
+
+
 def test_op2_returns_none_when_the_trailing_row_already_has_ratio_psi():
     # the last row of H is 3 times the last row of K on the trailing columns
     H = np.array([[1.0, 2.0], [1.5, 3.0]], dtype=complex)
@@ -646,6 +689,13 @@ def test_op3_deflated_first_pair_raises():
         on_stack(op3_swap_adjacent, H, K, None, 0)
     assert type(err.value) is DeflationError
     assert str(err.value) == "pole swap degenerated"
+
+
+@pytest.mark.parametrize("c", [2, -1])
+def test_op3_refuses_an_index_without_a_pair_below(c):
+    X = np.stack([np.eye(4, dtype=complex)] * 3)
+    with pytest.raises(IndexError):
+        op3_swap_adjacent(X, c)
 
 
 def test_op3_moves_a_zero_pole_both_ways_keeping_h_exactly_zero(rng):
