@@ -8,6 +8,7 @@ time in milliseconds.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 
@@ -89,8 +90,14 @@ def _encode_scalar(value) -> object:
 
 
 def _encode_matrix(M: np.ndarray) -> list:
-    M = np.asarray(M, dtype=complex)
-    return np.stack((M.real, M.imag), -1).tolist()
+    enabled = gc.isenabled()
+    gc.disable()  # lists of floats form no cycles: spare the collector its passes
+    try:
+        M = np.asarray(M, dtype=complex)
+        return np.stack((M.real, M.imag), -1).tolist()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def parse_config(doc: dict) -> dict:

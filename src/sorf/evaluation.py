@@ -14,6 +14,7 @@ table, v_dj = (r_k^(d)(t_j))_k, and one Gram kernel assembles them: the
 discrete one with the coefficients of the spec's inner product at its nodes,
 the continuous one with cached Clenshaw-Curtis weights times (1-t^2)^mu for
 values and lambda times those for first derivatives (doubled-order check).
+The metrics' spectral norms of real-valued matrices use the real SVD.
 """
 
 from __future__ import annotations
@@ -162,8 +163,8 @@ def metric_recurrence(sys, sol: IEPSolution) -> float:
     """||J Q K - Q H||_2 / max(||J Q K||_2, ||Q H||_2)."""
     JQK = sys.J @ sol.Q @ sol.K
     QH = sol.Q @ sol.H
-    denom = max(np.linalg.norm(JQK, 2), np.linalg.norm(QH, 2))
-    return float(np.linalg.norm(JQK - QH, 2) / denom)
+    denom = max(_norm2(JQK), _norm2(QH))
+    return float(_norm2(JQK - QH) / denom)
 
 
 def metric_poles(sol: IEPSolution, poles) -> float:
@@ -198,7 +199,12 @@ def metric_orthonormality(sol: IEPSolution) -> float:
 
 def metric_sobolev(M: np.ndarray) -> float:
     """||M - I||_2 for a moment matrix M."""
-    return float(np.linalg.norm(M - np.eye(M.shape[0]), 2))
+    return float(_norm2(M - np.eye(M.shape[0])))
+
+
+def _norm2(X: np.ndarray) -> float:
+    """Spectral norm, through the real SVD when X has no imaginary part."""
+    return np.linalg.norm(X if X.imag.any() else X.real, 2)
 
 
 def table_agreement(t1: SorfTable, t2: SorfTable) -> float:

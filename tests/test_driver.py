@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from sorf.driver import (
     SWEEP_CSV_HEADER,
+    _encode_matrix,
     dump_quadrature,
     import_quadrature,
     parse_config,
@@ -138,6 +140,31 @@ def test_report_matrix_decodes_bit_exactly():
     # bytes, not values: -0.0 == 0.0 would hide a lost sign of zero
     assert decoded[..., 0].tobytes() == sol.H.real.tobytes()
     assert decoded[..., 1].tobytes() == sol.H.imag.tobytes()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_encode_matrix_runs_no_collection_and_keeps_gc_state(enabled):
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    gc.callbacks.append(count)
+    try:
+        # a 198 x 198 encode allocates ~40k lists: dozens of collections
+        # if the collector were left running
+        _encode_matrix(np.ones((198, 198), complex))
+        assert starts == []
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError):
+            _encode_matrix(np.array([["a"]]))
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(count)
+        gc.enable() if was_enabled else gc.disable()
 
 
 def test_run_solve_deterministic():

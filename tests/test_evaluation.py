@@ -5,9 +5,11 @@ import pytest
 
 from conftest import random_pole_list, random_spec
 
+from sorf.driver import run_solve
 from sorf.errors import PoleCollisionError
 from sorf.evaluation import (
     SorfTable,
+    _norm2,
     continuous_moment_matrix,
     discrete_moment_matrix,
     evaluate_solution,
@@ -297,6 +299,22 @@ def test_metric_orthonormality_scaled_column():
 def test_metric_sobolev_values():
     assert metric_sobolev(np.eye(3)) == 0.0
     assert metric_sobolev(np.diag([1.0, 1.0, 2.0])) == pytest.approx(1.0)
+
+
+def test_norm2_takes_the_real_svd_only_for_real_values(rng):
+    real = rng.standard_normal((40, 40)).astype(complex)
+    assert _norm2(real) == np.linalg.norm(real.real, 2)
+    assert _norm2(real) == pytest.approx(np.linalg.norm(real, 2), rel=4e-15, abs=0)
+    cplx = real + 1j * rng.standard_normal((40, 40))
+    assert _norm2(cplx) == np.linalg.norm(cplx, 2)
+
+
+def test_complex_poles_score_through_the_complex_svd():
+    report = run_solve({"N": 3, "method": "all", "poles": [[2, 0.5], [2, -0.5]]})
+    for r in report["reports"]:
+        assert np.any(np.array(r["H"])[..., 1] != 0.0), r["method"]
+        assert r["metrics"]["E_r"] <= 1e-12, r["method"]
+        assert r["metrics"]["E_Q"] <= 1e-12, r["method"]
 
 
 def test_table_agreement_detects_mismatch(rng):
