@@ -14,7 +14,6 @@ table, v_dj = (r_k^(d)(t_j))_k, and one Gram kernel assembles them: the
 discrete one with the coefficients of the spec's inner product at its nodes,
 the continuous one with cached Clenshaw-Curtis weights times (1-t^2)^mu for
 values and lambda times those for first derivatives (doubled-order check).
-The metrics' spectral norms of real-valued matrices use the real SVD.
 """
 
 from __future__ import annotations
@@ -62,15 +61,15 @@ def evaluate_sorfs(
 
     Column j of the pencil yields r_j; evaluation close to a pole of the
     recurrence (vanishing denominator t K[j+1,j] - H[j+1,j]) is refused.
+    The table takes the type of the points and the pencil.
     """
     m = H.shape[0]
     if nfun is None:
         nfun = m
     if not 1 <= nfun <= m:
         raise ValueError(f"nfun must lie in 1..{m}")
-    pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    npts = pts.size
-    vals = np.zeros((nfun, max_deriv + 1, npts), dtype=complex)
+    pts = np.atleast_1d(np.asarray(points))
+    vals = np.zeros((nfun, max_deriv + 1, pts.size), np.result_type(pts, H, K))
     vals[0, 0, :] = 1.0 / wnorm
     for j in range(1, nfun):
         hcol = H[:j, j - 1]
@@ -163,8 +162,8 @@ def metric_recurrence(sys, sol: IEPSolution) -> float:
     """||J Q K - Q H||_2 / max(||J Q K||_2, ||Q H||_2)."""
     JQK = sys.J @ sol.Q @ sol.K
     QH = sol.Q @ sol.H
-    denom = max(_norm2(JQK), _norm2(QH))
-    return float(_norm2(JQK - QH) / denom)
+    denom = max(np.linalg.norm(JQK, 2), np.linalg.norm(QH, 2))
+    return float(np.linalg.norm(JQK - QH, 2) / denom)
 
 
 def metric_poles(sol: IEPSolution, poles) -> float:
@@ -199,12 +198,7 @@ def metric_orthonormality(sol: IEPSolution) -> float:
 
 def metric_sobolev(M: np.ndarray) -> float:
     """||M - I||_2 for a moment matrix M."""
-    return float(_norm2(M - np.eye(M.shape[0])))
-
-
-def _norm2(X: np.ndarray) -> float:
-    """Spectral norm, through the real SVD when X has no imaginary part."""
-    return np.linalg.norm(X if X.imag.any() else X.real, 2)
+    return float(np.linalg.norm(M - np.eye(M.shape[0]), 2))
 
 
 def table_agreement(t1: SorfTable, t2: SorfTable) -> float:

@@ -17,18 +17,25 @@ from .errors import DeflationError
 DEFLATION_RTOL = 1e-14
 
 #: marker for the point at infinity in pole lists
-INFINITY = complex(np.inf, 0.0)
+INFINITY = float(np.inf)
+
+
+def scalar(z) -> float | complex:
+    """The one rule of the arithmetic type, applied where data enter: a float
+    when z has a zero imaginary part, else a complex; numpy carries it on."""
+    z = complex(z)
+    return z.real if z.imag == 0.0 else z
 
 
 def is_infinite_pole(psi) -> bool:
     return not np.isfinite(complex(psi))
 
 
-def pole_pair(psi) -> tuple[complex, complex]:
+def pole_pair(psi) -> tuple[float | complex, float]:
     """Homogeneous representative (mu, nu) with mu/nu = psi; nu = 0 at infinity."""
     if is_infinite_pole(psi):
-        return 1.0 + 0.0j, 0.0 + 0.0j
-    return complex(psi), 1.0 + 0.0j
+        return 1.0, 0.0
+    return scalar(psi), 1.0
 
 
 def pencil_scale(H: np.ndarray, K: np.ndarray) -> float:

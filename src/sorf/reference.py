@@ -33,7 +33,7 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
     (or J q_k for a polynomial step) in the basis built so far; the phase of
     each new basis vector is chosen so the H subdiagonal is nonnegative.
     Orthogonalization is classical Gram-Schmidt with one full
-    reorthogonalization pass.
+    reorthogonalization pass.  Q, H and K take the type of J, w and poles.
     """
     J, w = sys.J, sys.w
     m = J.shape[0]
@@ -45,9 +45,7 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
     wnorm = float(np.linalg.norm(w))
     if wnorm == 0.0:
         raise KrylovBreakdownError("starting vector is zero")
-    Q = np.zeros((m, m), dtype=complex)
-    H = np.zeros((m, m), dtype=complex)
-    K = np.zeros((m, m), dtype=complex)
+    Q, H, K = (np.zeros((m, m), np.result_type(J, w, np.asarray(poles))) for _ in range(3))
     Q[:, 0] = w / wnorm
     upper = np.concatenate(([0.0], J.diagonal(1)))  # band row 0: the superdiagonal after a leading 0
     gbsv = get_lapack_funcs("gbsv", (J, Q))
@@ -76,15 +74,15 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
             H[: k + 1, k] = coeff
             H[k + 1, k] = beta
         else:
-            sub = complex(psi) * beta
+            sub = psi * beta
             phase = sub / abs(sub) if sub != 0.0 else 1.0
             q_next = q_next * phase
             beta_eff = beta * np.conj(phase)
             K[: k + 1, k] = coeff
             K[k + 1, k] = beta_eff
-            H[: k + 1, k] = complex(psi) * coeff
+            H[: k + 1, k] = psi * coeff
             H[k, k] += 1.0
-            H[k + 1, k] = complex(psi) * beta_eff
+            H[k + 1, k] = psi * beta_eff
         Q[:, k + 1] = q_next
     K[m - 1, m - 1] = 1.0
     QH = Q.conj().T

@@ -1,4 +1,4 @@
-"""Complex plane rotations as raw (a, b) pairs, and their action on dense matrices.
+"""Plane rotations as raw (a, b) pairs, real for real data, and their action on dense matrices.
 
 A plane rotation with parameters (a, b), |a|^2 + |b|^2 = 1, embedded at the
 row/column pair (i, k) of the identity, is the unitary matrix

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SpectrumOverlapError
-from .pencil import INFINITY, is_infinite_pole
+from .pencil import INFINITY, is_infinite_pole, scalar
 from .quadrature import NODE_GAP, QuadratureRule, rational_gauss
 
 
@@ -43,10 +43,10 @@ class DiscreteSobolevSpec:
     weights: tuple
 
     def __post_init__(self):
-        nodes = tuple(complex(z) for z in self.nodes)
+        nodes = tuple(scalar(z) for z in self.nodes)
         orders = tuple(int(s) for s in self.orders)
-        alphas = tuple(tuple(complex(a) for a in al) for al in self.alphas)
-        weights = tuple(complex(w) for w in self.weights)
+        alphas = tuple(tuple(scalar(a) for a in al) for al in self.alphas)
+        weights = tuple(scalar(w) for w in self.weights)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "alphas", alphas)
@@ -126,13 +126,13 @@ class GegenbauerSobolevConfig:
         return 2 * self.N - 1
 
 
-def gegenbauer_pole_ladder(omega: float, count: int) -> list[complex]:
+def gegenbauer_pole_ladder(omega: float, count: int) -> list[float]:
     """First `count` poles of the ladder -w, w, -2w, 2w, ..."""
     ladder = []
     k = 1
     while len(ladder) < count:
-        ladder.append(complex(-k * omega))
-        ladder.append(complex(k * omega))
+        ladder.append(scalar(-k * omega))
+        ladder.append(scalar(k * omega))
         k += 1
     return ladder[:count]
 
@@ -168,11 +168,13 @@ def build_jordan(spec: DiscreteSobolevSpec) -> JordanSystem:
     """Assemble the block upper-bidiagonal matrix J and weight vector w.
 
     Block j carries z_j on its diagonal and (alpha_{s_j}, ..., alpha_1) down
-    its superdiagonal; w holds w_j at the last index of block j.
+    its superdiagonal; w holds w_j at the last index of block j.  Both take
+    the type of the spec's scalars: real data give real J and w.
     """
     m = spec.m
-    J = np.zeros((m, m), dtype=complex)
-    w = np.zeros(m, dtype=complex)
+    dtype = np.asarray([*spec.nodes, *spec.weights, *sum(spec.alphas, ())]).dtype
+    J = np.zeros((m, m), dtype)
+    w = np.zeros(m, dtype)
     row = 0
     for z, s, al, wj in zip(spec.nodes, spec.orders, spec.alphas, spec.weights):
         for i in range(s + 1):
@@ -184,19 +186,19 @@ def build_jordan(spec: DiscreteSobolevSpec) -> JordanSystem:
     return JordanSystem(J, w)
 
 
-def default_pole_list(xi, m: int, free=None) -> list[complex]:
+def default_pole_list(xi, m: int, free=None) -> list:
     """Pole list psi_1..psi_{m-1}: the prescribed prefix xi, then free poles.
 
     Free poles default to infinity, which keeps the trailing subdiagonal of K
     zero; each solver checks the list against the nodes on entry.
     """
-    xi = [INFINITY if is_infinite_pole(x) else complex(x) for x in xi]
+    xi = [INFINITY if is_infinite_pole(x) else scalar(x) for x in xi]
     if len(xi) > m - 1:
         raise ConfigError(f"{len(xi)} prescribed poles exceed the m - 1 = {m - 1} available positions")
     if free is None:
         free = [INFINITY] * (m - 1 - len(xi))
     else:
-        free = [INFINITY if is_infinite_pole(x) else complex(x) for x in free]
+        free = [INFINITY if is_infinite_pole(x) else scalar(x) for x in free]
         if len(free) != m - 1 - len(xi):
             raise ConfigError(f"need exactly {m - 1 - len(xi)} free poles, got {len(free)}")
     return xi + free
@@ -205,7 +207,7 @@ def default_pole_list(xi, m: int, free=None) -> list[complex]:
 def check_spectrum_disjoint(poles, nodes) -> None:
     """The one pole-versus-node rule of all three solvers: a finite pole
     within NODE_GAP * max(1, |psi|) of a node raises SpectrumOverlapError."""
-    z = np.array([complex(t) for t in nodes])
+    z = np.asarray(nodes)
     for k, psi in enumerate(poles):
         if is_infinite_pole(psi):
             continue

@@ -67,29 +67,22 @@ def single_block_solution(node: complex, alphas, weight: complex) -> IEPSolution
     the anti-diagonal permutation, K = I and H the doubly-reversed block
     (which coincides with the transpose for s <= 1), the relation J Q = Q H
     holds identically and the permutation puts the weight into the first
-    column of Q.  A diagonal phase absorbs a complex weight amplitude.
+    column of Q.  A diagonal phase absorbs a complex weight amplitude.  The
+    three matrices take the type of the block's data.
     """
-    s = len(alphas)
-    n = s + 1
-    H = np.zeros((n, n), dtype=complex)
-    K = np.eye(n, dtype=complex)
-    z = complex(node)
-    for i in range(n):
-        H[i, i] = z
-    for i in range(s):
-        # doubly reversed block: subdiagonal runs alpha_1 .. alpha_s downwards
-        H[i + 1, i] = complex(alphas[i])
-    w = complex(weight)
-    if w == 0.0:
+    if weight == 0.0:
         raise NumericalError("block weight amplitude must be nonzero")
-    phase = w / abs(w)
-    Q = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        Q[n - 1 - i, i] = 1.0
+    phase = weight / abs(weight)
+    dtype = np.result_type(node, phase, *alphas)
+    # doubly reversed block: subdiagonal runs alpha_1 .. alpha_s downwards
+    H = np.diag(np.asarray(alphas, dtype), -1)
+    np.fill_diagonal(H, node)
+    K = np.eye(len(H), dtype=dtype)
+    Q = K[::-1].copy()
     Q[:, 0] *= phase
     H[:, 0] *= phase
     H[0, :] *= np.conj(phase)
-    return IEPSolution(H, K, Q, abs(w))
+    return IEPSolution(H, K, Q, abs(weight))
 
 
 def embed(hat: IEPSolution, blk: IEPSolution) -> IEPSolution:
@@ -97,9 +90,10 @@ def embed(hat: IEPSolution, blk: IEPSolution) -> IEPSolution:
 
     The embedded triple satisfies the recurrence for the combined J but not
     yet the weight condition; `weight_rotation` repairs the first column.
+    It takes the type of the two parts: complex when either part is.
     """
     mh, m = hat.m, hat.m + blk.m
-    H, K, Q = (np.zeros((m, m), dtype=complex) for _ in range(3))
+    H, K, Q = (np.zeros((m, m), np.result_type(hat.H, blk.H)) for _ in range(3))
     for M, top, bottom in ((H, hat.H, blk.H), (K, hat.K, blk.K), (Q, hat.Q, blk.Q)):
         M[:mh, :mh] = top
         M[mh:, mh:] = bottom
@@ -236,9 +230,11 @@ def op2_add_pole(X: np.ndarray, psi) -> tuple[complex, complex] | None:
     """Set the pole at the last subdiagonal position (m-1, m-2) to psi.
 
     A single right rotation on the last two columns; Q is untouched.  Handles
-    psi at infinity through the homogeneous pair (mu, nu) = (1, 0).  Returns
-    the raw pair applied, or None when the ratio already equals psi; raises
-    DeflationError (`pencil.pole_at`) when the new position has deflated.
+    psi at infinity through the homogeneous pair (mu, nu) = (1, 0).  X must
+    already hold psi's type (`install_poles` is the one place that promotes
+    it).  Returns the raw pair applied, or None when the ratio already equals
+    psi; raises DeflationError (`pencil.pole_at`) when the new position has
+    deflated.
     """
     H, K = X[0], X[1]
     m = H.shape[0]
@@ -259,8 +255,9 @@ def op3_swap_adjacent(X: np.ndarray, c: int):
     """Exchange the poles at indices c and c+1; all other ratios are fixed.
 
     The step's row is nu*A - mu*B for the triangular kernels at rows
-    (c+1, c+2), columns (c, c+1).  Returns the raw (left, right) pairs, or
-    None when that row vanishes (equal poles, nothing to move).
+    (c+1, c+2), columns (c, c+1).  X must already hold the poles' type
+    (`install_poles` is the one place that promotes it).  Returns the raw
+    (left, right) pairs, or None when that row vanishes (equal poles).
     """
     if not 0 <= c <= X.shape[1] - 3:
         raise IndexError(f"swap index {c} out of range")
@@ -286,14 +283,16 @@ def op3_swap_adjacent(X: np.ndarray, c: int):
 
 def install_poles(sol: IEPSolution, poles, first_index: int) -> None:
     """Add each pole at the bottom and swap it up to index first_index + j
-    (j its place in `poles`), on one stack (H, K, Q^H) written back once."""
+    (j its place in `poles`), on one stack (H, K, Q^H) bound back to `sol`
+    once.  The stack takes the type of the pencil and the poles: this is the
+    one place where a complex pole makes a real pencil complex."""
     m = sol.m
-    X = np.stack((sol.H, sol.K, sol.Q.conj().T))
+    X = np.stack((sol.H, sol.K, sol.Q.conj().T), dtype=np.result_type(sol.H, np.asarray(poles)))
     for j, psi in enumerate(poles):
         op2_add_pole(X, psi)
         for c in range(m - 3, first_index + j - 1, -1):
             op3_swap_adjacent(X, c)
-    sol.H[...], sol.K[...], sol.Q[...] = X[0], X[1], X[2].conj().T
+    sol.H, sol.K, sol.Q = X[0], X[1], X[2].conj().T
 
 
 def add_block(current: IEPSolution | None, node, alphas, weight, new_poles) -> IEPSolution:

@@ -74,7 +74,7 @@ def on_stack(op, H, K, Q, *args):
     """Run a pencil operation of `sorf.updating` on the stack (H, K, Q^H) it
     acts on, write the result back into H, K and Q (Q = None stands for the
     identity and is not written) and return what the operation returned."""
-    X = np.stack((H, K, np.eye(len(H), dtype=complex) if Q is None else Q.conj().T))
+    X = np.stack((H, K, np.eye(len(H), dtype=H.dtype) if Q is None else Q.conj().T))
     out = op(X, *args)
     H[...], K[...] = X[0], X[1]
     if Q is not None:

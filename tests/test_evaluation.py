@@ -9,7 +9,6 @@ from sorf.driver import run_solve
 from sorf.errors import PoleCollisionError
 from sorf.evaluation import (
     SorfTable,
-    _norm2,
     continuous_moment_matrix,
     discrete_moment_matrix,
     evaluate_solution,
@@ -22,6 +21,7 @@ from sorf.evaluation import (
 )
 from sorf.pencil import INFINITY
 from sorf.quadrature import gauss_gegenbauer
+from sorf.reference import rational_arnoldi, solve_via_sop
 from sorf.sobolev import (
     DiscreteSobolevSpec,
     GegenbauerSobolevConfig,
@@ -301,12 +301,26 @@ def test_metric_sobolev_values():
     assert metric_sobolev(np.diag([1.0, 1.0, 2.0])) == pytest.approx(1.0)
 
 
-def test_norm2_takes_the_real_svd_only_for_real_values(rng):
-    real = rng.standard_normal((40, 40)).astype(complex)
-    assert _norm2(real) == np.linalg.norm(real.real, 2)
-    assert _norm2(real) == pytest.approx(np.linalg.norm(real, 2), rel=4e-15, abs=0)
-    cplx = real + 1j * rng.standard_normal((40, 40))
-    assert _norm2(cplx) == np.linalg.norm(cplx, 2)
+@pytest.mark.parametrize(
+    "xi, phase, j_dtype, dtype",
+    [
+        ([-1.5, 1.5], 1.0, np.float64, np.float64),
+        ([1.5 + 0.5j, 1.5 - 0.5j], 1.0, np.float64, np.complex128),
+        ([-1.5, 1.5], np.exp(0.3j), np.complex128, np.complex128),
+    ],
+    ids=["real", "conjugate_poles", "complex_weights"],
+)
+def test_dtype_follows_the_data_on_every_route(xi, phase, j_dtype, dtype):
+    spec = discretize_gegenbauer(GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.5, N=3))
+    spec = DiscreteSobolevSpec(spec.nodes, spec.orders, spec.alphas, tuple(w * phase for w in spec.weights))
+    poles = default_pole_list(xi, spec.m)
+    system = build_jordan(spec)
+    assert system.J.dtype == system.w.dtype == j_dtype
+    for sol in (solve_updating(spec, poles), solve_via_sop(system, poles), rational_arnoldi(system, poles)):
+        assert sol.H.dtype == sol.K.dtype == sol.Q.dtype == dtype
+        assert evaluate_solution(sol, np.array(spec.nodes), max_deriv=1).values.dtype == dtype
+        assert metric_recurrence(system, sol) <= 1e-12
+        assert metric_poles(sol, poles) <= 1e-12
 
 
 def test_complex_poles_score_through_the_complex_svd():
@@ -321,7 +335,7 @@ def test_table_agreement_detects_mismatch(rng):
     _, spec, poles, sol = gegenbauer_solution()
     pts = np.linspace(-0.5, 0.5, 4)
     t1 = evaluate_solution(sol, pts, max_deriv=1)
-    vals = t1.values.copy()
+    vals = t1.values.astype(complex)  # the real table takes a complex factor
     vals[3] *= np.exp(0.7j)  # unimodular factor: still agrees
     t2 = SorfTable(vals, pts)
     assert table_agreement(t1, t2) <= 1e-12

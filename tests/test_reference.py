@@ -61,7 +61,7 @@ def test_arnoldi_columns_are_functions_of_j_times_weight(rng):
     poles, _ = random_pole_list(rng, spec.m, 2)
     sol = rational_arnoldi(sys, poles)
     table = evaluate_solution(sol, np.array(spec.nodes), max_deriv=max(spec.orders))
-    expected = np.zeros_like(sol.Q)
+    expected = np.zeros_like(sol.Q, dtype=complex)
     row = 0
     for j, (s, al, wj) in enumerate(zip(spec.orders, spec.alphas, spec.weights)):
         for p in range(s + 1):
@@ -175,6 +175,17 @@ def test_sop_basis_matches_krylov_at_m94():
     # equal bases up to one unimodular phase per column
     assert np.max(np.abs(np.abs(sop.Q.conj().T @ kry.Q) - np.eye(spec.m))) <= 1e-10
     assert metric_poles(sop, poles) <= 1e-13
+
+
+@pytest.mark.parametrize("route", [rational_arnoldi, solve_via_sop], ids=["krylov", "sop"])
+def test_complex_copy_of_real_data_gives_the_real_pencil(route):
+    # the same Jordan system held as complex128 runs the complex arithmetic
+    spec, system, poles = gegenbauer_problem(N=12)
+    real = route(system, poles)
+    cplx = route(JordanSystem(system.J.astype(complex), system.w.astype(complex)), poles)
+    assert real.H.dtype == np.float64 and cplx.H.dtype == np.complex128
+    for a, b in ((real.H, cplx.H), (real.K, cplx.K), (real.Q, cplx.Q)):
+        assert np.linalg.norm(b - a) <= 1e-13 * np.linalg.norm(a)
 
 
 def test_sop_leading_subpencil_carries_prescribed_poles(rng):
