@@ -159,8 +159,10 @@ def continuous_moment_matrix(
 
 
 def metric_recurrence(sys, sol: IEPSolution) -> float:
-    """||J Q K - Q H||_2 / max(||J Q K||_2, ||Q H||_2)."""
-    JQK = sys.J @ sol.Q @ sol.K
+    """||J Q K - Q H||_2 / max(||J Q K||_2, ||Q H||_2); J Q from J's two diagonals."""
+    JQ = np.diagonal(sys.J)[:, None] * sol.Q
+    JQ[:-1] += np.diagonal(sys.J, 1)[:, None] * sol.Q[1:]
+    JQK = JQ @ sol.K
     QH = sol.Q @ sol.H
     denom = max(np.linalg.norm(JQK, 2), np.linalg.norm(QH, 2))
     return float(np.linalg.norm(JQK - QH, 2) / denom)

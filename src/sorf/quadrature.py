@@ -26,6 +26,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, IllPosedMeasureError, NumericalError, PositivityError
+from .pencil import scalar
 
 #: minimum admissible gap between quadrature nodes
 NODE_GAP = 1e-12
@@ -148,10 +149,10 @@ def clenshaw_curtis(n: int) -> QuadratureRule:
 
 
 def _pole_factors(points: np.ndarray, poles) -> np.ndarray:
-    """prod_k (points - xi_k) over the supplied pole list, elementwise."""
-    out = np.ones(len(points), dtype=complex)
+    """prod_k (points - xi_k) over the supplied pole list, elementwise, in the poles' type."""
+    out = np.ones(len(points))
     for xi in poles:
-        out *= points - complex(xi)
+        out = out * (points - scalar(xi))
     return out
 
 

@@ -113,7 +113,7 @@ def weight_rotation(sol: IEPSolution, hat_norm: float, w_sigma: complex, s_sigma
     a, b = rot = zeroing(hat_norm, abs(w_sigma))
     for M in (sol.H, sol.K):
         rotate_rows(M, a, b, 0, sol.m - s_sigma - 1)
-    rotate_cols(sol.Q, a.conjugate(), -b, 0, sol.m - s_sigma - 1)
+    rotate_cols(sol.Q, a, -b, 0, sol.m - s_sigma - 1)
     return rot
 
 
@@ -129,15 +129,14 @@ def _step(X, p: int, q: int, c: int, d: int, a, b, z0, z1, floor: float, what: s
     """
     ra, rb = null_direction(z0, z1) or (1.0, 0.0)
     (a00, a01, a10, a11), (b00, b01, b10, b11) = a, b
-    rc = ra.conjugate()
-    ua0, ua1, ub0, ub1 = rc * a00 + rb * a01, rc * a10 + rb * a11, rc * b00 + rb * b01, rc * b10 + rb * b11
+    ua0, ua1, ub0, ub1 = ra * a00 + rb * a01, ra * a10 + rb * a11, ra * b00 + rb * b01, ra * b10 + rb * b11
     na, nb = math.hypot(abs(ua0), abs(ua1)), math.hypot(abs(ub0), abs(ub1))
     if max(na, nb) <= floor:
         raise DeflationError(what)
     left = zeroing(ua0, ua1) if na >= nb else zeroing(ub0, ub1)
     rotate_rows(X, *left, p, q)
     rotate_cols(X[:2], ra, rb, c, d)
-    X[:2, q, c] = 0.0
+    X[0, q, c] = X[1, q, c] = 0.0
     return left, (ra, rb)
 
 

@@ -36,15 +36,22 @@ def test_zeroing_pythagorean_pair():
     assert abs(z) <= 1e-15
 
 
-def test_zeroing_random_complex_surviving_entry_real_nonnegative(rng):
+def test_zeroing_random_complex_real_cosine_keeps_phase_of_x(rng):
     for _ in range(50):
         x, y = rng.normal(size=2) + 1j * rng.normal(size=2)
         a, b = zeroing(x, y)
         r, z = rotate_pair((a, b), x, y)
+        assert isinstance(a, float) and a >= 0.0
         assert abs(z) <= 1e-14 * np.hypot(abs(x), abs(y))
-        assert abs(r.imag) <= 1e-14 * abs(r)
-        assert r.real >= 0.0
-        assert abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-14
+        assert abs(r - np.hypot(abs(x), abs(y)) * x / abs(x)) <= 1e-14 * abs(r)
+        assert abs(a**2 + abs(b) ** 2 - 1.0) <= 1e-14
+
+
+def test_zeroing_real_x_keeps_the_plain_quotients():
+    for x, y in ((3.0, 4.0), (-3.0, 4.0), (-0.5, 2.0 - 1.0j), (0.0, 1.0j)):
+        r = np.hypot(abs(x), abs(y))
+        assert zeroing(x, y) == (x / r, -y / r)
+    assert zeroing(0j, 2.0 + 0j) == (0.0, -1.0 + 0j)
 
 
 def test_zeroing_both_zero_raises():
@@ -126,21 +133,34 @@ def test_null_direction_rotation_zero_row_returns_none():
     assert null_direction(0.0, 0.0) is None
 
 
+def test_null_direction_complex_row_gives_float_cosine(rng):
+    for _ in range(20):
+        z0, z1 = rng.normal(size=2) + 1j * rng.normal(size=2)
+        a, b = null_direction(z0, z1)
+        assert isinstance(a, float) and a >= 0.0
+        assert abs(a**2 + abs(b) ** 2 - 1.0) <= 1e-14
+    a, b = null_direction(1.0 - 2.0j, 0j)  # first component zero: the phase sits on b
+    assert a == 0.0 and b == pytest.approx(1.0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    angles=st.tuples(*[st.floats(0.0, 2 * np.pi)] * 3),
+    angles=st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi)),
     m=st.integers(2, 9),
     depth=st.integers(1, 3),
+    dtype=st.sampled_from((np.float64, np.complex128)),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_rotate_stack_matches_dense_product(angles, m, depth, seed, data):
-    t, phi, psi = angles
-    a, b = np.cos(t) * np.exp(1j * phi), np.sin(t) * np.exp(1j * psi)
+def test_rotate_stack_matches_dense_product(angles, m, depth, dtype, seed, data):
+    t, psi = angles
+    a, b = float(np.cos(t)), np.sin(t) * (np.exp(1j * psi) if dtype is np.complex128 else 1.0)
     i = data.draw(st.integers(0, m - 2))
     k = data.draw(st.integers(i + 1, m - 1))  # adjacent and distant pairs
     rng = np.random.default_rng(seed)
-    M = rng.normal(size=(depth, m, m)) + 1j * rng.normal(size=(depth, m, m))
+    M = rng.normal(size=(depth, m, m)).astype(dtype)
+    if dtype is np.complex128:
+        M += 1j * rng.normal(size=(depth, m, m))
     G = rotation_matrix((a, b), i, k, m)
     rows, cols = M.copy(), M.copy()
     rotate_rows(rows, a, b, i, k)
@@ -148,9 +168,24 @@ def test_rotate_stack_matches_dense_product(angles, m, depth, seed, data):
     for j in range(depth):
         assert np.linalg.norm(rows[j] - G @ M[j]) <= 1e-14 * np.linalg.norm(M[j])
         assert np.linalg.norm(cols[j] - M[j] @ G) <= 1e-14 * np.linalg.norm(M[j])
-    # numpy alone would also refuse these views, but with an unrelated message
-    for bad in ((k, i), (i, i)):
+    for bad in ((k, i), (i, i), (i, m)):
         with pytest.raises(ValueError, match="i < k"):
             rotate_rows(M, a, b, *bad)
         with pytest.raises(ValueError, match="i < k"):
             rotate_cols(M, a, b, *bad)
+
+
+def test_rotations_refuse_what_they_cannot_rotate_in_place(rng):
+    """BLAS would rotate a copy of a strided view or a converted dtype and
+    drop a complex cosine's imaginary part; each is refused, M untouched."""
+    M = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+    before = M.copy()
+    for view in (M.T, M[:, ::2], M.T.real):
+        for rotate in (rotate_rows, rotate_cols):
+            with pytest.raises(ValueError, match="in place"):
+                rotate(view, 0.6, 0.8, 0, 1)
+    for rotate in (rotate_rows, rotate_cols):
+        for bad, a in ((M.real.astype(np.float32), 0.6), (M, 0.6 + 0j)):
+            with pytest.raises(ValueError, match="in place"):
+                rotate(bad, a, 0.8, 0, 1)
+    assert np.array_equal(M, before)
