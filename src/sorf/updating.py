@@ -18,9 +18,9 @@ rotation.
 All index arguments are 0-based; pole index k refers to the subdiagonal
 position (k+1, k).  Rotations are raw (a, b) pairs (see `sorf.rotations`).
 The pencil operations act on one stack X = (H, K, Q^H): Q <- Q G^H is
-Q^H <- G Q^H, so a left rotation G is one `rotate_rows` on X and a right
-rotation one `rotate_cols` on X[:2].  They return the pairs they applied,
-or None where they applied none.
+Q^H <- G Q^H, so a left rotation G turns a row pair of all three matrices
+and a right rotation a column pair of H and K, on X bound once per call
+(`rotations.bind`).  They return the pairs applied, or None for none.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from . import pencil
 from .errors import DeflationError, NumericalError
 from .pencil import DEFLATION_RTOL, assert_unreduced, pencil_scale, pole_at, pole_pair
-from .rotations import null_direction, rotate_cols, rotate_rows, zeroing
+from .rotations import bind, null_direction, rotate_cols, rotate_rows, zeroing
 from .sobolev import DiscreteSobolevSpec, check_spectrum_disjoint
 
 
@@ -111,53 +111,61 @@ def weight_rotation(sol: IEPSolution, hat_norm: float, w_sigma: complex, s_sigma
     enter.
     """
     a, b = rot = zeroing(hat_norm, abs(w_sigma))
+    j = sol.m - s_sigma - 1
     for M in (sol.H, sol.K):
-        rotate_rows(M, a, b, 0, sol.m - s_sigma - 1)
-    rotate_cols(sol.Q, a, -b, 0, sol.m - s_sigma - 1)
+        rotate_rows(M, a, b, 0, j)
+    if sol.Q.flags.c_contiguous:
+        rotate_cols(sol.Q, a, -b, 0, j)
+    else:  # a solver's Q is F-ordered; P is real, so Q <- Q P^H is Q^T <- P Q^T
+        rotate_rows(sol.Q.T, a, b, 0, j)
     return rot
 
 
-def _step(X, p: int, q: int, c: int, d: int, a, b, z0, z1, floor: float, what: str):
-    """The 2x2 move shared by elimination and swap, on the stack X.
+def _step(S, p: int, q: int, c: int, d: int, a00, a01, a10, a11, b00, b01, b10, b11, z0, z1, floor: float, what: str):
+    """The 2x2 move shared by elimination and swap, on the bound stack S.
 
-    `a` and `b` are the H and K kernels at rows (p, q), columns (c, d) as
-    flat scalars (00, 01, 10, 11).  The right rotation is the null direction
-    of the row (z0, z1) (identity for the zero row); the left one zeroes the
-    larger rotated first column, or raises DeflationError(what) when its
-    norm is at most `floor`.  Applies both, zeroes H[q, c] and K[q, c], and
-    returns the raw (left, right) pairs.
+    a00 .. a11 and b00 .. b11 are the H and K kernels at rows (p, q), columns
+    (c, d).  The right rotation is the null direction of the row (z0, z1)
+    (identity for the zero row); the left one zeroes the larger rotated first
+    column, or raises DeflationError(what) when its norm is at most `floor`.
+    Applies both, zeroes H[q, c] and K[q, c], and returns the raw pairs.
     """
+    rot, x, n, (_, k, g) = S
     ra, rb = null_direction(z0, z1) or (1.0, 0.0)
-    (a00, a01, a10, a11), (b00, b01, b10, b11) = a, b
     ua0, ua1, ub0, ub1 = ra * a00 + rb * a01, ra * a10 + rb * a11, ra * b00 + rb * b01, ra * b10 + rb * b11
     na, nb = math.hypot(abs(ua0), abs(ua1)), math.hypot(abs(ub0), abs(ub1))
     if max(na, nb) <= floor:
         raise DeflationError(what)
-    left = zeroing(ua0, ua1) if na >= nb else zeroing(ub0, ub1)
-    rotate_rows(X, *left, p, q)
-    rotate_cols(X[:2], ra, rb, c, d)
-    X[0, q, c] = X[1, q, c] = 0.0
+    la, lb = left = zeroing(ua0, ua1) if na >= nb else zeroing(ub0, ub1)
+    s, pn, qn = -lb.conjugate(), p * n, q * n
+    rot(x, x, la, s, n, pn, 1, qn, 1, 1, 1)
+    rot(x, x, la, s, n, k + pn, 1, k + qn, 1, 1, 1)
+    rot(x, x, la, s, n, g + pn, 1, g + qn, 1, 1, 1)
+    rot(x, x, ra, rb, g // n, c, n, d, n, 1, 1)
+    x[qn + c] = x[k + qn + c] = 0.0
     return left, (ra, rb)
 
 
-def _eliminate(X, r: int, c: int, tol: float):
-    """Body of `op1_eliminate` on the stack X = (H, K, Q^H), without the
-    index check: raw (left, right) pairs, or None when both target entries
-    are at most `tol`.  The kernels at rows (c+1, r), columns (c, r) are
-    judged against their own scale; the step's row is beta*A - delta*B."""
+def _eliminate(X, S, r: int, c: int, tol: float):
+    """Body of `op1_eliminate` on the stack X = (H, K, Q^H), bound as S, without
+    the index check: raw (left, right) pairs, or None when both target entries
+    are at most `tol`.  The kernels at rows (c+1, r), columns (c, r) are judged
+    against their own scale; the step's row is beta*A - delta*B."""
     a10, b10 = X.item(0, r, c), X.item(1, r, c)
-    if abs(a10) <= tol and abs(b10) <= tol:
+    ma10, mb10 = abs(a10), abs(b10)
+    if ma10 <= tol and mb10 <= tol:
         return None
     p = c + 1
     delta, a01, a11 = X.item(0, p, c), X.item(0, p, r), X.item(0, r, r)
     beta, b01, b11 = X.item(1, p, c), X.item(1, p, r), X.item(1, r, r)
-    scale = max(math.hypot(abs(delta), abs(a01), abs(a10), abs(a11)), math.hypot(abs(beta), abs(b01), abs(b10), abs(b11)))
-    if max(abs(delta), abs(beta)) <= DEFLATION_RTOL * scale:
+    md, mb = abs(delta), abs(beta)
+    scale = max(math.hypot(md, abs(a01), ma10, abs(a11)), math.hypot(mb, abs(b01), mb10, abs(b11)))
+    if max(md, mb) <= DEFLATION_RTOL * scale:
         raise DeflationError("elimination pivot has vanished in both matrices")
-    if abs(beta * a01 - delta * b01) > 1e-10 * max(abs(beta), abs(delta)) * scale:
+    if abs(beta * a01 - delta * b01) > 1e-10 * max(md, mb) * scale:
         raise NumericalError("elimination kernel violates the zero-corner precondition")
     z0, z1 = beta * a10 - delta * b10, beta * a11 - delta * b11
-    out = _step(X, p, r, c, r, (delta, a01, a10, a11), (beta, b01, b10, b11), z0, z1, DEFLATION_RTOL * scale, "elimination would deflate the pencil")
+    out = _step(S, p, r, c, r, delta, a01, a10, a11, beta, b01, b10, b11, z0, z1, DEFLATION_RTOL * scale, "elimination would deflate the pencil")
     if delta == 0.0:
         X[0, p, c] = 0.0
     if beta == 0.0:
@@ -176,7 +184,7 @@ def op1_eliminate(X: np.ndarray, r: int, c: int):
     """
     if not (0 <= c < r < X.shape[1]) or r == c + 1:
         raise IndexError(f"invalid elimination target ({r}, {c})")
-    return _eliminate(X, r, c, DEFLATION_RTOL * pencil_scale(X[0], X[1]))
+    return _eliminate(X, bind(X), r, c, DEFLATION_RTOL * pencil_scale(X[0], X[1]))
 
 
 def restore_hessenberg(H: np.ndarray, K: np.ndarray, Q: np.ndarray, s_sigma: int) -> list[tuple[int, int]]:
@@ -196,9 +204,10 @@ def restore_hessenberg(H: np.ndarray, K: np.ndarray, Q: np.ndarray, s_sigma: int
     tol = DEFLATION_RTOL * scale
     targets: list[tuple[int, int]] = []
     X = np.stack((H, K, Q.conj().T))
+    S = bind(X)
     for c in range(m - 2):
         for r in range(max(mhat, c + 2), m):
-            if _eliminate(X, r, c, tol) is not None:
+            if _eliminate(X, S, r, c, tol) is not None:
                 targets.append((r, c))
     residue = np.abs(np.tril(X[:2], -2)).max()
     if residue > 1e-10 * scale:
@@ -267,7 +276,7 @@ def op3_swap_adjacent(X: np.ndarray, c: int):
     z0, z1 = nu * tau - mu * kap, nu * h01 - mu * k01
     if z0 == 0.0 and z1 == 0.0:
         return None
-    out = _step(X, p, p + 1, c, p, (tau, h01, 0.0, mu), (kap, k01, 0.0, nu), z0, z1, 0.0, "pole swap degenerated")
+    out = _step(bind(X), p, p + 1, c, p, tau, h01, 0.0, mu, kap, k01, 0.0, nu, z0, z1, 0.0, "pole swap degenerated")
     # poles travel with their homogeneous pairs: keep exact zeros exact
     if nu == 0.0:
         X[1, p, c] = 0.0

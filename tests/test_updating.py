@@ -5,6 +5,7 @@ from conftest import KERNEL_AT, assert_iep_invariants, kernel_stack, on_stack, r
 
 from sorf.errors import DeflationError, NumericalError
 from sorf.pencil import INFINITY, is_infinite_pole, pole_at
+from sorf.rotations import rotate_cols, rotate_rows
 from sorf.sobolev import DiscreteSobolevSpec, build_jordan, default_pole_list
 from sorf.updating import (
     IEPSolution,
@@ -151,6 +152,19 @@ def test_weight_rotation_fixes_first_column(rng):
     weight_rotation(emb, hat.wnorm, w_new, 1)
     w_full = np.concatenate([build_jordan(spec).w, [0.0, w_new]])
     assert np.linalg.norm(emb.Q[:, 0] - w_full / np.linalg.norm(w_full)) <= 1e-14
+
+
+@pytest.mark.parametrize("weight", (0.9, 0.9j))
+def test_weight_rotation_rotates_the_q_a_solver_returns(weight):
+    """add_block hands back Q as a transposed view of its stack; P rotates
+    it in place all the same (real and complex data)."""
+    sol = add_block(add_block(None, -0.5, [1.0], weight, [-1.3]), 0.1, [1.0], 1.1, [2.2, -1.9])
+    assert not sol.Q.flags.c_contiguous
+    H, K, Q = sol.H.copy(), sol.K.copy(), sol.Q.copy()
+    P = rotation_matrix(weight_rotation(sol, 0.7, 1.2, 1), 0, 2, 4)
+    for new, old in ((sol.H, H), (sol.K, K)):
+        assert np.linalg.norm(new - P @ old) <= 1e-14 * np.linalg.norm(old)
+    assert np.linalg.norm(sol.Q - Q @ P.conj().T) <= 1e-14
 
 
 def weight_rotated_6x6():
@@ -494,6 +508,27 @@ def test_op2_op3_return_the_pairs_they_applied(rng):
     G = rotation_matrix(on_stack(op2_add_pole, H, K, None, -1.1), 4, 5, 6)
     assert np.linalg.norm(H - H0 @ G) <= 1e-13 * np.linalg.norm(H0)
     assert np.linalg.norm(K - K0 @ G) <= 1e-13 * np.linalg.norm(K0)
+
+
+@pytest.mark.parametrize("dtype", (np.float64, np.complex128))
+def test_op1_op3_equal_the_public_rotations_of_their_pairs_bit_for_bit(rng, dtype):
+    """On random stacks, each op equals rotate_rows on X and rotate_cols on
+    X[:2] with the pairs it returns, then the eliminated entries zeroed."""
+    m = 7
+    for _ in range(20):
+        X = rng.normal(size=(3, m, m)).astype(dtype)
+        if dtype is np.complex128:
+            X += 1j * rng.normal(size=(3, m, m))
+        c = int(rng.integers(0, m - 2))
+        r, p = int(rng.integers(c + 2, m)), c + 1
+        X[1, p, r] = X[1, p, c] * X[0, p, r] / X[0, p, c]  # the zero corner: beta a01 = delta b01
+        for op, args, rows, cols in ((op1_eliminate, (r, c), (p, r), (c, r)), (op3_swap_adjacent, (c,), (p, p + 1), (c, p))):
+            Y = X.copy()
+            left, right = op(X, *args)
+            rotate_rows(Y, *left, *rows)
+            rotate_cols(Y[:2], *right, *cols)
+            Y[:2, rows[1], c] = 0.0
+            assert np.array_equal(X, Y)
 
 
 def test_op2_then_swaps_places_pole_at_target(rng):
