@@ -210,13 +210,10 @@ def table_agreement(t1: SorfTable, t2: SorfTable) -> float:
         raise ValueError("tables have different shapes")
     f1 = t1.values.reshape(t1.nfun, -1)
     f2 = t2.values.reshape(t2.nfun, -1)
-    worst = 0.0
-    for k in range(t1.nfun):
-        idx = int(np.argmax(np.abs(f1[k])))
-        if f2[k, idx] == 0.0:
-            return np.inf
-        u = f1[k, idx] / f2[k, idx]
-        u /= abs(u)
-        scale = np.max(np.abs(f1[k]))
-        worst = max(worst, float(np.max(np.abs(f1[k] - u * f2[k])) / scale))
-    return worst
+    idx = np.argmax(np.abs(f1), axis=1)[:, None]
+    a1, a2 = np.take_along_axis(f1, idx, 1), np.take_along_axis(f2, idx, 1)
+    if not a2.all():
+        return np.inf
+    u = a1 / a2
+    u /= np.abs(u)
+    return float((np.abs(f1 - u * f2).max(axis=1, keepdims=True) / np.abs(a1)).max(initial=0.0))

@@ -91,7 +91,7 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
     if ortho > 1e-10:
         raise KrylovBreakdownError(f"basis lost orthogonality: {ortho:.3e}")
     assert_unreduced(H, K)
-    return IEPSolution(H, K, Q, wnorm)
+    return IEPSolution(np.stack((H, K, Q.T)), wnorm)
 
 
 def solve_via_sop(sys: JordanSystem, poles) -> IEPSolution:

@@ -17,10 +17,11 @@ rotation.
 
 All index arguments are 0-based; pole index k refers to the subdiagonal
 position (k+1, k).  Rotations are raw (a, b) pairs (see `sorf.rotations`).
-The pencil operations act on one stack X = (H, K, Q^H): Q <- Q G^H is
-Q^H <- G Q^H, so a left rotation G turns a row pair of all three matrices
-and a right rotation a column pair of H and K, on X bound once per call
-(`rotations.bind`).  They return the pairs applied, or None for none.
+A solution is one C-contiguous stack X = (H, K, Q^T), which the pencil
+operations rotate in place, bound once per call (`rotations.bind`): a left
+rotation G = (a, b) turns a row pair of H and K, and of Q^T by (a, conj(b))
+(Q <- Q G^H is Q^T <- conj(G) Q^T); a right one a column pair of H and K.
+They return the pairs applied, or None for none.
 """
 
 from __future__ import annotations
@@ -39,22 +40,23 @@ from .sobolev import DiscreteSobolevSpec, check_spectrum_disjoint
 
 @dataclass
 class IEPSolution:
-    """Pencil (H, K), basis matrix Q and weight norm solving the inverse problem."""
+    """Pencil (H, K), basis matrix Q and weight norm solving the inverse
+    problem, as one C-contiguous stack X = (H, K, Q^T) that H, K, Q view."""
 
-    H: np.ndarray
-    K: np.ndarray
-    Q: np.ndarray
+    X: np.ndarray
     wnorm: float
 
     def __post_init__(self):
-        if self.H.shape != self.K.shape or self.H.ndim != 2 or self.H.shape[0] != self.H.shape[1]:
-            raise ValueError("H and K must be square matrices of equal size")
-        if not (np.all(np.isfinite(self.H)) and np.all(np.isfinite(self.K))):
-            raise ValueError("pencil entries must be finite")
+        X = self.X
+        if X.ndim != 3 or X.shape[0] != 3 or X.shape[1] != X.shape[2] or not X.flags.c_contiguous:
+            raise ValueError("X must be a C-contiguous stack of three square matrices (H, K, Q^T)")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("pencil and basis entries must be finite")
 
-    @property
-    def m(self) -> int:
-        return self.H.shape[0]
+    H = property(lambda self: self.X[0])
+    K = property(lambda self: self.X[1])
+    Q = property(lambda self: self.X[2].T)
+    m = property(lambda self: self.X.shape[1])
 
     def poles(self) -> list[complex]:
         return pencil.poles(self.H, self.K)
@@ -68,21 +70,22 @@ def single_block_solution(node: complex, alphas, weight: complex) -> IEPSolution
     (which coincides with the transpose for s <= 1), the relation J Q = Q H
     holds identically and the permutation puts the weight into the first
     column of Q.  A diagonal phase absorbs a complex weight amplitude.  The
-    three matrices take the type of the block's data.
+    stack takes the type of the block's data.
     """
     if weight == 0.0:
         raise NumericalError("block weight amplitude must be nonzero")
     phase = weight / abs(weight)
-    dtype = np.result_type(node, phase, *alphas)
+    n = len(alphas) + 1
+    H, K, QT = X = np.zeros((3, n, n), np.result_type(node, phase, *alphas))
     # doubly reversed block: subdiagonal runs alpha_1 .. alpha_s downwards
-    H = np.diag(np.asarray(alphas, dtype), -1)
+    np.fill_diagonal(H[1:], alphas)
     np.fill_diagonal(H, node)
-    K = np.eye(len(H), dtype=dtype)
-    Q = K[::-1].copy()
-    Q[:, 0] *= phase
+    np.fill_diagonal(K, 1.0)
+    QT[...] = K[::-1]  # Q is symmetric: Q^T = Q
+    QT[0] *= phase
     H[:, 0] *= phase
     H[0, :] *= np.conj(phase)
-    return IEPSolution(H, K, Q, abs(weight))
+    return IEPSolution(X, abs(weight))
 
 
 def embed(hat: IEPSolution, blk: IEPSolution) -> IEPSolution:
@@ -93,12 +96,10 @@ def embed(hat: IEPSolution, blk: IEPSolution) -> IEPSolution:
     It takes the type of the two parts: complex when either part is.
     """
     mh, m = hat.m, hat.m + blk.m
-    H, K, Q = (np.zeros((m, m), np.result_type(hat.H, blk.H)) for _ in range(3))
-    for M, top, bottom in ((H, hat.H, blk.H), (K, hat.K, blk.K), (Q, hat.Q, blk.Q)):
-        M[:mh, :mh] = top
-        M[mh:, mh:] = bottom
-    wnorm = float(np.hypot(hat.wnorm, blk.wnorm))
-    return IEPSolution(H, K, Q, wnorm)
+    X = np.zeros((3, m, m), np.result_type(hat.X, blk.X))
+    X[:, :mh, :mh] = hat.X
+    X[:, mh:, mh:] = blk.X
+    return IEPSolution(X, float(np.hypot(hat.wnorm, blk.wnorm)))
 
 
 def weight_rotation(sol: IEPSolution, hat_norm: float, w_sigma: complex, s_sigma: int) -> tuple[complex, complex]:
@@ -108,16 +109,10 @@ def weight_rotation(sol: IEPSolution, hat_norm: float, w_sigma: complex, s_sigma
     P acts on rows 0 and m - s_sigma - 1 (the first row of the appended
     block) and makes the first column of Q the normalized combined weight
     vector.  The embedded block carries the weight phase, so only magnitudes
-    enter.
+    enter and P is real: Q^T <- P Q^T, one row rotation of the whole stack.
     """
     a, b = rot = zeroing(hat_norm, abs(w_sigma))
-    j = sol.m - s_sigma - 1
-    for M in (sol.H, sol.K):
-        rotate_rows(M, a, b, 0, j)
-    if sol.Q.flags.c_contiguous:
-        rotate_cols(sol.Q, a, -b, 0, j)
-    else:  # a solver's Q is F-ordered; P is real, so Q <- Q P^H is Q^T <- P Q^T
-        rotate_rows(sol.Q.T, a, b, 0, j)
+    rotate_rows(sol.X, a, b, 0, sol.m - s_sigma - 1)
     return rot
 
 
@@ -129,6 +124,7 @@ def _step(S, p: int, q: int, c: int, d: int, a00, a01, a10, a11, b00, b01, b10, 
     (identity for the zero row); the left one zeroes the larger rotated first
     column, or raises DeflationError(what) when its norm is at most `floor`.
     Applies both, zeroes H[q, c] and K[q, c], and returns the raw pairs.
+    The left rotation (la, lb) turns the rows of Q^T as (la, conj(lb)).
     """
     rot, x, n, (_, k, g) = S
     ra, rb = null_direction(z0, z1) or (1.0, 0.0)
@@ -140,14 +136,14 @@ def _step(S, p: int, q: int, c: int, d: int, a00, a01, a10, a11, b00, b01, b10, 
     s, pn, qn = -lb.conjugate(), p * n, q * n
     rot(x, x, la, s, n, pn, 1, qn, 1, 1, 1)
     rot(x, x, la, s, n, k + pn, 1, k + qn, 1, 1, 1)
-    rot(x, x, la, s, n, g + pn, 1, g + qn, 1, 1, 1)
+    rot(x, x, la, -lb, n, g + pn, 1, g + qn, 1, 1, 1)
     rot(x, x, ra, rb, g // n, c, n, d, n, 1, 1)
     x[qn + c] = x[k + qn + c] = 0.0
     return left, (ra, rb)
 
 
 def _eliminate(X, S, r: int, c: int, tol: float):
-    """Body of `op1_eliminate` on the stack X = (H, K, Q^H), bound as S, without
+    """Body of `op1_eliminate` on the stack X = (H, K, Q^T), bound as S, without
     the index check: raw (left, right) pairs, or None when both target entries
     are at most `tol`.  The kernels at rows (c+1, r), columns (c, r) are judged
     against their own scale; the step's row is beta*A - delta*B."""
@@ -177,7 +173,7 @@ def op1_eliminate(X: np.ndarray, r: int, c: int):
     """Zero H[r, c] and K[r, c] keeping the pole ratio at column c intact.
 
     The pivot sits at (c+1, c).  Applies a left rotation on rows (c+1, r) and
-    a right rotation on columns (c, r) of the stack X = (H, K, Q^H).  Entries
+    a right rotation on columns (c, r) of the stack X = (H, K, Q^T).  Entries
     that were exactly zero on the pivot stay exactly zero (infinite poles
     survive bit-for-bit).  Returns the raw (left, right) pairs, or None when
     both targets were already negligible.
@@ -195,15 +191,15 @@ def restore_hessenberg(H: np.ndarray, K: np.ndarray, Q: np.ndarray, s_sigma: int
     trailing columns clean the corner below their subdiagonal.  Rotations
     keep both Frobenius norms, so the deflation tolerance is fixed for the
     sweep.  Returns the list of positions actually eliminated, in order.
-    The sweep rotates the stack (H, K, Q^H), written back once after the
-    residue check.
+    The sweep rotates a copy of the stack (H, K, Q^T), written back once
+    after the residue check.
     """
     m = H.shape[0]
     mhat = m - s_sigma - 1
     scale = pencil_scale(H, K)
     tol = DEFLATION_RTOL * scale
     targets: list[tuple[int, int]] = []
-    X = np.stack((H, K, Q.conj().T))
+    X = np.stack((H, K, Q.T))
     S = bind(X)
     for c in range(m - 2):
         for r in range(max(mhat, c + 2), m):
@@ -212,7 +208,7 @@ def restore_hessenberg(H: np.ndarray, K: np.ndarray, Q: np.ndarray, s_sigma: int
     residue = np.abs(np.tril(X[:2], -2)).max()
     if residue > 1e-10 * scale:
         raise NumericalError(f"Hessenberg restoration left residue {residue:.3e}")
-    H[...], K[...], Q[...] = np.triu(X[0], -1), np.triu(X[1], -1), X[2].conj().T
+    H[...], K[...], Q[...] = np.triu(X[0], -1), np.triu(X[1], -1), X[2].T
     return targets
 
 
@@ -242,10 +238,12 @@ def op2_add_pole(X: np.ndarray, psi) -> tuple[complex, complex] | None:
     already hold psi's type (`install_poles` is the one place that promotes
     it).  Returns the raw pair applied, or None when the ratio already equals
     psi; raises DeflationError (`pencil.pole_at`) when the new position has
-    deflated.
+    deflated, and IndexError when the pencil has no pole position (m < 2).
     """
     H, K = X[0], X[1]
     m = H.shape[0]
+    if m < 2:
+        raise IndexError(f"no pole position in a pencil of dimension {m}")
     mu, nu = pole_pair(psi)
     rot = null_direction(nu * H[m - 1, m - 2] - mu * K[m - 1, m - 2], nu * H[m - 1, m - 1] - mu * K[m - 1, m - 1])
     if rot is None:  # the ratio at the trailing position already equals psi
@@ -291,16 +289,20 @@ def op3_swap_adjacent(X: np.ndarray, c: int):
 
 def install_poles(sol: IEPSolution, poles, first_index: int) -> None:
     """Add each pole at the bottom and swap it up to index first_index + j
-    (j its place in `poles`), on one stack (H, K, Q^H) bound back to `sol`
-    once.  The stack takes the type of the pencil and the poles: this is the
-    one place where a complex pole makes a real pencil complex."""
+    (j its place in `poles`), in place on the stack sol.X = (H, K, Q^T);
+    ValueError, before any change, when they do not fit in positions
+    first_index .. m - 2.  A complex pole makes a real stack complex: the one
+    place that promotes the type, rebinding sol.X to the complex stack."""
     m = sol.m
-    X = np.stack((sol.H, sol.K, sol.Q.conj().T), dtype=np.result_type(sol.H, np.asarray(poles)))
+    if not 0 <= first_index <= m - 1 - len(poles):
+        raise ValueError(f"{len(poles)} poles from index {first_index} overrun the {m - 1} positions")
+    X = sol.X
+    if (dtype := np.result_type(X, np.asarray(poles))) != X.dtype:
+        X = sol.X = X.astype(dtype)
     for j, psi in enumerate(poles):
         op2_add_pole(X, psi)
         for c in range(m - 3, first_index + j - 1, -1):
             op3_swap_adjacent(X, c)
-    sol.H, sol.K, sol.Q = X[0], X[1], X[2].conj().T
 
 
 def add_block(current: IEPSolution | None, node, alphas, weight, new_poles) -> IEPSolution:

@@ -71,14 +71,14 @@ def kernel_stack(A):
 
 
 def on_stack(op, H, K, Q, *args):
-    """Run a pencil operation of `sorf.updating` on the stack (H, K, Q^H) it
+    """Run a pencil operation of `sorf.updating` on the stack (H, K, Q^T) it
     acts on, write the result back into H, K and Q (Q = None stands for the
     identity and is not written) and return what the operation returned."""
-    X = np.stack((H, K, np.eye(len(H), dtype=H.dtype) if Q is None else Q.conj().T))
+    X = np.stack((H, K, np.eye(len(H), dtype=H.dtype) if Q is None else Q.T))
     out = op(X, *args)
     H[...], K[...] = X[0], X[1]
     if Q is not None:
-        Q[...] = X[2].conj().T
+        Q[...] = X[2].T
     return out
 
 

@@ -281,7 +281,7 @@ def test_metric_poles_exact_and_perturbed(rng):
     H[1, 0] *= 1 + 1e-6
     from sorf.updating import IEPSolution
 
-    bad = IEPSolution(H, sol.K.copy(), sol.Q, sol.wnorm)
+    bad = IEPSolution(np.stack((H, sol.K.copy(), sol.Q.T)), sol.wnorm)
     assert metric_poles(bad, poles) == pytest.approx(1e-6, rel=1e-3)
 
 
@@ -292,7 +292,7 @@ def test_metric_orthonormality_scaled_column():
     Q[:, 4] *= 1 + 1e-6
     from sorf.updating import IEPSolution
 
-    bad = IEPSolution(sol.H, sol.K, Q, sol.wnorm)
+    bad = IEPSolution(np.stack((sol.H, sol.K, Q.T)), sol.wnorm)
     assert metric_orthonormality(bad) == pytest.approx(2e-6, rel=1e-2)
 
 
@@ -346,7 +346,7 @@ def test_table_agreement_detects_mismatch(rng):
 
 
 # both subdiagonal entries exactly zero: no pole is realized at position 0
-REDUCED = IEPSolution(np.eye(2, dtype=complex), np.eye(2, dtype=complex), np.eye(2, dtype=complex), 1.0)
+REDUCED = IEPSolution(np.stack((np.eye(2, dtype=complex), np.eye(2, dtype=complex), np.eye(2, dtype=complex).T)), 1.0)
 ONES = SorfTable(np.ones((1, 1, 2), dtype=complex), np.zeros(2))
 TWO_NODES = DiscreteSobolevSpec(nodes=(-0.5, 0.5), orders=(1, 0), alphas=((1.0,), ()), weights=(1.0, 1.0))
 

@@ -69,7 +69,7 @@ def test_poles_match_pole_at(rng):
 
 def test_pencil_dataclass_accessors():
     H, K = simple_pencil()
-    sol = IEPSolution(H, K, np.eye(4, dtype=complex), 1.0)
+    sol = IEPSolution(np.stack((H, K, np.eye(4, dtype=complex).T)), 1.0)
     assert sol.m == 4
     assert sol.poles() == poles(H, K)
     assert len(sol.poles()) == 3
@@ -79,9 +79,28 @@ def test_pencil_rejects_nonfinite():
     H, K = simple_pencil()
     H[0, 0] = np.nan
     with pytest.raises(ValueError):
-        IEPSolution(H, K, np.eye(4, dtype=complex), 1.0)
+        IEPSolution(np.stack((H, K, np.eye(4, dtype=complex).T)), 1.0)
     with pytest.raises(ValueError, match="square"):
-        IEPSolution(H[:3], K[:3], np.eye(4, dtype=complex), 1.0)
+        IEPSolution(np.stack((H[:3], K[:3], np.eye(4, dtype=complex)[:3])), 1.0)
+
+
+def test_solution_stack_refuses_a_nonfinite_q_and_a_strided_stack():
+    X = np.stack([np.eye(3)] * 3)
+    X[2, 0, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        IEPSolution(X, 1.0)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        IEPSolution(np.stack([np.eye(3)] * 3)[:, ::-1], 1.0)
+
+
+def test_solution_matrices_are_read_only_views_of_the_stack():
+    H, K = simple_pencil()
+    Q = np.arange(16.0).reshape(4, 4)
+    sol = IEPSolution(np.stack((H, K, Q.T)), 1.0)
+    assert np.array_equal(sol.H, H) and np.array_equal(sol.K, K) and np.array_equal(sol.Q, Q)
+    assert all(np.shares_memory(M, sol.X) for M in (sol.H, sol.K, sol.Q))
+    with pytest.raises(AttributeError):
+        sol.Q = Q
 
 
 def test_pole_pair_round_trip():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_iep_invariants, random_pole_list, random_spec
+from conftest import assert_iep_invariants, random_pole_list, random_spec, rotation_matrix
 
 from sorf import reference, updating
 from sorf.errors import KrylovBreakdownError, SpectrumOverlapError
@@ -19,7 +19,7 @@ from sorf.sobolev import (
     discretize_gegenbauer,
     gegenbauer_pole_ladder,
 )
-from sorf.updating import solve_updating
+from sorf.updating import solve_updating, weight_rotation
 
 
 def test_arnoldi_all_infinite_poles_is_classical():
@@ -258,3 +258,43 @@ def test_zero_poles_give_exactly_zero_h_subdiagonal_in_every_route():
         assert sol.H[1, 0] == 0.0 and sol.H[3, 2] == 0.0
         assert sol.K[1, 0] != 0.0 and sol.K[3, 2] != 0.0
         assert_iep_invariants(sys, sol, poles)
+
+
+ROUTES = {
+    "updating": solve_updating,
+    "sop": lambda spec, poles: solve_via_sop(build_jordan(spec), poles),
+    "krylov": lambda spec, poles: rational_arnoldi(build_jordan(spec), poles),
+}
+# (complex alphas, complex pole): real data, complex data, and a complex pole
+# that promotes a real pencil
+DATA = {"real": (False, None), "complex": (True, None), "complex-pole": (False, 1.6 + 0.5j)}
+
+
+def route_solution(route, data):
+    complex_alphas, pole = DATA[data]
+    rng = np.random.default_rng(11)
+    spec = random_spec(rng, sigma=4, max_order=1, complex_alphas=complex_alphas)
+    poles, _ = random_pole_list(rng, spec.m, 2)
+    if pole is not None:
+        poles[0] = pole
+    return ROUTES[route](spec, poles)
+
+
+@pytest.mark.parametrize("data", DATA)
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_route_returns_one_stack_that_h_k_and_q_view(route, data):
+    sol = route_solution(route, data)
+    assert sol.X.shape == (3, sol.m, sol.m) and sol.X.flags.c_contiguous
+    assert sol.X.dtype == (np.float64 if data == "real" else np.complex128)
+    assert all(np.shares_memory(M, sol.X) for M in (sol.H, sol.K, sol.Q))
+
+
+@pytest.mark.parametrize("data", DATA)
+@pytest.mark.parametrize("route", ROUTES)
+def test_weight_rotation_on_every_route_matches_the_dense_rotation(route, data):
+    sol = route_solution(route, data)
+    H, K, Q = sol.H.copy(), sol.K.copy(), sol.Q.copy()
+    P = rotation_matrix(weight_rotation(sol, 0.7, 1.2 - 0.4j, 1), 0, sol.m - 2, sol.m)
+    for new, old in ((sol.H, H), (sol.K, K)):
+        assert np.linalg.norm(new - P @ old) <= 1e-14 * np.linalg.norm(old)
+    assert np.linalg.norm(sol.Q - Q @ P.conj().T) <= 1e-14

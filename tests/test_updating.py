@@ -124,7 +124,7 @@ def test_embed_preserves_hat_poles_and_residual(rng):
 
 
 def identity_solution(m):
-    return IEPSolution(*(np.eye(m, dtype=complex) for _ in range(3)), 1.0)
+    return IEPSolution(np.stack([np.eye(m, dtype=complex)] * 3), 1.0)
 
 
 def test_weight_rotation_zero_new_weight_is_identity():
@@ -525,7 +525,8 @@ def test_op1_op3_equal_the_public_rotations_of_their_pairs_bit_for_bit(rng, dtyp
         for op, args, rows, cols in ((op1_eliminate, (r, c), (p, r), (c, r)), (op3_swap_adjacent, (c,), (p, p + 1), (c, p))):
             Y = X.copy()
             left, right = op(X, *args)
-            rotate_rows(Y, *left, *rows)
+            rotate_rows(Y[:2], *left, *rows)
+            rotate_rows(Y[2], left[0], left[1].conjugate(), *rows)
             rotate_cols(Y[:2], *right, *cols)
             Y[:2, rows[1], c] = 0.0
             assert np.array_equal(X, Y)
@@ -743,3 +744,26 @@ def test_op3_moves_a_zero_pole_both_ways_keeping_h_exactly_zero(rng):
     on_stack(op3_swap_adjacent, H, K, None, 1)  # and back up
     assert H[2, 1] == 0.0 and H[3, 2] != 0.0
     assert abs(pole_at(H, K, 2) + 1.2) <= 1e-13 * 1.2
+
+
+@pytest.mark.parametrize("psi", [1.0, 2.0, INFINITY])
+def test_op2_refuses_a_pencil_without_a_pole_position(psi):
+    # m = 1: H[0, -1] would wrap around to the only entry
+    X = np.stack([np.eye(1)] * 3)
+    with pytest.raises(IndexError):
+        op2_add_pole(X, psi)
+    assert np.array_equal(X, np.stack([np.eye(1)] * 3))
+
+
+def test_install_poles_refuses_more_poles_than_positions():
+    sol = add_block(None, 0.5, [1.0, 0.8], 2.0, [-1.5, 2.5])
+    before = sol.X.copy()
+    with pytest.raises(ValueError, match="overrun"):
+        install_poles(sol, [-4.0, 5.0, 7.0], 0)
+    with pytest.raises(ValueError, match="overrun"):
+        install_poles(sol, [-4.0], 2)
+    with pytest.raises(ValueError, match="overrun"):
+        install_poles(sol, [-4.0], -1)
+    assert np.array_equal(sol.X, before)
+    install_poles(sol, [-4.0, 5.0], 0)  # exactly the two positions
+    assert sol.poles() == pytest.approx([-4.0, 5.0], rel=1e-12)
