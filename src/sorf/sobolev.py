@@ -80,10 +80,14 @@ class DiscreteSobolevSpec:
 
 @dataclass(frozen=True)
 class JordanSystem:
-    """Block upper-bidiagonal matrix J and weight vector w."""
+    """Square upper-bidiagonal matrix J and weight vector w of its size."""
 
     J: np.ndarray
     w: np.ndarray
+
+    def __post_init__(self):
+        if self.J.ndim != 2 or self.J.shape != self.w.shape * 2 or np.any(np.tril(self.J, -1)) or np.any(np.triu(self.J, 2)):
+            raise ConfigError("J must be a square upper bidiagonal matrix and w a vector of its size")
 
     @property
     def m(self) -> int:

@@ -13,7 +13,7 @@ eliminations, and finally installs the new block's poles by adding each one
 at the bottom position and swapping it upward.  Elimination and swap share
 one 2x2 step, `_step`: a right rotation from the null direction of a
 rank-one combination of the H and K kernels, then a re-triangularizing left
-rotation.
+rotation.  `_pin` then carries each moved pole as its homogeneous pair.
 
 All index arguments are 0-based; pole index k refers to the subdiagonal
 position (k+1, k).  Rotations are raw (a, b) pairs (see `sorf.rotations`).
@@ -142,6 +142,15 @@ def _step(S, p: int, q: int, c: int, d: int, a00, a01, a10, a11, b00, b01, b10, 
     return left, (ra, rb)
 
 
+def _pin(X, i: int, j: int, h, k) -> None:
+    """Write (H[i, j], K[i, j]) as a multiple of the pole pair (h, k): keep
+    the entry facing the larger of |h|, |k|, set the other from the ratio."""
+    if abs(h) >= abs(k):
+        X[1, i, j] = X.item(0, i, j) * (k / h)
+    else:
+        X[0, i, j] = X.item(1, i, j) * (h / k)
+
+
 def _eliminate(X, S, r: int, c: int, tol: float):
     """Body of `op1_eliminate` on the stack X = (H, K, Q^T), bound as S, without
     the index check: raw (left, right) pairs, or None when both target entries
@@ -162,10 +171,7 @@ def _eliminate(X, S, r: int, c: int, tol: float):
         raise NumericalError("elimination kernel violates the zero-corner precondition")
     z0, z1 = beta * a10 - delta * b10, beta * a11 - delta * b11
     out = _step(S, p, r, c, r, delta, a01, a10, a11, beta, b01, b10, b11, z0, z1, DEFLATION_RTOL * scale, "elimination would deflate the pencil")
-    if delta == 0.0:
-        X[0, p, c] = 0.0
-    if beta == 0.0:
-        X[1, p, c] = 0.0
+    _pin(X, p, c, delta, beta)
     return out
 
 
@@ -173,10 +179,10 @@ def op1_eliminate(X: np.ndarray, r: int, c: int):
     """Zero H[r, c] and K[r, c] keeping the pole ratio at column c intact.
 
     The pivot sits at (c+1, c).  Applies a left rotation on rows (c+1, r) and
-    a right rotation on columns (c, r) of the stack X = (H, K, Q^T).  Entries
-    that were exactly zero on the pivot stay exactly zero (infinite poles
-    survive bit-for-bit).  Returns the raw (left, right) pairs, or None when
-    both targets were already negligible.
+    a right rotation on columns (c, r) of the stack X = (H, K, Q^T), then
+    pins the new pivot pair to the old one (`_pin`), so an infinite pole
+    keeps its exactly zero K entry.  Returns the raw (left, right) pairs, or
+    None when both targets were already negligible.
     """
     if not (0 <= c < r < X.shape[1]) or r == c + 1:
         raise IndexError(f"invalid elimination target ({r}, {c})")
@@ -233,12 +239,12 @@ def expected_elimination_count(m: int, s_sigma: int) -> int:
 def op2_add_pole(X: np.ndarray, psi) -> tuple[complex, complex] | None:
     """Set the pole at the last subdiagonal position (m-1, m-2) to psi.
 
-    A single right rotation on the last two columns; Q is untouched.  Handles
-    psi at infinity through the homogeneous pair (mu, nu) = (1, 0).  X must
-    already hold psi's type (`install_poles` is the one place that promotes
-    it).  Returns the raw pair applied, or None when the ratio already equals
-    psi; raises DeflationError (`pencil.pole_at`) when the new position has
-    deflated, and IndexError when the pencil has no pole position (m < 2).
+    A single right rotation on the last two columns, then `_pin` writes the
+    new pair as a multiple of (mu, nu) = pole_pair(psi); Q is untouched.  X
+    must hold psi's type (`install_poles` promotes it).  Returns the raw
+    pair applied, or None when the ratio already equals psi; raises
+    DeflationError (`pencil.pole_at`) when the new position has deflated,
+    and IndexError when the pencil has no pole position (m < 2).
     """
     H, K = X[0], X[1]
     m = H.shape[0]
@@ -249,10 +255,7 @@ def op2_add_pole(X: np.ndarray, psi) -> tuple[complex, complex] | None:
     if rot is None:  # the ratio at the trailing position already equals psi
         return None
     rotate_cols(X[:2], *rot, m - 2, m - 1)
-    if nu == 0.0:
-        K[m - 1, m - 2] = 0.0
-    if mu == 0.0:
-        H[m - 1, m - 2] = 0.0
+    _pin(X, m - 1, m - 2, mu, nu)
     pole_at(H, K, m - 2)
     return rot
 
@@ -261,8 +264,8 @@ def op3_swap_adjacent(X: np.ndarray, c: int):
     """Exchange the poles at indices c and c+1; all other ratios are fixed.
 
     The step's row is nu*A - mu*B for the triangular kernels at rows
-    (c+1, c+2), columns (c, c+1).  X must already hold the poles' type
-    (`install_poles` is the one place that promotes it).  Returns the raw
+    (c+1, c+2), columns (c, c+1); then `_pin` swaps the two pole pairs.  X
+    must hold the poles' type (`install_poles` promotes it).  Returns the raw
     (left, right) pairs, or None when that row vanishes (equal poles).
     """
     if not 0 <= c <= X.shape[1] - 3:
@@ -275,15 +278,8 @@ def op3_swap_adjacent(X: np.ndarray, c: int):
     if z0 == 0.0 and z1 == 0.0:
         return None
     out = _step(bind(X), p, p + 1, c, p, tau, h01, 0.0, mu, kap, k01, 0.0, nu, z0, z1, 0.0, "pole swap degenerated")
-    # poles travel with their homogeneous pairs: keep exact zeros exact
-    if nu == 0.0:
-        X[1, p, c] = 0.0
-    if kap == 0.0:
-        X[1, p + 1, p] = 0.0
-    if mu == 0.0:
-        X[0, p, c] = 0.0
-    if tau == 0.0:
-        X[0, p + 1, p] = 0.0
+    _pin(X, p, c, mu, nu)
+    _pin(X, p + 1, p, tau, kap)
     return out
 
 

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from sorf.evaluation import metric_orthonormality, metric_poles, metric_recurrence
-from sorf.sobolev import DiscreteSobolevSpec, default_pole_list
+from sorf.reference import rational_arnoldi, solve_via_sop
+from sorf.sobolev import DiscreteSobolevSpec, build_jordan, default_pole_list
+from sorf.updating import solve_updating
+
+# the three solution routes, each from a spec and a pole list
+ROUTES = {
+    "updating": solve_updating,
+    "sop": lambda spec, poles: solve_via_sop(build_jordan(spec), poles),
+    "krylov": lambda spec, poles: rational_arnoldi(build_jordan(spec), poles),
+}
 
 
 def random_spec(rng, sigma=None, max_order=2, complex_alphas=False):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_iep_invariants, random_pole_list, random_spec, rotation_matrix
+from conftest import ROUTES, assert_iep_invariants, random_pole_list, random_spec, rotation_matrix
 
 from sorf import reference, updating
 from sorf.errors import KrylovBreakdownError, SpectrumOverlapError
@@ -245,7 +245,7 @@ def test_solvers_agree_with_mixed_free_poles(rng):
 
 def test_zero_poles_give_exactly_zero_h_subdiagonal_in_every_route():
     # psi = 0 is the homogeneous pair (0, 1): H[k+1, k] must vanish exactly,
-    # through the exact-zero pivots of elimination and swap
+    # because every pair an operation moves is pinned to a multiple of it
     spec = DiscreteSobolevSpec(
         nodes=(-0.7, -0.3, 0.4, 0.8),
         orders=(1, 0, 2, 1),
@@ -260,11 +260,6 @@ def test_zero_poles_give_exactly_zero_h_subdiagonal_in_every_route():
         assert_iep_invariants(sys, sol, poles)
 
 
-ROUTES = {
-    "updating": solve_updating,
-    "sop": lambda spec, poles: solve_via_sop(build_jordan(spec), poles),
-    "krylov": lambda spec, poles: rational_arnoldi(build_jordan(spec), poles),
-}
 # (complex alphas, complex pole): real data, complex data, and a complex pole
 # that promotes a real pencil
 DATA = {"real": (False, None), "complex": (True, None), "complex-pole": (False, 1.6 + 0.5j)}

@@ -7,6 +7,7 @@ from sorf.reference import rational_arnoldi, solve_via_sop
 from sorf.sobolev import (
     DiscreteSobolevSpec,
     GegenbauerSobolevConfig,
+    JordanSystem,
     build_jordan,
     default_pole_list,
     discretize_gegenbauer,
@@ -100,6 +101,31 @@ def test_build_jordan_single_node():
     sys = build_jordan(spec)
     assert sys.J == pytest.approx(np.array([[2.0]]))
     assert sys.w == pytest.approx(np.array([3.0]))
+
+
+def _off_band(J, i, j, value):
+    J = J.copy()
+    J[i, j] = value
+    return J
+
+
+def test_jordan_system_refuses_what_is_not_square_upper_bidiagonal_with_a_matching_w():
+    # the routes read J's two diagonals (Krylov's shifted solves, E_r) or all of J
+    # (polynomial steps), so an entry off the band would score a pencil of another J
+    sys = build_jordan(discretize_gegenbauer(GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.5, N=3)))
+    J, w = sys.J, sys.w
+    bad = [
+        (_off_band(J, 0, 3, 0.7), w),
+        (_off_band(J, 2, 1, 0.7), w),
+        (np.zeros((3, 4)), np.ones(5)),
+        (np.eye(3), np.ones(4)),
+        (np.eye(3), np.ones((3, 1))),
+        (np.ones(3), np.ones(3)),
+    ]
+    for Jb, wb in bad:
+        with pytest.raises(ConfigError, match="^J must be a square upper bidiagonal matrix and w a vector of its size$"):
+            JordanSystem(Jb, wb)
+    assert JordanSystem(J, w).m == 10
 
 
 def test_build_jordan_gegenbauer_block_pattern():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import KERNEL_AT, assert_iep_invariants, kernel_stack, on_stack, random_pole_list, random_spec, rotation_matrix
+from conftest import KERNEL_AT, ROUTES, assert_iep_invariants, kernel_stack, on_stack, random_pole_list, random_spec, rotation_matrix
 
 from sorf.errors import DeflationError, NumericalError
 from sorf.pencil import INFINITY, is_infinite_pole, pole_at
@@ -513,7 +513,9 @@ def test_op2_op3_return_the_pairs_they_applied(rng):
 @pytest.mark.parametrize("dtype", (np.float64, np.complex128))
 def test_op1_op3_equal_the_public_rotations_of_their_pairs_bit_for_bit(rng, dtype):
     """On random stacks, each op equals rotate_rows on X and rotate_cols on
-    X[:2] with the pairs it returns, then the eliminated entries zeroed."""
+    X[:2] with the pairs it returns, then the eliminated entries zeroed and
+    each moved pole pair pinned to the pair it carries: the entry facing the
+    larger of |h|, |k| kept, the other set from the ratio."""
     m = 7
     for _ in range(20):
         X = rng.normal(size=(3, m, m)).astype(dtype)
@@ -522,13 +524,24 @@ def test_op1_op3_equal_the_public_rotations_of_their_pairs_bit_for_bit(rng, dtyp
         c = int(rng.integers(0, m - 2))
         r, p = int(rng.integers(c + 2, m)), c + 1
         X[1, p, r] = X[1, p, c] * X[0, p, r] / X[0, p, c]  # the zero corner: beta a01 = delta b01
-        for op, args, rows, cols in ((op1_eliminate, (r, c), (p, r), (c, r)), (op3_swap_adjacent, (c,), (p, p + 1), (c, p))):
+        # (target, source): elimination keeps the pivot's pole, a swap exchanges two
+        cases = (
+            (op1_eliminate, (r, c), (p, r), (c, r), (((p, c), (p, c)),)),
+            (op3_swap_adjacent, (c,), (p, p + 1), (c, p), (((p, c), (p + 1, p)), ((p + 1, p), (p, c)))),
+        )
+        for op, args, rows, cols, pins in cases:
             Y = X.copy()
+            pairs = [(i, j, Y.item(0, *src), Y.item(1, *src)) for (i, j), src in pins]
             left, right = op(X, *args)
             rotate_rows(Y[:2], *left, *rows)
             rotate_rows(Y[2], left[0], left[1].conjugate(), *rows)
             rotate_cols(Y[:2], *right, *cols)
             Y[:2, rows[1], c] = 0.0
+            for i, j, h, k in pairs:
+                if abs(h) >= abs(k):
+                    Y[1, i, j] = Y.item(0, i, j) * (k / h)
+                else:
+                    Y[0, i, j] = Y.item(1, i, j) * (h / k)
             assert np.array_equal(X, Y)
 
 
@@ -670,27 +683,35 @@ def test_solve_updating_places_prescribed_pole_pair():
     assert abs(pole_at(sol.H, sol.K, 1) - 1.1) <= 1e-12 * 1.1
 
 
-@pytest.mark.parametrize(
-    "method",
-    [pytest.param("updating", marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3")), "sop", "krylov"],
-)
+@pytest.mark.parametrize("method", ROUTES)
 def test_large_prescribed_poles_are_placed_on_every_route(method):
-    # poles at +-1e8: updating re-reads each ratio from a K subdiagonal entry
-    # of size |h|/|psi|, so its E_p grows like eps * |psi| (about 9e-9 here)
+    # poles at +-psi: each operation pins the pair it moves to the pole's
+    # homogeneous pair, so no ratio is re-read from a K entry of size |h|/|psi|
+    # and E_p stays at rounding however large psi is (it grew like eps * |psi|)
     from sorf.evaluation import metric_poles
-    from sorf.reference import rational_arnoldi, solve_via_sop
     from sorf.sobolev import GegenbauerSobolevConfig, discretize_gegenbauer
 
-    cfg = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, N=3, poles=(1e8, -1e8))
-    spec = discretize_gegenbauer(cfg)
-    poles = default_pole_list(cfg.poles, spec.m)
-    if method == "updating":
-        sol = solve_updating(spec, poles)
-    elif method == "sop":
-        sol = solve_via_sop(build_jordan(spec), poles)
-    else:
-        sol = rational_arnoldi(build_jordan(spec), poles)
-    assert metric_poles(sol, poles) <= 1e-12
+    for psi in (1e6, 1e8, 1e12):
+        cfg = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.1, N=3, poles=(psi, -psi))
+        spec = discretize_gegenbauer(cfg)
+        poles = default_pole_list(cfg.poles, spec.m)
+        assert metric_poles(ROUTES[method](spec, poles), poles) <= 1e-14, psi
+
+
+@pytest.mark.parametrize("method", ROUTES)
+@pytest.mark.parametrize("N", [24, 50])
+def test_pole_error_is_bounded_by_m_eps_on_every_route(method, N):
+    # E_p as a bound in m: at most m * eps at m = 94 and 198 over the default pole ladder
+    from sorf.evaluation import metric_poles
+    from sorf.sobolev import GegenbauerSobolevConfig, discretize_gegenbauer
+
+    for mu in (0.0, 2.0, 5.0):
+        for omega in (1.05, 1.5, 3.0):
+            cfg = GegenbauerSobolevConfig(mu=mu, lam=1.0, omega=omega, N=N)
+            spec = discretize_gegenbauer(cfg)
+            poles = default_pole_list(cfg.poles, spec.m)
+            E_p = metric_poles(ROUTES[method](spec, poles), poles)
+            assert E_p <= spec.m * np.finfo(float).eps, (mu, omega, E_p)
 
 
 def test_op2_returns_none_when_the_trailing_row_already_has_ratio_psi():
