@@ -93,7 +93,7 @@ def _encode_matrix(M: np.ndarray) -> list:
     enabled = gc.isenabled()
     gc.disable()  # lists of floats form no cycles: spare the collector its passes
     try:
-        M = np.asarray(M, dtype=complex)
+        M = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)  # real: M.imag is a zero plane
         return np.stack((M.real, M.imag), -1).tolist()
     finally:
         if enabled:

@@ -14,6 +14,7 @@ table, v_dj = (r_k^(d)(t_j))_k, and one Gram kernel assembles them: the
 discrete one with the coefficients of the spec's inner product at its nodes,
 the continuous one with cached Clenshaw-Curtis weights times (1-t^2)^mu for
 values and lambda times those for first derivatives (doubled-order check).
+Every metric's spectral norm is `_norm2`'s top Gram eigenvalue, not an SVD.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .errors import AccuracyError, PoleCollisionError
 from .pencil import is_infinite_pole
@@ -158,14 +160,25 @@ def continuous_moment_matrix(
     return M2
 
 
+def _norm2(A: np.ndarray) -> float:
+    """||A||_2 = s sqrt(lambda_max(G)) for G = B^H B, B = A / s, s = max|A_ij|."""
+    s = np.max(np.abs(A))
+    if s == 0.0 or not np.isfinite(s):  # exactly 0.0 for a zero A; inf or NaN as it is
+        return s
+    G = (B := A / s).conj().T @ B  # |B_ij| <= 1: no square under- or overflows
+    evr = get_lapack_funcs("heevr" if np.iscomplexobj(G) else "syevr", (G,))
+    lam, _, _, _, info = evr(G.T, compute_v=0, range="I", il=len(G), iu=len(G), overwrite_a=1)  # G.T: F-ordered, G's eigenvalues
+    if info != 0:
+        raise AccuracyError(f"?syevr/?heevr did not converge on a Gram matrix (info {info})")
+    return s * np.sqrt(lam[0])
+
+
 def metric_recurrence(sys, sol: IEPSolution) -> float:
     """||J Q K - Q H||_2 / max(||J Q K||_2, ||Q H||_2); J Q from J's two diagonals."""
     JQ = np.diagonal(sys.J)[:, None] * sol.Q
     JQ[:-1] += np.diagonal(sys.J, 1)[:, None] * sol.Q[1:]
-    JQK = JQ @ sol.K
-    QH = sol.Q @ sol.H
-    denom = max(np.linalg.norm(JQK, 2), np.linalg.norm(QH, 2))
-    return float(np.linalg.norm(JQK - QH, 2) / denom)
+    JQK, QH = JQ @ sol.K, sol.Q @ sol.H
+    return float(_norm2(JQK - QH) / max(_norm2(JQK), _norm2(QH)))
 
 
 def metric_poles(sol: IEPSolution, poles) -> float:
@@ -200,7 +213,7 @@ def metric_orthonormality(sol: IEPSolution) -> float:
 
 def metric_sobolev(M: np.ndarray) -> float:
     """||M - I||_2 for a moment matrix M."""
-    return float(np.linalg.norm(M - np.eye(M.shape[0]), 2))
+    return float(_norm2(M - np.eye(M.shape[0])))
 
 
 def table_agreement(t1: SorfTable, t2: SorfTable) -> float:

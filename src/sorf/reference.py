@@ -45,7 +45,8 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
     wnorm = float(np.linalg.norm(w))
     if wnorm == 0.0:
         raise KrylovBreakdownError("starting vector is zero")
-    Q, H, K = (np.zeros((m, m), np.result_type(J, w, np.asarray(poles))) for _ in range(3))
+    X = np.zeros((3, m, m), np.result_type(J, w, np.asarray(poles)))  # the returned stack (H, K, Q^T)
+    H, K, Q = X[0], X[1], np.zeros_like(X[2])
     Q[:, 0] = w / wnorm
     upper = np.concatenate(([0.0], J.diagonal(1)))  # band row 0: the superdiagonal after a leading 0
     gbsv = get_lapack_funcs("gbsv", (J, Q))
@@ -91,7 +92,8 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
     if ortho > 1e-10:
         raise KrylovBreakdownError(f"basis lost orthogonality: {ortho:.3e}")
     assert_unreduced(H, K)
-    return IEPSolution(np.stack((H, K, Q.T)), wnorm)
+    X[2] = Q.T  # Q stays C-ordered for the Gram-Schmidt products above
+    return IEPSolution(X, wnorm)
 
 
 def solve_via_sop(sys: JordanSystem, poles) -> IEPSolution:

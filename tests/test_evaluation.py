@@ -5,10 +5,11 @@ import pytest
 
 from conftest import random_pole_list, random_spec
 
-from sorf.driver import run_solve
+from sorf.driver import _gegenbauer_config, _solve_and_score, parse_config, run_solve
 from sorf.errors import PoleCollisionError
 from sorf.evaluation import (
     SorfTable,
+    _norm2,
     continuous_moment_matrix,
     discrete_moment_matrix,
     evaluate_solution,
@@ -323,7 +324,71 @@ def test_dtype_follows_the_data_on_every_route(xi, phase, j_dtype, dtype):
         assert metric_poles(sol, poles) <= 1e-12
 
 
-def test_complex_poles_score_through_the_complex_svd():
+def _svd_norm2(A):
+    return np.linalg.svd(A, compute_uv=False)[0]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+@pytest.mark.parametrize("hermitian", [False, True], ids=["general", "hermitian"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("n", [1, 2, 6, 46, 198])
+def test_norm2_matches_the_svd(n, dtype, hermitian, scale):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    if dtype is np.complex128:
+        A = A + 1j * rng.standard_normal((n, n))
+    if hermitian:
+        A = A + A.conj().T
+    # scale * A is rounded, so the reference is the SVD of that same matrix
+    # (LAPACK rescales entries this small or large before its SVD)
+    got, ref = _norm2(scale * A), _svd_norm2(scale * A)
+    assert np.isfinite(ref) and ref > 0.0
+    assert abs(got - ref) <= 1e-13 * ref
+
+
+def test_norm2_of_zero_and_non_finite_matrices():
+    assert _norm2(np.zeros((3, 3))) == 0.0
+    assert _norm2(np.zeros((2, 2), complex)) == 0.0
+    assert _norm2(np.array([[1.0, np.inf], [0.0, 1.0]])) == np.inf
+    assert np.isnan(_norm2(np.array([[1.0, np.nan], [0.0, 1.0]])))
+
+
+CONJUGATE_POLES = {"N": 6, "mu": 1.0, "omega": 1.5, "poles": [[1.6, 0.4], [1.6, -0.4], [-2.0, 0.3], [-2.0, -0.3], [3.0, 0]]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"N": 12, "mu": 2.0, "omega": 1.5}, CONJUGATE_POLES],
+    ids=["m46", "conjugate_poles"],
+)
+def test_metrics_match_an_svd_reference_on_every_route(doc):
+    cfg = parse_config({**doc, "method": "all"})
+    gcfg = _gegenbauer_config(cfg, cfg["N"])
+    spec = discretize_gegenbauer(gcfg)
+    J = build_jordan(spec).J
+    methods = []
+    for method, sol, metrics, table, _ in _solve_and_score(cfg, cfg["N"]):
+        methods.append(method)
+        Q, H, K = sol.Q, sol.H, sol.K
+        # the products metric_recurrence forms, in its order, so that only the norm differs
+        JQ = np.diagonal(J)[:, None] * Q
+        JQ[:-1] += np.diagonal(J, 1)[:, None] * Q[1:]
+        JQK, QH = JQ @ K, Q @ H
+        Md = discrete_moment_matrix(spec, table)
+        Mc = continuous_moment_matrix(H, K, sol.wnorm, gcfg.mu, gcfg.lam, cfg["N"] - 1)
+        ref = {
+            "E_r": _svd_norm2(JQK - QH) / max(_svd_norm2(JQK), _svd_norm2(QH)),
+            "E_Q": _svd_norm2(Q.conj().T @ Q - np.eye(sol.m)),
+            "E_S_discrete": _svd_norm2(Md - np.eye(sol.m)),
+            "E_S_continuous_leading": _svd_norm2(Mc - np.eye(cfg["N"] - 1)),
+        }
+        for key, value in ref.items():
+            assert abs(metrics[key] - value) <= 1e-13 * value, (method, key)
+    assert methods == ["updating", "sop", "krylov"]
+    assert sol.m == 4 * cfg["N"] - 2
+
+
+def test_complex_poles_score_through_the_complex_gram_norm():
     report = run_solve({"N": 3, "method": "all", "poles": [[2, 0.5], [2, -0.5]]})
     for r in report["reports"]:
         assert np.any(np.array(r["H"])[..., 1] != 0.0), r["method"]
