@@ -6,7 +6,10 @@ The functions r_0, r_1, ... encoded by an unreduced Hessenberg pencil obey
 
 (1-based columns), with r_0 = 1/||w||_2.  Derivatives propagate through the
 product rule, so no numerical differentiation enters the tables; finite
-differences are used only by the tests.
+differences are used only by the tests.  A table tests every denominator
+t K[j+1,j] - H[j+1,j] at once before it forms any function; column j then
+forms the H- and K-combinations of r_0 .. r_{j-1}, for every derivative
+order and point, in one product.
 
 Moment matrices collect the inner products of the computed functions.  Both
 are sums sum_{d,j} c[d, j] v_dj v_dj^H over the (derivative, point) axes of a
@@ -62,33 +65,38 @@ def evaluate_sorfs(
     """Evaluate functions r_0 .. r_{nfun-1} and derivatives at the points.
 
     Column j of the pencil yields r_j; evaluation close to a pole of the
-    recurrence (vanishing denominator t K[j+1,j] - H[j+1,j]) is refused.
-    The table takes the type of the points and the pencil.
+    recurrence (vanishing denominator t K[j+1,j] - H[j+1,j]) is refused,
+    naming the lowest such r_j and its first such point.  The table takes
+    the type of the points and the pencil.
     """
     m = H.shape[0]
     if nfun is None:
         nfun = m
     if not 1 <= nfun <= m:
         raise ValueError(f"nfun must lie in 1..{m}")
+    if max_deriv < 0:
+        raise ValueError("max_deriv must be >= 0")
     pts = np.atleast_1d(np.asarray(points))
+    if pts.ndim != 1:
+        raise ValueError("points must be a scalar or a 1-D array")
+    n = nfun - 1
+    hsub, ksub = np.diagonal(H, -1)[:n, None], np.diagonal(K, -1)[:n, None]
+    denom = (tk := pts * ksub) - hsub
+    bad = np.abs(denom) <= 1e-13 * (np.abs(tk) + np.abs(hsub))
+    if np.any(bad):
+        j, i = np.argwhere(bad)[0]
+        raise PoleCollisionError(f"evaluation point {pts[i]} collides with a pole of r_{j + 1}")
+    HK = np.stack((H[:n, :n], K[:n, :n]))
     vals = np.zeros((nfun, max_deriv + 1, pts.size), np.result_type(pts, H, K))
     vals[0, 0, :] = 1.0 / wnorm
     for j in range(1, nfun):
-        hcol = H[:j, j - 1]
-        kcol = K[:j, j - 1]
-        tk = pts * K[j, j - 1]
-        denom = tk - H[j, j - 1]
-        bad = np.abs(denom) <= 1e-13 * (np.abs(tk) + abs(H[j, j - 1]))
-        if np.any(bad):
-            raise PoleCollisionError(f"evaluation point {pts[bad][0]} collides with a pole of r_{j}")
+        hv, kv = (HK[:, :j, j - 1] @ vals[:j].reshape(j, -1)).reshape(2, max_deriv + 1, -1)
         for d in range(max_deriv + 1):
-            kv = kcol @ vals[:j, d, :]
-            rhs = hcol @ vals[:j, d, :] - pts * kv
-            if d > 0:  # product rule; kv_prev is the K-column term of order d - 1
-                rhs -= d * kv_prev
-                rhs -= d * K[j, j - 1] * vals[j, d - 1, :]
-            vals[j, d, :] = rhs / denom
-            kv_prev = kv
+            rhs = hv[d] - pts * kv[d]
+            if d > 0:  # product rule
+                rhs -= d * kv[d - 1]
+                rhs -= d * ksub[j - 1] * vals[j, d - 1]
+            vals[j, d] = rhs / denom[j - 1]
     return SorfTable(vals, pts)
 
 
@@ -174,11 +182,15 @@ def _norm2(A: np.ndarray) -> float:
 
 
 def metric_recurrence(sys, sol: IEPSolution) -> float:
-    """||J Q K - Q H||_2 / max(||J Q K||_2, ||Q H||_2); J Q from J's two diagonals."""
+    """E_r = ||J Q K - Q H||_2 / ||Q H||_2; J Q from J's two diagonals.
+
+    ||J Q K||_2 and ||Q H||_2 differ by at most the numerator, so dividing by
+    ||Q H||_2 in place of the larger of the two moves E_r by at most E_r
+    relative, and one spectral norm is saved."""
     JQ = np.diagonal(sys.J)[:, None] * sol.Q
     JQ[:-1] += np.diagonal(sys.J, 1)[:, None] * sol.Q[1:]
-    JQK, QH = JQ @ sol.K, sol.Q @ sol.H
-    return float(_norm2(JQK - QH) / max(_norm2(JQK), _norm2(QH)))
+    QH = sol.Q @ sol.H
+    return float(_norm2(JQ @ sol.K - QH) / _norm2(QH))
 
 
 def metric_poles(sol: IEPSolution, poles) -> float:

@@ -5,7 +5,10 @@ import importlib.util
 import re
 from pathlib import Path
 
+from sorf import evaluation
+
 DIGEST = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
+DOCS = [{"mu": 2.0, "omega": 1.5, "N": 2, "method": "all"}, {"N": 0}]  # the second fails typed
 
 
 def load_digest_tool():
@@ -17,11 +20,26 @@ def load_digest_tool():
 
 def test_digest_is_a_deterministic_sha256_of_the_solves():
     tool = load_digest_tool()
-    docs = [{"mu": 2.0, "omega": 1.5, "N": 2, "method": "all"}, {"N": 0}]  # the second fails typed
-    first = tool.digest(docs)
-    assert re.fullmatch(r"[0-9a-f]{64}", first)
-    assert tool.digest(docs) == first
-    assert tool.digest([{**docs[0], "omega": 1.6}, docs[1]]) != first
+    first = tool.digest(DOCS)
+    assert all(re.fullmatch(r"[0-9a-f]{64}", d) for d in first)
+    assert tool.digest(DOCS) == first
+    changed = tool.digest([{**DOCS[0], "omega": 1.6}, DOCS[1]])
+    assert changed[0] != first[0] and changed[1] != first[1]
+
+
+def test_pencil_digest_ignores_a_change_to_the_table_alone(monkeypatch):
+    tool = load_digest_tool()
+    full, pencils = tool.digest(DOCS)
+    evaluate = evaluation.evaluate_sorfs
+
+    def scaled(*args, **kwargs):
+        table = evaluate(*args, **kwargs)
+        return evaluation.SorfTable(2.0 * table.values, table.points)
+
+    monkeypatch.setattr(evaluation, "evaluate_sorfs", scaled)
+    rescored = tool.digest(DOCS)
+    assert rescored[0] != full
+    assert rescored[1] == pencils
 
 
 def test_digest_reads_the_benchmark_pools():

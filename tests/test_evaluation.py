@@ -71,6 +71,73 @@ def test_evaluation_refuses_points_at_poles():
         evaluate_solution(sol, [-1.1], max_deriv=0)
 
 
+def test_pole_collision_names_the_lowest_function_and_its_first_point():
+    # poles of r_1, r_2, r_3 at 2.0, 0.5 and 0.1: r_1 is clean, r_2 meets
+    # points 1 and 3 (one ulp apart, so the message shows which), and r_3
+    # meets point 0, which comes earlier in the points but later in the columns
+    H = np.triu(np.full((4, 4), 0.25)) + np.diag([2.0, 0.5, 0.1], -1)
+    K = np.triu(np.full((4, 4), 0.5)) + np.diag([1.0, 1.0, 1.0], -1)
+    pts = np.array([0.1, 0.5, 0.3, np.nextafter(0.5, 1.0)])
+    with pytest.raises(PoleCollisionError, match=r"^evaluation point 0\.5 collides with a pole of r_2$"):
+        evaluate_sorfs(H, K, 1.0, pts, max_deriv=1)
+    with pytest.raises(PoleCollisionError, match=r"point 0\.1 collides with a pole of r_3$"):
+        evaluate_sorfs(H, K, 1.0, pts[[0, 2]], max_deriv=1)
+    assert evaluate_sorfs(H, K, 1.0, pts, nfun=2).values.shape == (2, 1, 4)
+
+
+def evaluate_by_column_and_order(H, K, wnorm, pts, max_deriv, nfun):
+    """The recurrence one column and one derivative order at a time, with
+    the pole test inside the column loop: the reference for evaluate_sorfs."""
+    vals = np.zeros((nfun, max_deriv + 1, pts.size), np.result_type(pts, H, K))
+    vals[0, 0, :] = 1.0 / wnorm
+    for j in range(1, nfun):
+        hcol = H[:j, j - 1]
+        kcol = K[:j, j - 1]
+        tk = pts * K[j, j - 1]
+        denom = tk - H[j, j - 1]
+        bad = np.abs(denom) <= 1e-13 * (np.abs(tk) + abs(H[j, j - 1]))
+        if np.any(bad):
+            raise PoleCollisionError(f"evaluation point {pts[bad][0]} collides with a pole of r_{j}")
+        for d in range(max_deriv + 1):
+            kv = kcol @ vals[:j, d, :]
+            rhs = hcol @ vals[:j, d, :] - pts * kv
+            if d > 0:
+                rhs -= d * kv_prev
+                rhs -= d * K[j, j - 1] * vals[j, d - 1, :]
+            vals[j, d, :] = rhs / denom
+            kv_prev = kv
+    return vals
+
+
+@pytest.mark.parametrize("route", ["updating", "krylov"])
+@pytest.mark.parametrize(
+    "N, xi, phase, bound",
+    [
+        (6, None, 1.0, 1e-13),
+        (6, [1.6 + 0.4j, 1.6 - 0.4j, -2.0 + 0.3j, -2.0 - 0.3j, 3.0], 1.0, 1e-13),
+        (6, None, np.exp(0.3j), 1e-13),
+        (12, None, 1.0, 1e-12),
+    ],
+    ids=["real-m22", "conjugate-poles-m22", "complex-weights-m22", "real-m46"],
+)
+def test_one_product_per_column_matches_the_column_and_order_recurrence(route, N, xi, phase, bound):
+    cfg = GegenbauerSobolevConfig(mu=1.0, lam=1.0, omega=1.5, N=N)
+    spec = discretize_gegenbauer(cfg)
+    spec = DiscreteSobolevSpec(spec.nodes, spec.orders, spec.alphas, tuple(w * phase for w in spec.weights))
+    poles = default_pole_list(xi or gegenbauer_pole_ladder(1.5, N - 1), spec.m)
+    sol = solve_updating(spec, poles) if route == "updating" else rational_arnoldi(build_jordan(spec), poles)
+    pts = np.concatenate((np.array(spec.nodes), np.linspace(-0.95, 0.95, 7)))
+    m = sol.m
+    for max_deriv in range(4):
+        for nfun in (1, 2, m // 2, m):
+            got = evaluate_sorfs(sol.H, sol.K, sol.wnorm, pts, max_deriv, nfun).values
+            ref = evaluate_by_column_and_order(sol.H, sol.K, sol.wnorm, pts, max_deriv, nfun)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            scale = np.abs(ref).reshape(nfun, -1).max(axis=1)
+            err = np.abs(got - ref).reshape(nfun, -1).max(axis=1)
+            assert np.all(err <= bound * scale), (max_deriv, nfun, float(np.max(err / scale)))
+
+
 def polynomial_gram_schmidt_oracle(spec, poles):
     """Orthonormalize the nested rational basis t^k / prod(t - psi_j)
     under the discrete Sobolev inner product, by dense Gram-Schmidt on
@@ -426,12 +493,15 @@ TWO_NODES = DiscreteSobolevSpec(nodes=(-0.5, 0.5), orders=(1, 0), alphas=((1.0,)
         (lambda: table_agreement(ONES, SorfTable(np.ones((2, 1, 2), dtype=complex), np.zeros(2))), ValueError),
         (lambda: evaluate_sorfs(REDUCED.H, REDUCED.K, 1.0, [0.0], nfun=0), ValueError),
         (lambda: evaluate_sorfs(REDUCED.H, REDUCED.K, 1.0, [0.0], nfun=3), ValueError),
+        (lambda: evaluate_sorfs(REDUCED.H, REDUCED.K, 1.0, [0.0], max_deriv=-1), ValueError),
+        (lambda: evaluate_sorfs(REDUCED.H, REDUCED.K, 1.0, [[0.0], [0.5]]), ValueError),
         (lambda: discrete_moment_matrix(TWO_NODES, SorfTable(np.ones((1, 2, 3)), np.zeros(3))), ValueError),
         (lambda: discrete_moment_matrix(TWO_NODES, ONES), ValueError),
     ],
     ids=[
         "finite-pole-on-zero-subdiagonal", "zero-pole-on-zero-subdiagonal", "infinite-pole-on-zero-subdiagonal",
-        "zero-anchor", "mismatched-tables", "no-functions", "more-functions-than-m", "table-of-wrong-size",
+        "zero-anchor", "mismatched-tables", "no-functions", "more-functions-than-m", "negative-max-deriv",
+        "two-dimensional-points", "table-of-wrong-size",
         "table-without-derivatives",
     ],
 )

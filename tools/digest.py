@@ -2,18 +2,26 @@
 
     PYTHONPATH=src python3 tools/digest.py --seed 1
 
-prints one SHA-256 per workload of `perfbench/workloads.py`.  A digest covers,
-for every (config, N, method) of that seed's pool, the bytes of H, K and Q,
-the node table and the metrics; a (config, N) that raises a `SorfError`
-contributes the error's type and message instead.  Each config also runs
-through the command line, in process: `sorf sweep` when it has an `N_range`,
-else `sorf solve`, with `-o` to a file.  Its exit code, its stderr (warnings
-as category and message), and the written report or CSV without the wall
-times (the `ms` fields, the last CSV column) enter the digest; a missing
-output file reads as empty.  Two checkouts that print the same digests
+prints, per workload of `perfbench/workloads.py`, its name and two SHA-256
+digests.  The first covers, for every (config, N, method) of that seed's
+pool, the bytes of H, K and Q, the node table and the metrics; a
+(config, N) that raises a `SorfError` contributes the error's type and
+message instead.  Each config also runs through the command line, in
+process: `sorf sweep` when it has an `N_range`, else `sorf solve`, with
+`-o` to a file.  Its exit code, its stderr (warnings as category and
+message), and the written report or CSV without the wall times (the `ms`
+fields, the last CSV column) enter the first digest; a missing output file
+reads as empty.  Two checkouts that print the same digests
 produce bitwise identical pencils, tables, metrics, error messages, reports
 and exit codes on those pools, so a refactor that claims to change no bits is
 checked by running this script in both and comparing the output.
+
+The second digest covers the pencils alone: per solve the method, `wnorm`
+and the bytes of H, K and Q, or the `SorfError`.  It separates a change to
+the scoring (tables and metrics, which move the first digest) from a change
+to the solvers: a change that only rescores prints new first digests and
+the parent's second ones.  A solve whose scoring raises enters it as that
+error, as in the first digest.
 
 The pools are read from `perfbench/workloads.py` without importing it as a
 package, so nothing is written under `perfbench/`.
@@ -69,36 +77,47 @@ def _cli_bytes(doc, workdir: Path) -> bytes:
     return f"exit {code} {stderr.getvalue()!r} {shown!r} {text}".encode()
 
 
-def digest(docs) -> str:
-    """SHA-256 hex digest over the solves of the config documents `docs`,
-    direct and through the command line."""
+def _array_bytes(a) -> bytes:
     import numpy as np
 
+    a = np.ascontiguousarray(a)
+    return f"{a.dtype} {a.shape}".encode() + a.tobytes()
+
+
+def digest(docs) -> tuple[str, str]:
+    """SHA-256 hex digests over the solves of the config documents `docs`:
+    everything, direct and through the command line, and the pencils alone."""
     from sorf.driver import _solve_and_score, parse_config
     from sorf.errors import SorfError
 
-    h = hashlib.sha256()
+    h, p = hashlib.sha256(), hashlib.sha256()
+
+    def both(data: bytes) -> None:
+        h.update(data)
+        p.update(data)
+
     with tempfile.TemporaryDirectory() as workdir:
         for doc in docs:
-            h.update(repr(sorted(doc.items())).encode())
+            both(repr(sorted(doc.items())).encode())
             h.update(_cli_bytes(doc, Path(workdir)))
             try:
                 cfg = parse_config(doc)
             except SorfError as exc:
-                h.update(f"{type(exc).__name__}: {exc}".encode())
+                both(f"{type(exc).__name__}: {exc}".encode())
                 continue
             lo, hi = cfg["N_range"] or (cfg["N"], cfg["N"])
             for N in range(lo, hi + 1):
                 try:
                     for method, sol, metrics, table, _ in _solve_and_score(cfg, N):
                         h.update(f"{N} {method} {sol.wnorm!r} {sorted(metrics.items())!r}".encode())
+                        p.update(f"{N} {method} {sol.wnorm!r}".encode())
                         for a in (sol.H, sol.K, sol.Q, table.values, table.points):
-                            a = np.ascontiguousarray(a)
-                            h.update(f"{a.dtype} {a.shape}".encode())
-                            h.update(a.tobytes())
+                            h.update(_array_bytes(a))
+                        for a in (sol.H, sol.K, sol.Q):
+                            p.update(_array_bytes(a))
                 except SorfError as exc:
-                    h.update(f"{N} {type(exc).__name__}: {exc}".encode())
-    return h.hexdigest()
+                    both(f"{N} {type(exc).__name__}: {exc}".encode())
+    return h.hexdigest(), p.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -112,7 +131,7 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     wl = _workloads()
     for name in args.workload or list(wl.WORKLOADS):
-        print(f"{name} {digest(wl.make_pool(name, args.seed))}", flush=True)
+        print(name, *digest(wl.make_pool(name, args.seed)), flush=True)
     return 0
 
 
