@@ -9,14 +9,18 @@ product rule, so no numerical differentiation enters the tables; finite
 differences are used only by the tests.  A table tests every denominator
 t K[j+1,j] - H[j+1,j] at once before it forms any function; column j then
 forms the H- and K-combinations of r_0 .. r_{j-1}, for every derivative
-order and point, in one product.
+order and point, in one product, and the right-hand sides of every order in
+one array expression; only the product-rule term in r_j^(d-1) waits for the
+loop over orders.
 
 Moment matrices collect the inner products of the computed functions.  Both
 are sums sum_{d,j} c[d, j] v_dj v_dj^H over the (derivative, point) axes of a
 table, v_dj = (r_k^(d)(t_j))_k, and one Gram kernel assembles them: the
 discrete one with the coefficients of the spec's inner product at its nodes,
 the continuous one with cached Clenshaw-Curtis weights times (1-t^2)^mu for
-values and lambda times those for first derivatives (doubled-order check).
+values and lambda times those for first derivatives.  Its doubled-order
+check reuses one table: the check rule's nodes are every other node of the
+rule on twice as many intervals.
 Every metric's spectral norm is `_norm2`'s top Gram eigenvalue, not an SVD.
 """
 
@@ -33,8 +37,9 @@ from .quadrature import clenshaw_curtis
 from .sobolev import DiscreteSobolevSpec
 from .updating import IEPSolution
 
-#: Clenshaw-Curtis order of the continuous moment matrix (checked against
-#: twice this order)
+#: Clenshaw-Curtis order (intervals) of the continuous moment matrix's check
+#: rule; the matrix is taken on twice as many intervals, whose 2 * CC_ORDER + 1
+#: nodes contain the CC_ORDER + 1 nodes of the check rule
 CC_ORDER = 400
 
 
@@ -89,14 +94,18 @@ def evaluate_sorfs(
     HK = np.stack((H[:n, :n], K[:n, :n]))
     vals = np.zeros((nfun, max_deriv + 1, pts.size), np.result_type(pts, H, K))
     vals[0, 0, :] = 1.0 / wnorm
+    orders = np.arange(1, max_deriv + 1, dtype=vals.dtype)[:, None]
+    dk = orders * ksub[:, 0]  # d K[j+1, j]
     for j in range(1, nfun):
         hv, kv = (HK[:, :j, j - 1] @ vals[:j].reshape(j, -1)).reshape(2, max_deriv + 1, -1)
-        for d in range(max_deriv + 1):
-            rhs = hv[d] - pts * kv[d]
-            if d > 0:  # product rule
-                rhs -= d * kv[d - 1]
-                rhs -= d * ksub[j - 1] * vals[j, d - 1]
-            vals[j, d] = rhs / denom[j - 1]
+        rhs = hv - pts * kv
+        rhs[1:] -= orders * kv[:-1]  # product rule, the terms in r_0 .. r_{j-1}
+        row, dn = vals[j], denom[j - 1]
+        np.divide(rhs[0], dn, out=row[0])
+        for d in range(1, max_deriv + 1):  # product rule, the term in r_j^(d-1)
+            r = rhs[d]
+            r -= dk[d - 1, j - 1] * row[d - 1]
+            np.divide(r, dn, out=row[d])
     return SorfTable(vals, pts)
 
 
@@ -141,24 +150,25 @@ def continuous_moment_matrix(
 ) -> np.ndarray:
     """Gram matrix under the continuous Gegenbauer-Sobolev inner product.
 
-    Entries are Clenshaw-Curtis integrals of order CC_ORDER (one cached
-    rule per order) with the weight (1-t^2)^mu folded into the integrand,
-    accepted only when doubling the order reproduces them to 1e-12
-    relative.  The rule samples t = +-1, where the weight is infinite for
-    mu < 0, so such a weight is refused before any evaluation.
+    Entries are Clenshaw-Curtis integrals on 2 * CC_ORDER + 1 points (one
+    cached rule per order) with the weight (1-t^2)^mu folded into the
+    integrand, accepted only when the nested CC_ORDER + 1 point rule, whose
+    nodes are every other one of those points, reproduces them to 1e-12
+    relative; the functions are evaluated once, on the finer rule.  The rule
+    samples t = +-1, where the weight is infinite for mu < 0, so such a
+    weight is refused before any evaluation.
     """
     if mu < 0.0:
         raise AccuracyError("mu < 0: (1-t^2)^mu is infinite at the Clenshaw-Curtis nodes t = +-1")
+    coarse, fine = clenshaw_curtis(CC_ORDER + 1), clenshaw_curtis(2 * CC_ORDER + 1)
+    values = evaluate_sorfs(H, K, wnorm, fine.nodes, max_deriv=1, nfun=n).values
 
-    def assemble(order: int) -> np.ndarray:
-        rule = clenshaw_curtis(order)
-        t = rule.nodes
-        table = evaluate_sorfs(H, K, wnorm, t, max_deriv=1, nfun=n)
-        wq = rule.weights * (1.0 - t**2) ** mu
-        return _gram(table.values, np.stack((wq, lam * wq)))
+    def assemble(rule, vals: np.ndarray) -> np.ndarray:
+        wq = rule.weights * (1.0 - rule.nodes**2) ** mu
+        return _gram(vals, np.stack((wq, lam * wq)))
 
-    M1 = assemble(CC_ORDER)
-    M2 = assemble(2 * CC_ORDER)
+    M1 = assemble(coarse, values[:, :, ::2])
+    M2 = assemble(fine, values)
     # a NaN passes any `>` bound, so non-finite entries fail on their own
     if not (np.all(np.isfinite(M1)) and np.all(np.isfinite(M2))):
         raise AccuracyError("continuous moment matrix is not finite")

@@ -18,6 +18,7 @@ Three constructions feed the discretized Sobolev inner product:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -149,10 +150,13 @@ def clenshaw_curtis(n: int) -> QuadratureRule:
 
 
 def _pole_factors(points: np.ndarray, poles) -> np.ndarray:
-    """prod_k (points - xi_k) over the supplied pole list, elementwise, in the poles' type."""
+    """prod_k (points - xi_k) over the supplied pole list, elementwise, in the
+    poles' type; a run of equal poles reuses one difference."""
     out = np.ones(len(points))
-    for xi in poles:
-        out = out * (points - scalar(xi))
+    for xi, run in itertools.groupby(poles):
+        diff = points - scalar(xi)
+        for _ in run:
+            out = out * diff
     return out
 
 
@@ -187,17 +191,18 @@ def stieltjes_modified(base: QuadratureRule, finite_poles, n: int) -> tuple[np.n
     if not np.all(mod > 0.0):  # also refuses NaN
         raise PositivityError("modified measure has a nonpositive or NaN weight")
     x = base.nodes
+    mod_x = mod * x
     alpha = np.zeros(n)
     beta = np.zeros(n)
-    beta[0] = np.sum(mod)
+    beta[0] = np.add.reduce(mod)
     p_prev = np.zeros_like(x)
     p = np.full_like(x, 1.0 / math.sqrt(beta[0]))
     for k in range(n):
-        alpha[k] = np.sum(mod * x * p * p)
+        alpha[k] = np.add.reduce(mod_x * p * p)
         if k == n - 1:
             break
         q = (x - alpha[k]) * p - (math.sqrt(beta[k]) if k > 0 else 0.0) * p_prev
-        beta_next = np.sum(mod * q * q)
+        beta_next = np.add.reduce(mod * q * q)
         if beta_next <= 0.0:
             raise PositivityError(f"Stieltjes norm beta_{k + 1} is nonpositive")
         beta[k + 1] = beta_next

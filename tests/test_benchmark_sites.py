@@ -37,3 +37,5 @@ def test_traced_solve_counts_are_pinned():
     assert calls["updating.embed"] == 6
     assert calls["updating.add_block"] == 7
     assert tracer.counts["reference.rational_arnoldi.shifted_solves"] == 3
+    # per method one node table and one table for the continuous matrix
+    assert calls["evaluation.evaluate_sorfs"] == 6

@@ -6,9 +6,11 @@ import pytest
 from conftest import random_pole_list, random_spec
 
 from sorf.driver import _gegenbauer_config, _solve_and_score, parse_config, run_solve
-from sorf.errors import PoleCollisionError
+from sorf.errors import AccuracyError, PoleCollisionError
 from sorf.evaluation import (
+    CC_ORDER,
     SorfTable,
+    _gram,
     _norm2,
     continuous_moment_matrix,
     discrete_moment_matrix,
@@ -21,7 +23,7 @@ from sorf.evaluation import (
     table_agreement,
 )
 from sorf.pencil import INFINITY
-from sorf.quadrature import gauss_gegenbauer
+from sorf.quadrature import clenshaw_curtis, gauss_gegenbauer
 from sorf.reference import rational_arnoldi, solve_via_sop
 from sorf.sobolev import (
     DiscreteSobolevSpec,
@@ -32,6 +34,8 @@ from sorf.sobolev import (
     gegenbauer_pole_ladder,
 )
 from sorf.updating import IEPSolution, solve_updating
+
+CONJUGATE_POLES = {"N": 6, "mu": 1.0, "omega": 1.5, "poles": [[1.6, 0.4], [1.6, -0.4], [-2.0, 0.3], [-2.0, -0.3], [3.0, 0]]}
 
 
 def gegenbauer_solution(N=3, lam=1.0):
@@ -136,6 +140,53 @@ def test_one_product_per_column_matches_the_column_and_order_recurrence(route, N
             scale = np.abs(ref).reshape(nfun, -1).max(axis=1)
             err = np.abs(got - ref).reshape(nfun, -1).max(axis=1)
             assert np.all(err <= bound * scale), (max_deriv, nfun, float(np.max(err / scale)))
+
+
+def evaluate_by_order(H, K, wnorm, pts, max_deriv, nfun):
+    """One pass of the right-hand side per derivative order, after the same
+    product of the stacked H and K columns: the bitwise reference for
+    evaluate_sorfs, which forms every order's right-hand side at once."""
+    n = nfun - 1
+    ksub = np.diagonal(K, -1)[:n, None]
+    denom = pts * ksub - np.diagonal(H, -1)[:n, None]
+    HK = np.stack((H[:n, :n], K[:n, :n]))
+    vals = np.zeros((nfun, max_deriv + 1, pts.size), np.result_type(pts, H, K))
+    vals[0, 0, :] = 1.0 / wnorm
+    for j in range(1, nfun):
+        hv, kv = (HK[:, :j, j - 1] @ vals[:j].reshape(j, -1)).reshape(2, max_deriv + 1, -1)
+        for d in range(max_deriv + 1):
+            rhs = hv[d] - pts * kv[d]
+            if d > 0:
+                rhs -= d * kv[d - 1]
+                rhs -= d * ksub[j - 1] * vals[j, d - 1]
+            vals[j, d] = rhs / denom[j - 1]
+    return vals
+
+
+@pytest.mark.parametrize("route", ["updating", "krylov"])
+@pytest.mark.parametrize(
+    "N, xi, phase",
+    [
+        (6, None, 1.0),
+        (6, [1.6 + 0.4j, 1.6 - 0.4j, -2.0 + 0.3j, -2.0 - 0.3j, 3.0], 1.0),
+        (6, None, np.exp(0.3j)),
+        (12, None, 1.0),
+    ],
+    ids=["real-m22", "conjugate-poles-m22", "complex-weights-m22", "real-m46"],
+)
+@pytest.mark.parametrize("shift", [0.0, 0.05j], ids=["real-points", "complex-points"])
+def test_fused_derivative_orders_are_bitwise_the_loop_over_orders(route, N, xi, phase, shift):
+    cfg = GegenbauerSobolevConfig(mu=1.0, lam=1.0, omega=1.5, N=N)
+    spec = discretize_gegenbauer(cfg)
+    spec = DiscreteSobolevSpec(spec.nodes, spec.orders, spec.alphas, tuple(w * phase for w in spec.weights))
+    poles = default_pole_list(xi or gegenbauer_pole_ladder(1.5, N - 1), spec.m)
+    sol = solve_updating(spec, poles) if route == "updating" else rational_arnoldi(build_jordan(spec), poles)
+    pts = np.concatenate((np.array(spec.nodes), np.linspace(-0.95, 0.95, 7))) + shift
+    for max_deriv in range(4):
+        for nfun in (1, 2, sol.m // 2, sol.m):
+            got = evaluate_sorfs(sol.H, sol.K, sol.wnorm, pts, max_deriv, nfun).values
+            ref = evaluate_by_order(sol.H, sol.K, sol.wnorm, pts, max_deriv, nfun)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (max_deriv, nfun)
 
 
 def polynomial_gram_schmidt_oracle(spec, poles):
@@ -321,6 +372,42 @@ def test_continuous_moment_matrix_leading_block_and_tail():
     assert np.max(outside) >= 1e-3
 
 
+def continuous_on_two_tables(H, K, wnorm, mu, lam, n):
+    """The continuous moment matrix on the 800-point rule, from a table of
+    its own: the reference for the matrix on the nested 801-point rule."""
+    rule = clenshaw_curtis(2 * CC_ORDER)
+    table = evaluate_sorfs(H, K, wnorm, rule.nodes, max_deriv=1, nfun=n)
+    wq = rule.weights * (1.0 - rule.nodes**2) ** mu
+    return _gram(table.values, np.stack((wq, lam * wq)))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"N": 12, "mu": 2.0, "omega": 1.5}, CONJUGATE_POLES],
+    ids=["m46", "conjugate_poles"],
+)
+def test_nested_rule_matrix_matches_the_two_table_matrix_on_every_route(doc):
+    cfg = parse_config({**doc, "method": "all"})
+    gcfg = _gegenbauer_config(cfg, cfg["N"])
+    for method, sol, _, _, _ in _solve_and_score(cfg, cfg["N"]):
+        for n in (cfg["N"] - 1, sol.m):
+            Mc = continuous_moment_matrix(sol.H, sol.K, sol.wnorm, gcfg.mu, gcfg.lam, n)
+            ref = continuous_on_two_tables(sol.H, sol.K, sol.wnorm, gcfg.mu, gcfg.lam, n)
+            assert np.max(np.abs(Mc - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref))), (method, n)
+
+
+@pytest.mark.parametrize(
+    "mu, message",
+    [
+        (-0.5, r"^mu < 0: \(1-t\^2\)\^mu is infinite at the Clenshaw-Curtis nodes t = \+-1$"),
+        (0.3, r"^continuous moment matrix failed the doubled-order self-check$"),
+    ],
+)
+def test_continuous_moment_matrix_failures_keep_their_type_and_message(mu, message):
+    with pytest.raises(AccuracyError, match=message):
+        run_solve({"mu": mu, "N": 4})
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -418,9 +505,6 @@ def test_norm2_of_zero_and_non_finite_matrices():
     assert _norm2(np.zeros((2, 2), complex)) == 0.0
     assert _norm2(np.array([[1.0, np.inf], [0.0, 1.0]])) == np.inf
     assert np.isnan(_norm2(np.array([[1.0, np.nan], [0.0, 1.0]])))
-
-
-CONJUGATE_POLES = {"N": 6, "mu": 1.0, "omega": 1.5, "poles": [[1.6, 0.4], [1.6, -0.4], [-2.0, 0.3], [-2.0, -0.3], [3.0, 0]]}
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import integrate
 import sorf.quadrature
 from sorf.driver import run_solve
 from sorf.errors import ConfigError, IllPosedMeasureError, NumericalError, PositivityError
+from sorf.pencil import scalar
 from sorf.quadrature import (
     QuadratureRule,
     clenshaw_curtis,
@@ -18,6 +20,7 @@ from sorf.quadrature import (
     rational_gauss,
     stieltjes_modified,
 )
+from sorf.sobolev import GegenbauerSobolevConfig, gegenbauer_rule
 
 GEGENBAUER_MASS_MU2 = 16.0 / 15.0  # int (1-t^2)^2 dt on [-1, 1]
 
@@ -76,6 +79,14 @@ def test_cc_rule_is_cached_and_read_only():
     for _ in range(2):
         with pytest.raises(ConfigError):
             clenshaw_curtis(1)
+
+
+@pytest.mark.parametrize("coarse", [2, 17, 401])
+def test_cc_rule_on_2n_intervals_nests_the_rule_on_n(coarse):
+    # theta = pi k / n and pi (2k) / (2n) differ by exact powers of two, so
+    # the shared nodes are the same doubles
+    fine = clenshaw_curtis(2 * coarse - 1)
+    assert clenshaw_curtis(coarse).nodes.tobytes() == fine.nodes[::2].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -377,3 +388,63 @@ def test_golub_welsch_single_node():
 def test_rule_validation_refuses_malformed_arrays(nodes, weights):
     with pytest.raises(PositivityError):
         QuadratureRule(nodes, weights)
+
+
+def pole_factors_per_entry(points, poles):
+    """prod_k (points - xi_k), one subtraction per entry of the pole list."""
+    out = np.ones(len(points))
+    for xi in poles:
+        out = out * (points - scalar(xi))
+    return out
+
+
+def stieltjes_by_sum(base, finite_poles, n):
+    """The discrete Stieltjes procedure with `np.sum` and `mod * x` formed in
+    every step, on `pole_factors_per_entry`: the bitwise reference for
+    `stieltjes_modified` (its input checks left out)."""
+    denom = pole_factors_per_entry(base.nodes, finite_poles) ** 2
+    mod = base.weights / denom.real
+    x = base.nodes
+    alpha = np.zeros(n)
+    beta = np.zeros(n)
+    beta[0] = np.sum(mod)
+    p_prev = np.zeros_like(x)
+    p = np.full_like(x, 1.0 / math.sqrt(beta[0]))
+    for k in range(n):
+        alpha[k] = np.sum(mod * x * p * p)
+        if k == n - 1:
+            break
+        q = (x - alpha[k]) * p - (math.sqrt(beta[k]) if k > 0 else 0.0) * p_prev
+        beta[k + 1] = np.sum(mod * q * q)
+        p_prev, p = p, q / math.sqrt(beta[k + 1])
+    return alpha, beta
+
+
+def conjugate_pairs(count):
+    """(a_k + b_k i, a_k - b_k i) pairs of alternating sign, a real pole last when count is odd."""
+    poles = []
+    for k in itertools.count(1):
+        z = (-1) ** k * complex(1.1 + 0.05 * k, 0.2 + 0.01 * k)
+        poles += [z, z.conjugate()] if len(poles) + 2 <= count else [z.real]
+        if len(poles) >= count:
+            return tuple(poles[:count])
+
+
+def mixed_multiplicities(count):
+    """Poles repeated next to each other and apart: 1.5, 1.5, -2, 1.5, 3, 3, 3, ..."""
+    return tuple(itertools.islice(itertools.cycle([1.5, 1.5, -2.0, 1.5, 3.0, 3.0, 3.0]), count))
+
+
+@pytest.mark.parametrize("N", [2, 12, 50])
+@pytest.mark.parametrize("poles", [lambda n: None, conjugate_pairs, mixed_multiplicities],
+                         ids=["ladder", "conjugate-pairs", "mixed-multiplicities"])
+def test_rule_is_bitwise_the_one_of_per_entry_pole_factors(monkeypatch, N, poles):
+    # one subtraction per run of a repeated pole, and mod * x formed once,
+    # change no bit of the rule
+    cfg = GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.5, N=N, poles=poles(N - 1))
+    rule = gegenbauer_rule(cfg)
+    monkeypatch.setattr(sorf.quadrature, "_pole_factors", pole_factors_per_entry)
+    monkeypatch.setattr(sorf.quadrature, "stieltjes_modified", stieltjes_by_sum)
+    ref = gegenbauer_rule(cfg)
+    assert rule.nodes.tobytes() == ref.nodes.tobytes()
+    assert rule.weights.tobytes() == ref.weights.tobytes()
