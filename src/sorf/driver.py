@@ -61,7 +61,7 @@ def _decode_scalar(value) -> complex:
         z = complex(_decode_real(value[0]), _decode_real(value[1]))
     else:
         z = complex(_decode_real(value))
-    # is_infinite_pole would read a NaN component as the point at infinity
+    # refused at the boundary, where the message can quote the config value
     if np.isnan(z):
         raise ConfigError(f"scalar {value!r} has a NaN component")
     return z

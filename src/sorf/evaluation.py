@@ -32,7 +32,6 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import AccuracyError, PoleCollisionError
-from .pencil import is_infinite_pole
 from .quadrature import clenshaw_curtis
 from .sobolev import DiscreteSobolevSpec
 from .updating import IEPSolution
@@ -109,8 +108,8 @@ def evaluate_sorfs(
     return SorfTable(vals, pts)
 
 
-def evaluate_solution(sol: IEPSolution, points, max_deriv: int = 0, nfun: int | None = None) -> SorfTable:
-    return evaluate_sorfs(sol.H, sol.K, sol.wnorm, points, max_deriv, nfun)
+def evaluate_solution(sol: IEPSolution, points, max_deriv: int = 0) -> SorfTable:
+    return evaluate_sorfs(sol.H, sol.K, sol.wnorm, points, max_deriv)
 
 
 def _gram(values: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -204,28 +203,23 @@ def metric_recurrence(sys, sol: IEPSolution) -> float:
 
 
 def metric_poles(sol: IEPSolution, poles) -> float:
-    """Largest relative deviation of the pencil's subdiagonal ratios from the
-    prescribed poles; infinite poles are scored by the reciprocal ratio and a
-    zero pole by the absolute difference."""
-    H, K = sol.H, sol.K
-    worst = 0.0
-    for k, psi in enumerate(poles):
-        h = H[k + 1, k]
-        kk = K[k + 1, k]
-        if is_infinite_pole(psi):
-            if h == 0.0:
-                return np.inf
-            err = abs(kk / h)
-        elif psi == 0.0:
-            if kk == 0.0:
-                return np.inf
-            err = abs(h / kk)
-        else:
-            if kk == 0.0:
-                return np.inf
-            err = abs(h / kk - complex(psi)) / abs(complex(psi))
-        worst = max(worst, float(err))
-    return worst
+    """E_p = max_k |r_k - t_k| / s_k over the prescribed poles psi_k (0 for
+    an empty list), with h_k, k_k the subdiagonal entries (k+1, k) of H, K:
+    r_k = h_k / k_k, t_k = psi_k, s_k = |psi_k| at a finite nonzero pole;
+    r_k = h_k / k_k, t_k = 0, s_k = 1 at a zero pole; and r_k = k_k / h_k,
+    t_k = 0, s_k = 1 at an infinite one.  An exactly zero denominator
+    scores inf."""
+    psi = np.asarray(poles)
+    h, k = np.diagonal(sol.H, -1)[: psi.size], np.diagonal(sol.K, -1)[: psi.size]
+    infinite = np.isinf(psi)
+    num, den = np.where(infinite, k, h), np.where(infinite, h, k)
+    if np.any(den == 0.0):
+        return np.inf
+    plain = infinite | (psi == 0.0)
+    d = num / den - np.where(plain, 0.0, psi)
+    # hypot, the scalar |z|: numpy's vectorized complex abs can differ in the last bit
+    err = np.hypot(d.real, d.imag) / np.where(plain, 1.0, np.hypot(psi.real, psi.imag))
+    return float(np.max(err, initial=0.0))
 
 
 def metric_orthonormality(sol: IEPSolution) -> float:

@@ -9,9 +9,11 @@ subdiagonal position (k+1, k), k = 0 .. m-2.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
-from .errors import DeflationError
+from .errors import ConfigError, DeflationError
 
 #: relative threshold below which a subdiagonal entry counts as zero
 DEFLATION_RTOL = 1e-14
@@ -28,13 +30,18 @@ def scalar(z) -> float | complex:
 
 
 def is_infinite_pole(psi) -> bool:
-    return not np.isfinite(complex(psi))
+    """True for the point at infinity: a pole with an infinite real or
+    imaginary part.  A NaN is not infinite; the routes refuse it."""
+    return cmath.isinf(complex(psi))
 
 
 def pole_pair(psi) -> tuple[float | complex, float]:
-    """Homogeneous representative (mu, nu) with mu/nu = psi; nu = 0 at infinity."""
+    """Homogeneous representative (mu, nu) with mu/nu = psi; nu = 0 at
+    infinity.  A NaN pole raises ConfigError."""
     if is_infinite_pole(psi):
         return 1.0, 0.0
+    if cmath.isnan(complex(psi)):
+        raise ConfigError(f"pole {psi} is NaN")
     return scalar(psi), 1.0
 
 

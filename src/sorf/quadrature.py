@@ -52,7 +52,7 @@ class QuadratureRule:
             raise PositivityError("quadrature rule contains non-finite entries")
         if np.any(weights <= 0.0):
             raise PositivityError("quadrature weights must be strictly positive")
-        if nodes.size > 1 and np.min(np.diff(np.sort(nodes))) <= NODE_GAP:
+        if np.min(np.diff(np.sort(nodes)), initial=np.inf) <= NODE_GAP:
             raise PositivityError(f"quadrature nodes closer than {NODE_GAP}")
 
     @property
@@ -87,8 +87,7 @@ def gegenbauer_coefficients(mu: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     alpha = np.zeros(n)
     beta = np.empty(n)
     beta[0] = _gegenbauer_mass(mu)
-    if n > 1:
-        beta[1] = 1.0 / (3.0 + 2.0 * mu)
+    beta[1:2] = 1.0 / (3.0 + 2.0 * mu)  # an empty slice for n = 1
     for k in range(2, n):
         beta[k] = k * (k + 2.0 * mu) / ((2.0 * k + 2.0 * mu + 1.0) * (2.0 * k + 2.0 * mu - 1.0))
     return alpha, beta
@@ -123,8 +122,13 @@ def clenshaw_curtis(n: int) -> QuadratureRule:
     """n-node Clenshaw-Curtis rule on [-1, 1] with unit weight.
 
     Exact for polynomials of degree <= n-1.  The cosine-expansion weights
-    follow Trefethen's clencurt; nodes are returned in increasing order.
-    Each rule is built once and cached; its nodes and weights are read-only.
+    follow Trefethen's clencurt on N = n - 1 intervals, both parities in one
+    loop over k = 1 .. floor(N/2): the interior weights are
+    (2/N) (1 - sum_k c_k cos(2k theta) / (4k^2 - 1)) with c_k = 2, except
+    c_{N/2} = 1 (the cos(N theta) term of an even N), and the endpoint
+    weights 1/(N^2 - 1) for even N, 1/N^2 for odd N.  Nodes are returned in
+    increasing order.  Each rule is built once and cached; its nodes and
+    weights are read-only.
     """
     if n < 2:
         raise ConfigError("Clenshaw-Curtis needs at least two nodes")
@@ -134,15 +138,9 @@ def clenshaw_curtis(n: int) -> QuadratureRule:
     w = np.zeros(n)
     v = np.ones(N - 1)
     interior = theta[1:N]
-    if N % 2 == 0:
-        w[0] = w[N] = 1.0 / (N * N - 1)
-        for k in range(1, N // 2):
-            v -= 2.0 * np.cos(2.0 * k * interior) / (4.0 * k * k - 1)
-        v -= np.cos(N * interior) / (N * N - 1)
-    else:
-        w[0] = w[N] = 1.0 / (N * N)
-        for k in range(1, (N - 1) // 2 + 1):
-            v -= 2.0 * np.cos(2.0 * k * interior) / (4.0 * k * k - 1)
+    w[0] = w[N] = 1.0 / (N * N - 1 + N % 2)
+    for k in range(1, N // 2 + 1):
+        v -= (1.0 if 2 * k == N else 2.0) * np.cos(2.0 * k * interior) / (4.0 * k * k - 1)
     w[1:N] = 2.0 * v / N
     rule = QuadratureRule(x[::-1].copy(), w[::-1].copy(), "clenshaw-curtis")
     rule.nodes.flags.writeable = rule.weights.flags.writeable = False
@@ -176,7 +174,9 @@ def stieltjes_modified(base: QuadratureRule, finite_poles, n: int) -> tuple[np.n
     The measure is sum_j base.weights[j] / prod_k (z_j - xi_k)^2 placed at the
     base nodes; each pole in `finite_poles` contributes one squared factor.
     Uses the discrete Stieltjes procedure, stable as long as n is well below
-    the number of base nodes.
+    the number of base nodes.  Every step, the first included, is the
+    three-term step q = (x - alpha_k) p_k - sqrt(beta_k) p_{k-1}, with
+    p_{-1} = 0.
     """
     if n < 1:
         raise ConfigError("at least one coefficient pair must be requested")
@@ -185,7 +185,7 @@ def stieltjes_modified(base: QuadratureRule, finite_poles, n: int) -> tuple[np.n
     _check_poles_outside(base.nodes, finite_poles)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives NaN or 0 weights, refused below
         denom = _pole_factors(base.nodes, finite_poles) ** 2
-    if len(finite_poles) and np.max(np.abs(denom.imag)) > 1e-12 * np.max(np.abs(denom)):
+    if np.max(np.abs(denom.imag)) > 1e-12 * np.max(np.abs(denom)):
         raise PositivityError("pole list does not define a real modified measure")
     mod = base.weights / denom.real
     if not np.all(mod > 0.0):  # also refuses NaN
@@ -201,7 +201,7 @@ def stieltjes_modified(base: QuadratureRule, finite_poles, n: int) -> tuple[np.n
         alpha[k] = np.add.reduce(mod_x * p * p)
         if k == n - 1:
             break
-        q = (x - alpha[k]) * p - (math.sqrt(beta[k]) if k > 0 else 0.0) * p_prev
+        q = (x - alpha[k]) * p - math.sqrt(beta[k]) * p_prev
         beta_next = np.add.reduce(mod * q * q)
         if beta_next <= 0.0:
             raise PositivityError(f"Stieltjes norm beta_{k + 1} is nonpositive")

@@ -34,7 +34,9 @@ class DiscreteSobolevSpec:
     """Nodes, derivative orders, derivative scalings and weight amplitudes.
 
     `alphas[j]` lists (alpha_1, ..., alpha_{s_j}) for node j; `weights[j]` is
-    the amplitude w_j (the inner product uses |w_j|^2).
+    the amplitude w_j (the inner product uses |w_j|^2).  Scalings and weights
+    must be nonzero, all three finite, and the nodes more than NODE_GAP
+    apart (a single node has no gap to test); ConfigError otherwise.
     """
 
     nodes: tuple
@@ -63,11 +65,11 @@ class DiscreteSobolevSpec:
                 raise ConfigError(f"derivative scalings of node {j} must be nonzero")
         if any(w == 0 for w in weights):
             raise ConfigError("weight amplitudes must be nonzero")
+        if not np.all(np.isfinite([*nodes, *weights, *sum(alphas, ())])):
+            raise ConfigError("nodes, derivative scalings and weight amplitudes must be finite")
         z = np.array(nodes)
-        if sigma > 1:
-            gap = np.min(np.abs(z[:, None] - z[None, :])[~np.eye(sigma, dtype=bool)])
-            if gap <= NODE_GAP:
-                raise ConfigError("nodes must be pairwise distinct")
+        if np.min(np.abs(z[:, None] - z[None, :])[~np.eye(sigma, dtype=bool)], initial=np.inf) <= NODE_GAP:
+            raise ConfigError("nodes must be pairwise distinct")
 
     @property
     def sigma(self) -> int:
@@ -194,27 +196,29 @@ def default_pole_list(xi, m: int, free=None) -> list:
     """Pole list psi_1..psi_{m-1}: the prescribed prefix xi, then free poles.
 
     Free poles default to infinity, which keeps the trailing subdiagonal of K
-    zero; each solver checks the list against the nodes on entry.
+    zero.  Every entry, prescribed or free, is normalized by one rule: an
+    infinite pole becomes INFINITY, any other `scalar`'s float or complex; a
+    NaN passes through, and each solver's `check_spectrum_disjoint` refuses it.
     """
-    xi = [INFINITY if is_infinite_pole(x) else scalar(x) for x in xi]
+    xi = list(xi)
     if len(xi) > m - 1:
         raise ConfigError(f"{len(xi)} prescribed poles exceed the m - 1 = {m - 1} available positions")
-    if free is None:
-        free = [INFINITY] * (m - 1 - len(xi))
-    else:
-        free = [INFINITY if is_infinite_pole(x) else scalar(x) for x in free]
-        if len(free) != m - 1 - len(xi):
-            raise ConfigError(f"need exactly {m - 1 - len(xi)} free poles, got {len(free)}")
-    return xi + free
+    free = [INFINITY] * (m - 1 - len(xi)) if free is None else list(free)
+    if len(free) != m - 1 - len(xi):
+        raise ConfigError(f"need exactly {m - 1 - len(xi)} free poles, got {len(free)}")
+    return [INFINITY if is_infinite_pole(x) else scalar(x) for x in xi + free]
 
 
 def check_spectrum_disjoint(poles, nodes) -> None:
-    """The one pole-versus-node rule of all three solvers: a finite pole
-    within NODE_GAP * max(1, |psi|) of a node raises SpectrumOverlapError."""
+    """The one pole-versus-node rule of all three solvers, applied on entry:
+    a NaN pole raises ConfigError, and a finite pole within
+    NODE_GAP * max(1, |psi|) of a node raises SpectrumOverlapError."""
     z = np.asarray(nodes)
     for k, psi in enumerate(poles):
         if is_infinite_pole(psi):
             continue
+        if np.isnan(complex(psi)):
+            raise ConfigError(f"pole psi_{k + 1} = {psi} is NaN")
         d = np.min(np.abs(z - complex(psi)))
         if d <= NODE_GAP * max(1.0, abs(complex(psi))):
             raise SpectrumOverlapError(f"pole psi_{k + 1} = {psi} coincides with a node")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_pole_list, random_spec
+from conftest import ROUTES, random_pole_list, random_spec
 
 from sorf.driver import _gegenbauer_config, _solve_and_score, parse_config, run_solve
 from sorf.errors import AccuracyError, PoleCollisionError
@@ -22,7 +22,7 @@ from sorf.evaluation import (
     metric_sobolev,
     table_agreement,
 )
-from sorf.pencil import INFINITY
+from sorf.pencil import INFINITY, is_infinite_pole
 from sorf.quadrature import clenshaw_curtis, gauss_gegenbauer
 from sorf.reference import rational_arnoldi, solve_via_sop
 from sorf.sobolev import (
@@ -438,6 +438,64 @@ def test_metric_poles_exact_and_perturbed(rng):
 
     bad = IEPSolution(np.stack((H, sol.K.copy(), sol.Q.T)), sol.wnorm)
     assert metric_poles(bad, poles) == pytest.approx(1e-6, rel=1e-3)
+
+
+def metric_poles_by_loop(sol, poles):
+    """E_p one pole at a time, a branch and an early return for each kind of
+    pole: the bitwise reference for metric_poles."""
+    H, K = sol.H, sol.K
+    worst = 0.0
+    for k, psi in enumerate(poles):
+        h = H[k + 1, k]
+        kk = K[k + 1, k]
+        if is_infinite_pole(psi):
+            if h == 0.0:
+                return np.inf
+            err = abs(kk / h)
+        elif psi == 0.0:
+            if kk == 0.0:
+                return np.inf
+            err = abs(h / kk)
+        else:
+            if kk == 0.0:
+                return np.inf
+            err = abs(h / kk - complex(psi)) / abs(complex(psi))
+        worst = max(worst, float(err))
+    return worst
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize(
+    "xi, phase",
+    [(None, 1.0), (None, np.exp(0.3j)), ([1.6 + 0.4j, 1.6 - 0.4j, -2.0 + 0.3j, -2.0 - 0.3j, 3.0], 1.0)],
+    ids=["real", "complex-weights", "conjugate-poles"],
+)
+def test_pole_metric_is_bitwise_the_loop_over_poles(route, xi, phase):
+    cfg = GegenbauerSobolevConfig(mu=1.0, lam=1.0, omega=1.5, N=6)
+    spec = discretize_gegenbauer(cfg)
+    spec = DiscreteSobolevSpec(spec.nodes, spec.orders, spec.alphas, tuple(w * phase for w in spec.weights))
+    poles = default_pole_list(xi or gegenbauer_pole_ladder(1.5, 5), spec.m)
+    sol = ROUTES[route](spec, poles)
+    n = len(poles)
+    # the free poles sit on exactly zero K subdiagonals: scored as finite or
+    # zero poles there, they divide by zero
+    on_free = [*poles[:5], 1.5, *poles[6:]]
+    scored = [poles, poles[:5], [], [0.0] * 5, [INFINITY] * n, on_free, [0.0, *poles[1:5], 0.0, *poles[6:]]]
+    # every kind of pole against ratios that miss it: a zero, an infinite, a
+    # real and a complex pole, and a large and a tiny one
+    rotating = [0.0, INFINITY, -1.5, 1.6 - 0.4j, 1e300, -1e-300]
+    scored += [[rotating[(k + shift) % 6] for k in range(5)] for shift in range(6)]
+    for psis in scored:
+        got, ref = metric_poles(sol, psis), metric_poles_by_loop(sol, psis)
+        assert type(got) is float and np.array_equal(got, ref, equal_nan=False), (psis, got, ref)
+    assert metric_poles(sol, poles[:5]) <= 1e-13
+    assert metric_poles(sol, on_free) == math.inf
+    assert metric_poles(sol, []) == 0.0
+    # an infinite pole on an exactly zero H subdiagonal
+    H = sol.H.copy()
+    H[3, 2] = 0.0
+    reduced = IEPSolution(np.stack((H, sol.K, sol.Q.T)), sol.wnorm)
+    assert metric_poles(reduced, [1.5, 2.0, INFINITY]) == metric_poles_by_loop(reduced, [1.5, 2.0, INFINITY]) == math.inf
 
 
 def test_metric_orthonormality_scaled_column():

@@ -89,6 +89,37 @@ def test_cc_rule_on_2n_intervals_nests_the_rule_on_n(coarse):
     assert clenshaw_curtis(coarse).nodes.tobytes() == fine.nodes[::2].tobytes()
 
 
+def clenshaw_curtis_by_parity(n):
+    """Trefethen's clencurt with one branch per parity of N = n - 1, the
+    cos(N theta) term of an even N outside the loop: the bitwise reference
+    for clenshaw_curtis."""
+    N = n - 1
+    theta = np.pi * np.arange(n) / N
+    x = np.cos(theta)
+    w = np.zeros(n)
+    v = np.ones(N - 1)
+    interior = theta[1:N]
+    if N % 2 == 0:
+        w[0] = w[N] = 1.0 / (N * N - 1)
+        for k in range(1, N // 2):
+            v -= 2.0 * np.cos(2.0 * k * interior) / (4.0 * k * k - 1)
+        v -= np.cos(N * interior) / (N * N - 1)
+    else:
+        w[0] = w[N] = 1.0 / (N * N)
+        for k in range(1, (N - 1) // 2 + 1):
+            v -= 2.0 * np.cos(2.0 * k * interior) / (4.0 * k * k - 1)
+    w[1:N] = 2.0 * v / N
+    return x[::-1], w[::-1]
+
+
+def test_cc_one_loop_is_bitwise_the_rule_by_parity():
+    # the uncached builder, so the rules the other tests share stay cached
+    for n in range(2, 1001):
+        rule = clenshaw_curtis.__wrapped__(n)
+        x, w = clenshaw_curtis_by_parity(n)
+        assert rule.nodes.tobytes() == x.tobytes() and rule.weights.tobytes() == w.tobytes(), n
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Gegenbauer
 # ---------------------------------------------------------------------------
@@ -351,8 +382,15 @@ def test_rule_validation_negative_weight():
 
 
 def test_rule_validation_coincident_nodes():
-    with pytest.raises(PositivityError):
+    with pytest.raises(PositivityError, match=r"^quadrature nodes closer than 1e-12$"):
         QuadratureRule(np.array([0.5, 0.5 + 1e-14]), np.array([1.0, 1.0]))
+    with pytest.raises(PositivityError, match=r"^quadrature nodes closer than 1e-12$"):
+        QuadratureRule(np.array([0.9, -0.2, 0.9]), np.array([1.0, 1.0, 1.0]))
+
+
+def test_one_node_rule_is_accepted():
+    rule = QuadratureRule(np.array([0.25]), np.array([2.0]))
+    assert rule.n == 1 and rule.nodes.tolist() == [0.25]
 
 
 @pytest.mark.parametrize(
@@ -400,8 +438,9 @@ def pole_factors_per_entry(points, poles):
 
 def stieltjes_by_sum(base, finite_poles, n):
     """The discrete Stieltjes procedure with `np.sum` and `mod * x` formed in
-    every step, on `pole_factors_per_entry`: the bitwise reference for
-    `stieltjes_modified` (its input checks left out)."""
+    every step, on `pole_factors_per_entry`, and a first step that drops the
+    p_{-1} term: the bitwise reference for `stieltjes_modified` (its input
+    checks left out)."""
     denom = pole_factors_per_entry(base.nodes, finite_poles) ** 2
     mod = base.weights / denom.real
     x = base.nodes
@@ -448,3 +487,23 @@ def test_rule_is_bitwise_the_one_of_per_entry_pole_factors(monkeypatch, N, poles
     ref = gegenbauer_rule(cfg)
     assert rule.nodes.tobytes() == ref.nodes.tobytes()
     assert rule.weights.tobytes() == ref.weights.tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 2, 12, 50])
+@pytest.mark.parametrize("poles", [lambda n: None, conjugate_pairs, mixed_multiplicities],
+                         ids=["ladder", "conjugate-pairs", "mixed-multiplicities"])
+def test_stieltjes_recurrence_is_bitwise_the_one_with_a_separate_first_step(monkeypatch, N, poles):
+    # the three-term step with p_{-1} = 0 also takes the first step, and a
+    # pole-free measure (N = 1) goes through the complex-measure test
+    calls = []
+
+    def checked(base, finite_poles, n):
+        alpha, beta = stieltjes_modified(base, finite_poles, n)
+        ref_alpha, ref_beta = stieltjes_by_sum(base, finite_poles, n)
+        assert alpha.tobytes() == ref_alpha.tobytes() and beta.tobytes() == ref_beta.tobytes()
+        calls.append(len(finite_poles))
+        return alpha, beta
+
+    monkeypatch.setattr(sorf.quadrature, "stieltjes_modified", checked)
+    gegenbauer_rule(GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.5, N=N, poles=poles(N - 1)))
+    assert calls == [2 * (N - 1)]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import ROUTES
+
 from sorf.errors import ConfigError, SpectrumOverlapError
 from sorf.pencil import INFINITY, is_infinite_pole
 from sorf.reference import rational_arnoldi, solve_via_sop
@@ -94,6 +96,35 @@ def test_spec_validation():
 def test_spec_refuses_malformed_fields(fields):
     with pytest.raises(ConfigError):
         DiscreteSobolevSpec(**fields)
+
+
+TWO_NODES = {"nodes": (-0.3, 0.4), "orders": (1, 0), "alphas": ((0.8,), ()), "weights": (1.2, 0.7)}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("nodes", (np.nan, 0.4)), ("nodes", (-0.3, np.inf)), ("nodes", (complex(-0.3, np.nan), 0.4)),
+        ("alphas", ((np.nan,), ())), ("alphas", ((-np.inf,), ())),
+        ("weights", (1.2, np.nan)), ("weights", (np.inf, 0.7)), ("weights", (1.2, complex(0.7, np.inf))),
+    ],
+    ids=["nan-node", "infinite-node", "complex-nan-node", "nan-scaling", "infinite-scaling",
+         "nan-weight", "infinite-weight", "complex-infinite-weight"],
+)
+def test_every_route_refuses_a_non_finite_spec_field(route, field, value):
+    # refused in the spec, before the node-gap test and before any route runs
+    with pytest.raises(ConfigError, match="^nodes, derivative scalings and weight amplitudes must be finite$"):
+        ROUTES[route](DiscreteSobolevSpec(**{**TWO_NODES, field: value}), [1.5, INFINITY])
+    ROUTES[route](DiscreteSobolevSpec(**TWO_NODES), [1.5, INFINITY])
+
+
+def test_one_node_spec_is_accepted_and_coinciding_nodes_are_refused():
+    spec = DiscreteSobolevSpec(nodes=(0.3,), orders=(2,), alphas=((0.5, 2.0),), weights=(1.5,))
+    assert spec.sigma == 1 and spec.m == 3
+    for nodes in [(0.1, 0.1), (0.1, 0.5, 0.1 + 1e-13), (0.2j, 0.2j)]:
+        with pytest.raises(ConfigError, match="^nodes must be pairwise distinct$"):
+            DiscreteSobolevSpec(nodes=nodes, orders=(0,) * len(nodes), alphas=((),) * len(nodes), weights=(1,) * len(nodes))
 
 
 def test_build_jordan_single_node():
@@ -214,6 +245,43 @@ def test_every_route_rejects_a_pole_on_a_node():
             solve(spec, poles)
         messages.add(str(info.value))
     assert len(messages) == 1, messages
+
+
+@pytest.mark.parametrize("psi", [INFINITY, -INFINITY, complex(0.0, np.inf), complex(np.inf, np.nan)])
+def test_only_an_infinite_part_makes_a_pole_infinite(psi):
+    assert is_infinite_pole(psi)
+
+
+@pytest.mark.parametrize("psi", [np.nan, complex(np.nan, 0.0), complex(1.5, np.nan), 0.0, 1e308, 2j])
+def test_a_nan_or_finite_pole_is_not_infinite(psi):
+    assert not is_infinite_pole(psi)
+
+
+def test_default_pole_list_passes_a_nan_through():
+    poles = default_pole_list([np.nan], 4)
+    assert np.isnan(poles[0]) and poles[1:] == [INFINITY, INFINITY]
+    poles = default_pole_list([], 4, free=[2.0, complex(np.nan, 1.0), np.inf])
+    assert poles[0] == 2.0 and np.isnan(poles[1]) and poles[2] == INFINITY
+
+
+NAN_POLE_SPEC = discretize_gegenbauer(GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.5, N=3))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize(
+    "make_poles",
+    [
+        lambda m: [np.nan, *[INFINITY] * (m - 2)],
+        lambda m: [-1.5, 1.5, complex(2.0, np.nan), *[INFINITY] * (m - 4)],
+        lambda m: default_pole_list([np.nan, 1.5], m),
+        lambda m: default_pole_list([-1.5, 1.5], m, free=[*[INFINITY] * (m - 4), complex(np.nan, np.nan)]),
+    ],
+    ids=["direct-first", "direct-complex", "default-list-prescribed", "default-list-free"],
+)
+def test_every_route_refuses_a_nan_pole(route, make_poles):
+    # a NaN is not the point at infinity: every route refuses it on entry
+    with pytest.raises(ConfigError, match=r"^pole psi_\d+ = .* is NaN$"):
+        ROUTES[route](NAN_POLE_SPEC, make_poles(NAN_POLE_SPEC.m))
 
 
 def test_default_pole_list_explicit_free_poles():

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import KERNEL_AT, ROUTES, assert_iep_invariants, kernel_stack, on_stack, random_pole_list, random_spec, rotation_matrix
 
-from sorf.errors import DeflationError, NumericalError
+from sorf.errors import ConfigError, DeflationError, NumericalError
 from sorf.pencil import INFINITY, is_infinite_pole, pole_at
 from sorf.rotations import rotate_cols, rotate_rows
 from sorf.sobolev import DiscreteSobolevSpec, build_jordan, default_pole_list
@@ -774,6 +774,15 @@ def test_op2_refuses_a_pencil_without_a_pole_position(psi):
     with pytest.raises(IndexError):
         op2_add_pole(X, psi)
     assert np.array_equal(X, np.stack([np.eye(1)] * 3))
+
+
+@pytest.mark.parametrize("psi", [np.nan, complex(1.5, np.nan)])
+def test_op2_refuses_a_nan_pole_and_leaves_the_pencil(psi):
+    X = add_block(None, 0.5, [1.0, 0.8], 2.0, [-1.5, 2.5]).X
+    before = X.copy()
+    with pytest.raises(ConfigError, match="is NaN"):
+        op2_add_pole(X, psi)
+    assert X.tobytes() == before.tobytes()
 
 
 def test_install_poles_refuses_more_poles_than_positions():
