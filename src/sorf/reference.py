@@ -10,7 +10,9 @@ the basis is kept orthogonal with a second orthogonalization pass.
 `solve_via_sop` takes the recurrence matrix of the Sobolev orthogonal
 polynomials from polynomial Arnoldi (all poles at infinity, K = I exactly;
 no updating solve) and then installs the poles, up to the last finite one,
-with the updating solver's add-and-swap loop `install_poles`.  Both routes
+with the updating solver's loop `install_poles`: each is added at the bottom
+and moved to its place by a chain of swaps, or by one LAPACK ?tgexc call
+when it travels more than `updating.SWAP_CHAIN_MAX` positions.  Both routes
 take the caller's `JordanSystem` (J, w).
 """
 
@@ -99,7 +101,7 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
 def solve_via_sop(sys: JordanSystem, poles) -> IEPSolution:
     """Polynomial-first route on the Jordan system `sys`: polynomial Arnoldi
     gives H with K = I, then the poles psi_1, psi_2, ... are added and
-    swapped into the leading subpencil.
+    moved into the leading subpencil.
 
     `poles` may stop short of m - 1 entries; the positions after it keep
     their infinite poles, and so do trailing infinite entries, which are

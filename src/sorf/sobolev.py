@@ -82,7 +82,8 @@ class DiscreteSobolevSpec:
 
 @dataclass(frozen=True)
 class JordanSystem:
-    """Square upper-bidiagonal matrix J and weight vector w of its size."""
+    """Square upper-bidiagonal matrix J and weight vector w of its size, both
+    finite; ConfigError otherwise."""
 
     J: np.ndarray
     w: np.ndarray
@@ -90,6 +91,8 @@ class JordanSystem:
     def __post_init__(self):
         if self.J.ndim != 2 or self.J.shape != self.w.shape * 2 or np.any(np.tril(self.J, -1)) or np.any(np.triu(self.J, 2)):
             raise ConfigError("J must be a square upper bidiagonal matrix and w a vector of its size")
+        if not (np.all(np.isfinite(self.J)) and np.all(np.isfinite(self.w))):
+            raise ConfigError("J and w must be finite")
 
     @property
     def m(self) -> int:

@@ -10,7 +10,8 @@ Blocks of J are introduced one at a time.  Each step embeds the solved
 subproblems block-diagonally, corrects the first column of Q with a single
 plane rotation, restores the Hessenberg shape with pole-preserving
 eliminations, and finally installs the new block's poles by adding each one
-at the bottom position and swapping it upward.  Elimination and swap share
+at the bottom position and moving it upward: by a chain of swaps over a
+short distance, else by one LAPACK ?tgexc call.  Elimination and swap share
 one 2x2 step, `_step`: a right rotation from the null direction of a
 rank-one combination of the H and K kernels, then a re-triangularizing left
 rotation.  `_pin` then carries each moved pole as its homogeneous pair.
@@ -30,12 +31,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from . import pencil
 from .errors import DeflationError, NumericalError
 from .pencil import DEFLATION_RTOL, assert_unreduced, pencil_scale, pole_at, pole_pair
 from .rotations import bind, null_direction, rotate_cols, rotate_rows, zeroing
 from .sobolev import DiscreteSobolevSpec, check_spectrum_disjoint
+
+# The longest move `install_poles` makes by a chain of swaps is
+# max(SWAP_CHAIN_MAX, m // 16) positions; longer moves take one ?tgexc call.
+# Measured with one BLAS thread on sop's pencils, a swap costs 6-8 us and a
+# ?tgexc move 40-50 us plus 1 us per position at m <= 94, 75 us plus 2 us
+# per position at m = 198 (its m x m work arrays): the chain breaks even at
+# 8 positions for m = 10 .. 94 and at 13 for m = 198.
+SWAP_CHAIN_MAX = 8
 
 
 @dataclass
@@ -283,29 +293,76 @@ def op3_swap_adjacent(X: np.ndarray, c: int):
     return out
 
 
+def _move_pole(X: np.ndarray, t: int) -> None:
+    """Move the pole at the last position m - 2 up to position t with one
+    LAPACK ?tgexc call; the poles at t .. m - 3 each move one down.
+
+    The poles are the eigenvalues of the triangular pencil
+    (H[1:, :-1], K[1:, :-1]), and ?tgexc reorders them.  It rotates only
+    the first N rows of q and z, so it gets the pencil at N = m: a = H[1:]
+    and b = K[1:] with a zero last row, q = Q[:, 1:], and rows 0 of H and K
+    in z, which takes the right rotations.  A move to t reads and writes
+    only columns t.. of a, b and z and t .. m - 2 of q (and a[t, t - 1],
+    which must be zero), so only those are copied in and back.  dtgexc and
+    ztgexc pick different right-rotation signs, so a unimodular factor per
+    moved column makes the entry `_pin` keeps real and nonnegative; then the
+    `_pin` rule, applied to every moved pair at once, carries each moved pole
+    as its pair (on real data bit for bit what one `_pin` call per pair
+    writes).  DeflationError when ?tgexc refuses a swap (nonzero info).
+    """
+    m = X.shape[1]
+    i = np.arange(t, m - 1)
+    src = i - 1
+    src[0] = m - 2
+    h, k = X[:2].diagonal(-1, 1, 2)[:, src]  # the pole pairs after the move
+    a, b, q, z = (np.empty((m, m), X.dtype, order="F") for _ in range(4))
+    a[:-1, t:], b[:-1, t:], q[:, t:-1], z[:2, t:] = X[0, 1:, t:], X[1, 1:, t:], X[2, t + 1:].T, X[:2, 0, t:]
+    a[-1, t:] = b[-1, t:] = a[t, :t] = z[2:, t:] = 0.0
+    tgexc = get_lapack_funcs("tgexc", (X,))
+    a, b, q, z, *_, info = tgexc(a, b, q, z, m - 1, t + 1, overwrite_a=1, overwrite_b=1, overwrite_q=1, overwrite_z=1)
+    if info != 0:
+        raise DeflationError(f"pole move to index {t} degenerated (?tgexc info {info})")
+    keep_h = np.abs(h) >= np.abs(k)
+    kept = np.where(keep_h, a[i, i], b[i, i])
+    size = np.abs(kept)
+    phases = np.divide(size, kept, out=np.ones_like(kept), where=kept != 0.0)
+    for M in (a, b, z[:2]):
+        M[:, t:-1] *= phases
+    other = size * (np.where(keep_h, k, h) / np.where(keep_h, h, k))
+    a[i, i], b[i, i] = np.where(keep_h, size, other), np.where(keep_h, other, size)
+    X[0, 1:, t:], X[1, 1:, t:], X[2, t + 1:], X[:2, 0, t:] = a[:-1, t:], b[:-1, t:], q[:, t:-1].T, z[:2, t:]
+
+
 def install_poles(sol: IEPSolution, poles, first_index: int) -> None:
-    """Add each pole at the bottom and swap it up to index first_index + j
-    (j its place in `poles`), in place on the stack sol.X = (H, K, Q^T);
-    ValueError, before any change, when they do not fit in positions
-    first_index .. m - 2.  A complex pole makes a real stack complex: the one
-    place that promotes the type, rebinding sol.X to the complex stack."""
+    """Add each pole at the bottom and move it up to index first_index + j
+    (j its place in `poles`), in place on the stack sol.X = (H, K, Q^T): by
+    a chain of `op3_swap_adjacent` calls over at most
+    max(SWAP_CHAIN_MAX, m // 16) positions, further by one ?tgexc call
+    (`_move_pole`), which beats a long chain but not a short one.  ValueError, before any change, when the
+    poles do not fit in positions first_index .. m - 2.  A complex pole
+    makes a real stack complex: the one place that promotes the type,
+    rebinding sol.X to the complex stack."""
     m = sol.m
     if not 0 <= first_index <= m - 1 - len(poles):
         raise ValueError(f"{len(poles)} poles from index {first_index} overrun the {m - 1} positions")
     X = sol.X
     if (dtype := np.result_type(X, np.asarray(poles))) != X.dtype:
         X = sol.X = X.astype(dtype)
-    for j, psi in enumerate(poles):
+    chain_max = max(SWAP_CHAIN_MAX, m // 16)
+    for t, psi in enumerate(poles, first_index):
         op2_add_pole(X, psi)
-        for c in range(m - 3, first_index + j - 1, -1):
-            op3_swap_adjacent(X, c)
+        if m - 2 - t > chain_max:
+            _move_pole(X, t)
+        else:
+            for c in range(m - 3, t - 1, -1):
+                op3_swap_adjacent(X, c)
 
 
 def add_block(current: IEPSolution | None, node, alphas, weight, new_poles) -> IEPSolution:
     """Grow the solution by one block of J and install its pole positions.
 
     `new_poles` supplies s + 1 poles (s for the very first block), ordered by
-    target position: the first entry lands deepest and is swapped s times.
+    target position: the first entry lands deepest and moves s positions.
     """
     blk = single_block_solution(node, alphas, weight)
     if current is None:

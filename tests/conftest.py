@@ -4,6 +4,7 @@ import pytest
 from sorf.evaluation import metric_orthonormality, metric_poles, metric_recurrence
 from sorf.reference import rational_arnoldi, solve_via_sop
 from sorf.sobolev import DiscreteSobolevSpec, build_jordan, default_pole_list
+from sorf import updating
 from sorf.updating import solve_updating
 
 # the three solution routes, each from a spec and a pole list
@@ -99,6 +100,25 @@ def assert_iep_invariants(system, sol, poles, rtol=1e-12):
     assert metric_recurrence(system, sol) <= rtol
     assert metric_poles(sol, poles) <= rtol
     assert is_upper_hessenberg(sol.H) and is_upper_hessenberg(sol.K)
+
+
+@pytest.fixture
+def tgexc_calls(monkeypatch):
+    """The ?tgexc calls `sorf.updating` makes while the test runs, in order."""
+    calls = []
+    lookup = updating.get_lapack_funcs
+
+    def counting(name, arrays):
+        routine = lookup(name, arrays)
+
+        def wrapped(*args, **kwargs):
+            calls.append(routine.typecode + name)
+            return routine(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(updating, "get_lapack_funcs", counting)
+    return calls
 
 
 @pytest.fixture

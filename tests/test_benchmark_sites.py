@@ -32,7 +32,9 @@ def test_traced_solve_counts_are_pinned():
     assert tracer.counts["updating.eliminations"] == 78
     assert tracer.counts["updating.eliminations_expected"] == 78
     assert calls["updating.op2_add_pole"] == 16
-    assert calls["updating.op3_swap_adjacent"] == 39
+    # the updating route's 6 one-position swaps; sop moves each of its 3
+    # poles by one ?tgexc call, which the tracer does not wrap
+    assert calls["updating.op3_swap_adjacent"] == 6
     assert calls["updating.restore_hessenberg"] == 6
     assert calls["updating.embed"] == 6
     assert calls["updating.add_block"] == 7

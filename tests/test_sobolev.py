@@ -159,6 +159,21 @@ def test_jordan_system_refuses_what_is_not_square_upper_bidiagonal_with_a_matchi
     assert JordanSystem(J, w).m == 10
 
 
+def test_jordan_system_refuses_non_finite_entries():
+    # a system built by hand bypasses the spec's checks: on three nodes the
+    # routes would end in an untyped ValueError (sop) or a breakdown that
+    # names the wrong cause (Krylov)
+    sys = build_jordan(discretize_gegenbauer(GegenbauerSobolevConfig(mu=2.0, lam=1.0, omega=1.5, N=2)))
+    J, w = sys.J, sys.w
+    nan_diagonal, nan_weight, inf_superdiagonal = J.copy(), w.copy(), J.copy()
+    nan_diagonal[1, 1] = np.nan
+    nan_weight[2] = np.nan
+    inf_superdiagonal[0, 1] = np.inf
+    for Jb, wb in ((nan_diagonal, w), (J, nan_weight), (inf_superdiagonal, w)):
+        with pytest.raises(ConfigError, match="^J and w must be finite$"):
+            JordanSystem(Jb, wb)
+
+
 def test_build_jordan_gegenbauer_block_pattern():
     cfg = GegenbauerSobolevConfig(mu=2.0, lam=4.0, omega=1.1, N=2)
     spec = discretize_gegenbauer(cfg)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import KERNEL_AT, ROUTES, assert_iep_invariants, kernel_stack, on_stack, random_pole_list, random_spec, rotation_matrix
+from conftest import KERNEL_AT, ROUTES, assert_iep_invariants, is_upper_hessenberg, kernel_stack, on_stack, random_pole_list, random_spec, rotation_matrix
+
+from sorf import updating
 
 from sorf.errors import ConfigError, DeflationError, NumericalError
-from sorf.pencil import INFINITY, is_infinite_pole, pole_at
+from sorf.evaluation import metric_poles
+from sorf.pencil import INFINITY, is_infinite_pole, pole_at, pole_pair
 from sorf.rotations import rotate_cols, rotate_rows
 from sorf.sobolev import DiscreteSobolevSpec, build_jordan, default_pole_list
 from sorf.updating import (
@@ -797,3 +800,116 @@ def test_install_poles_refuses_more_poles_than_positions():
     assert np.array_equal(sol.X, before)
     install_poles(sol, [-4.0, 5.0], 0)  # exactly the two positions
     assert sol.poles() == pytest.approx([-4.0, 5.0], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# long moves: one ?tgexc call in place of a swap chain
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def short_chains(monkeypatch):
+    """install_poles moves a pole by ?tgexc whenever it travels two or more
+    positions, so that small pencils reach the compiled move."""
+    monkeypatch.setattr(updating, "SWAP_CHAIN_MAX", 1)
+
+
+def random_pole_stack(rng, dtype, poles):
+    """Stack (H, K, Q^T) of a random unreduced Hessenberg pencil of dimension
+    len(poles) + 1 carrying `poles` in order, with Q a random unitary; each
+    subdiagonal pair is the pole pair scaled to a largest entry of order 1,
+    as in a balanced pencil."""
+
+    def draw(*shape):
+        M = rng.normal(size=shape)
+        return M + 1j * rng.normal(size=shape) if dtype is complex else M
+
+    m = len(poles) + 1
+    X = np.zeros((3, m, m), dtype)
+    X[:2] = np.triu(draw(2, m, m))
+    for k, psi in enumerate(poles):
+        mu, nu = pole_pair(psi)
+        scale = (draw() + 1.0) / max(abs(mu), abs(nu))
+        X[0, k + 1, k], X[1, k + 1, k] = scale * mu, scale * nu
+    X[2] = np.linalg.qr(draw(m, m))[0].T
+    return X
+
+
+def assert_move_matches_swap_chain(tgexc_calls, X, poles, first_index, moves):
+    """install_poles on X equals, to rounding and one phase per column of Q,
+    adding each pole and swapping it up one position at a time; it makes
+    `moves` ?tgexc calls.  Returns both stacks."""
+    m = X.shape[1]
+    chain = X.astype(np.result_type(X, np.asarray(poles)))
+    for t, psi in enumerate(poles, first_index):
+        op2_add_pole(chain, psi)
+        for c in range(m - 3, t - 1, -1):
+            op3_swap_adjacent(chain, c)
+    sol = IEPSolution(X.copy(), 1.0)
+    before = len(tgexc_calls)
+    install_poles(sol, poles, first_index)
+    assert len(tgexc_calls) - before == moves
+    expected = IEPSolution(chain, 1.0).poles()
+    for a, b in zip(expected, sol.poles()):
+        if is_infinite_pole(a):
+            assert is_infinite_pole(b)
+        else:
+            assert abs(b - a) <= 1e-13 * max(abs(a), 1.0), (a, b)
+    assert np.abs(np.abs(chain[2].conj() @ sol.X[2].T) - np.eye(m)).max() <= 1e-13
+    assert metric_poles(sol, expected) <= m * np.finfo(float).eps
+    assert is_upper_hessenberg(sol.H) and is_upper_hessenberg(sol.K)
+    return sol.X, chain
+
+
+MOVE_CASES = {
+    "finite past infinite": ([INFINITY] * 8, [1.7]),
+    "infinite past infinite": ([INFINITY] * 6, [INFINITY]),
+    "equal finite": ([2.5] * 7, [2.5]),
+    "zero pole": ([-1.4, 0.0, 1.9, -2.2, 3.1], [0.0]),
+    "large poles": ([1e8, -1e8, 1.3, 1e8, -2.0, -1e8], [-1e8]),
+    "finite past finite": ([-1.3, 1.7, INFINITY, -2.0, 1.1, 2.4, -3.3, 1.6, 4.2, -1.2], [5.5]),
+}
+
+
+@pytest.mark.parametrize("dtype", (float, complex))
+@pytest.mark.parametrize("case", MOVE_CASES)
+def test_move_of_two_or_more_positions_matches_the_swap_chain(short_chains, tgexc_calls, rng, dtype, case):
+    existing, new = MOVE_CASES[case]
+    for first_index in range(len(existing) - 2):  # every move of two or more positions
+        X = random_pole_stack(rng, dtype, existing)
+        assert_move_matches_swap_chain(tgexc_calls, X, new, first_index, 1)
+
+
+@pytest.mark.parametrize("dtype", (float, complex))
+@pytest.mark.parametrize("s", (2, 3))
+def test_block_of_order_s_installs_like_the_swap_chain(short_chains, tgexc_calls, rng, dtype, s):
+    # an appended block of order s brings s + 1 poles from index m - s - 2;
+    # the ones that travel two or more positions move by ?tgexc here (at the
+    # default cut-off all of them swap)
+    for m in (5, 8, 12):
+        X = random_pole_stack(rng, dtype, list(rng.uniform(-3.0, 3.0, size=m - 1)))
+        new = list(rng.uniform(1.1, 4.0, size=s + 1) * rng.choice((-1.0, 1.0), size=s + 1))
+        assert_move_matches_swap_chain(tgexc_calls, X, new, m - s - 2, s - 1)
+
+
+@pytest.mark.parametrize("dtype", (float, complex))
+@pytest.mark.parametrize("m", (updating.SWAP_CHAIN_MAX + 4, 200))
+def test_install_poles_swaps_up_to_the_cut_off_and_moves_beyond_it(tgexc_calls, rng, dtype, m):
+    # a move of max(SWAP_CHAIN_MAX, m // 16) positions (8, and 12 at m = 200)
+    # is the swap chain bit for bit; one position more takes one ?tgexc call
+    chain_max = max(updating.SWAP_CHAIN_MAX, m // 16)
+    X = random_pole_stack(rng, dtype, list(rng.uniform(-3.0, 3.0, size=m - 1)))
+    installed, chain = assert_move_matches_swap_chain(tgexc_calls, X, [2.5], m - 2 - chain_max, 0)
+    assert np.array_equal(installed, chain)
+    assert_move_matches_swap_chain(tgexc_calls, X, [2.5], m - 3 - chain_max, 1)
+
+
+def test_a_refused_move_raises_deflation_error(monkeypatch, rng):
+    X = random_pole_stack(rng, float, [INFINITY] * (updating.SWAP_CHAIN_MAX + 4))
+
+    def refusing(a, b, q, z, *args, **kwargs):
+        return a, b, q, z, None, 1
+
+    monkeypatch.setattr(updating, "get_lapack_funcs", lambda name, arrays: refusing)
+    with pytest.raises(DeflationError, match="info 1"):
+        install_poles(IEPSolution(X, 1.0), [1.5], 0)

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python3 tools/digest.py --seed 1
 
-prints, per workload of `perfbench/workloads.py`, its name and two SHA-256
+prints, per workload of `perfbench/workloads.py`, its name and five SHA-256
 digests.  The first covers, for every (config, N, method) of that seed's
 pool, the bytes of H, K and Q, the node table and the metrics; a
 (config, N) that raises a `SorfError` contributes the error's type and
@@ -22,6 +22,13 @@ the scoring (tables and metrics, which move the first digest) from a change
 to the solvers: a change that only rescores prints new first digests and
 the parent's second ones.  A solve whose scoring raises enters it as that
 error, as in the first digest.
+
+Three more digests follow, one per route (updating, sop, krylov), over the
+same pencil bytes of that route's solves alone.  A (config, N) whose solve
+or scoring raises reruns each route that had not yet yielded on its own, so
+that an error, or a route that turns to raising, moves only the digest of
+the route that raised: a change to one solver prints the parent's digests
+for the other two.
 
 The pools are read from `perfbench/workloads.py` without importing it as a
 package, so nothing is written under `perfbench/`.
@@ -84,40 +91,65 @@ def _array_bytes(a) -> bytes:
     return f"{a.dtype} {a.shape}".encode() + a.tobytes()
 
 
-def digest(docs) -> tuple[str, str]:
+def _pencil_bytes(N: int, method: str, sol) -> bytes:
+    return f"{N} {method} {sol.wnorm!r}".encode() + b"".join(_array_bytes(a) for a in (sol.H, sol.K, sol.Q))
+
+
+def _route_alone(cfg: dict, N: int, method: str) -> bytes:
+    """Pencil bytes of one route solved and scored on its own, or its error."""
+    from sorf.driver import _solve_and_score
+    from sorf.errors import SorfError
+
+    try:
+        _, sol, *_ = next(_solve_and_score({**cfg, "method": method}, N))
+    except SorfError as exc:
+        return f"{N} {type(exc).__name__}: {exc}".encode()
+    return _pencil_bytes(N, method, sol)
+
+
+def digest(docs) -> tuple[str, ...]:
     """SHA-256 hex digests over the solves of the config documents `docs`:
-    everything, direct and through the command line, and the pencils alone."""
-    from sorf.driver import _solve_and_score, parse_config
+    everything, direct and through the command line; the pencils alone; and
+    the pencils of each route in `sorf.driver.METHODS`."""
+    from sorf.driver import METHODS, _solve_and_score, parse_config
     from sorf.errors import SorfError
 
     h, p = hashlib.sha256(), hashlib.sha256()
+    routes = {method: hashlib.sha256() for method in METHODS}
 
-    def both(data: bytes) -> None:
-        h.update(data)
-        p.update(data)
+    def every(data: bytes) -> None:
+        for d in (h, p, *routes.values()):
+            d.update(data)
 
     with tempfile.TemporaryDirectory() as workdir:
         for doc in docs:
-            both(repr(sorted(doc.items())).encode())
+            every(repr(sorted(doc.items())).encode())
             h.update(_cli_bytes(doc, Path(workdir)))
             try:
                 cfg = parse_config(doc)
             except SorfError as exc:
-                both(f"{type(exc).__name__}: {exc}".encode())
+                every(f"{type(exc).__name__}: {exc}".encode())
                 continue
             lo, hi = cfg["N_range"] or (cfg["N"], cfg["N"])
             for N in range(lo, hi + 1):
+                done = set()
                 try:
                     for method, sol, metrics, table, _ in _solve_and_score(cfg, N):
                         h.update(f"{N} {method} {sol.wnorm!r} {sorted(metrics.items())!r}".encode())
-                        p.update(f"{N} {method} {sol.wnorm!r}".encode())
                         for a in (sol.H, sol.K, sol.Q, table.values, table.points):
                             h.update(_array_bytes(a))
-                        for a in (sol.H, sol.K, sol.Q):
-                            p.update(_array_bytes(a))
+                        pencil = _pencil_bytes(N, method, sol)
+                        p.update(pencil)
+                        routes[method].update(pencil)
+                        done.add(method)
                 except SorfError as exc:
-                    both(f"{N} {type(exc).__name__}: {exc}".encode())
-    return h.hexdigest(), p.hexdigest()
+                    error = f"{N} {type(exc).__name__}: {exc}".encode()
+                    h.update(error)
+                    p.update(error)
+                    for method in (METHODS if cfg["method"] == "all" else (cfg["method"],)):
+                        if method not in done:
+                            routes[method].update(_route_alone(cfg, N, method))
+    return h.hexdigest(), p.hexdigest(), *(d.hexdigest() for d in routes.values())
 
 
 def main(argv=None) -> int:
