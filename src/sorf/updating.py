@@ -6,15 +6,21 @@ pencil (H, K) with
 
     J Q K = Q H,    Q e_1 = w / ||w||_2,    H[k+1, k] / K[k+1, k] = psi_k.
 
-Blocks of J are introduced one at a time.  Each step embeds the solved
-subproblems block-diagonally, corrects the first column of Q with a single
-plane rotation, restores the Hessenberg shape with pole-preserving
-eliminations, and finally installs the new block's poles by adding each one
-at the bottom position and moving it upward: by a chain of swaps over a
-short distance, else by one LAPACK ?tgexc call.  Elimination and swap share
-one 2x2 step, `_step`: a right rotation from the null direction of a
-rank-one combination of the H and K kernels, then a re-triangularizing left
-rotation.  `_pin` then carries each moved pole as its homogeneous pair.
+Blocks of J are introduced one at a time, by decreasing weight amplitude; a
+permutation of J's blocks only permutes Q's rows, which are put back once at
+the end.  Each step embeds the solved subproblem and the new block
+block-diagonally and corrects the first column of Q with a single plane
+rotation.  A partial solution of at most `SWEEP_MAX` rows takes the new
+block last, as in the paper: pole-preserving eliminations restore the
+Hessenberg shape.  A larger one takes it first: reversing its columns and
+rows (the node step) leaves a Hessenberg pencil whose s + 1 leading poles
+all equal the node, and LAPACK ?tgexc moves them to the bottom.  Either way
+the new block's poles are then installed by adding each one at the bottom
+position and moving it upward: by a chain of swaps over a short distance,
+else by one ?tgexc call.  Elimination and swap share one 2x2 step, `_step`:
+a right rotation from the null direction of a rank-one combination of the H
+and K kernels, then a re-triangularizing left rotation.  `_pin` then carries
+each moved pole as its homogeneous pair.
 
 All index arguments are 0-based; pole index k refers to the subdiagonal
 position (k+1, k).  Rotations are raw (a, b) pairs (see `sorf.rotations`).
@@ -35,7 +41,7 @@ from scipy.linalg import get_lapack_funcs
 
 from . import pencil
 from .errors import DeflationError, NumericalError
-from .pencil import DEFLATION_RTOL, assert_unreduced, pencil_scale, pole_at, pole_pair
+from .pencil import DEFLATION_RTOL, assert_unreduced, pencil_scale, pole_pair
 from .rotations import bind, null_direction, rotate_cols, rotate_rows, zeroing
 from .sobolev import DiscreteSobolevSpec, check_spectrum_disjoint
 
@@ -46,6 +52,15 @@ from .sobolev import DiscreteSobolevSpec, check_spectrum_disjoint
 # per position at m = 198 (its m x m work arrays): the chain breaks even at
 # 8 positions for m = 10 .. 94 and at 13 for m = 198.
 SWAP_CHAIN_MAX = 8
+
+# The largest partial solution `solve_updating` grows by the paper's
+# procedure (`add_block`: appended block, elimination sweep); past it each
+# new block leads (`_lead_block`).  Timed per block with one BLAS thread
+# (s = 1 and 2, partial solutions of 2 .. 32 rows from the m = 94 and 198
+# Gegenbauer problems, install included), a leading block costs
+# 0.90-1.04x an appended one at 2 rows, 0.83-0.98x at 3, 0.58-0.70x at 8
+# and 0.34-0.38x at 32.
+SWEEP_MAX = 2
 
 
 @dataclass
@@ -112,17 +127,19 @@ def embed(hat: IEPSolution, blk: IEPSolution) -> IEPSolution:
     return IEPSolution(X, float(np.hypot(hat.wnorm, blk.wnorm)))
 
 
-def weight_rotation(sol: IEPSolution, hat_norm: float, w_sigma: complex, s_sigma: int) -> tuple[complex, complex]:
-    """Apply the rotation P zeroing (hat_norm, |w_sigma|) to an embedded
-    solution -- H, K <- P H, P K and Q <- Q P^H -- and return its raw pair.
+def weight_rotation(sol: IEPSolution, w0: complex, wk: complex, k: int) -> tuple[float, float]:
+    """Apply the rotation P zeroing (|w0|, |wk|) to an embedded solution on
+    rows 0 and k -- H, K <- P H, P K and Q <- Q P^H -- and return its raw pair.
 
-    P acts on rows 0 and m - s_sigma - 1 (the first row of the appended
-    block) and makes the first column of Q the normalized combined weight
-    vector.  The embedded block carries the weight phase, so only magnitudes
-    enter and P is real: Q^T <- P Q^T, one row rotation of the whole stack.
+    Rows 0 and k are the first rows of the two embedded parts, whose weight
+    norms are |w0| and |wk| (the appended block starts at row m - s - 1, the
+    solved subproblem after a leading block at row s + 1); P makes the first
+    column of Q the normalized combined weight vector.  The embedded block
+    carries the weight phase, so only magnitudes enter and P is real:
+    Q^T <- P Q^T, one row rotation of the whole stack.
     """
-    a, b = rot = zeroing(hat_norm, abs(w_sigma))
-    rotate_rows(sol.X, a, b, 0, sol.m - s_sigma - 1)
+    a, b = rot = zeroing(abs(w0), abs(wk))
+    rotate_rows(sol.X, a, b, 0, k)
     return rot
 
 
@@ -186,7 +203,9 @@ def _eliminate(X, S, r: int, c: int, tol: float):
 
 
 def op1_eliminate(X: np.ndarray, r: int, c: int):
-    """Zero H[r, c] and K[r, c] keeping the pole ratio at column c intact.
+    """Zero H[r, c] and K[r, c] keeping the pole ratio at column c intact:
+    the paper's op1, which `restore_hessenberg` applies to partial solutions
+    of at most `SWEEP_MAX` rows.
 
     The pivot sits at (c+1, c).  Applies a left rotation on rows (c+1, r) and
     a right rotation on columns (c, r) of the stack X = (H, K, Q^T), then
@@ -200,7 +219,9 @@ def op1_eliminate(X: np.ndarray, r: int, c: int):
 
 
 def restore_hessenberg(H: np.ndarray, K: np.ndarray, Q: np.ndarray, s_sigma: int) -> list[tuple[int, int]]:
-    """Eliminate everything below the first subdiagonal after a weight rotation.
+    """Eliminate everything below the first subdiagonal after a weight rotation
+    of an appended block: the paper's sweep, which `solve_updating` runs on
+    partial solutions of at most `SWEEP_MAX` rows.
 
     Column sweep: in the leading columns the fill sits in the rows of the
     appended block (each elimination cascades one row further down); the
@@ -229,8 +250,9 @@ def restore_hessenberg(H: np.ndarray, K: np.ndarray, Q: np.ndarray, s_sigma: int
 
 
 def expected_elimination_count(m: int, s_sigma: int) -> int:
-    """Eliminations needed to restore a weight-rotated embedded pencil when
-    every pole involved is finite (generic fill).
+    """Eliminations `restore_hessenberg` needs for a weight-rotated pencil
+    with an appended block (on a partial solution of at most `SWEEP_MAX`
+    rows) when every pole involved is finite (generic fill).
 
     The first m - s_sigma - 2 columns each clear the s_sigma + 1 appended
     rows; the trailing corner needs s_sigma + (s_sigma - 1) + ... + 1 more.
@@ -246,15 +268,17 @@ def expected_elimination_count(m: int, s_sigma: int) -> int:
     return (mhat - 1) * S + s_sigma * S // 2
 
 
-def op2_add_pole(X: np.ndarray, psi) -> tuple[complex, complex] | None:
+def op2_add_pole(X: np.ndarray, psi, scale: float) -> tuple[complex, complex] | None:
     """Set the pole at the last subdiagonal position (m-1, m-2) to psi.
 
     A single right rotation on the last two columns, then `_pin` writes the
     new pair as a multiple of (mu, nu) = pole_pair(psi); Q is untouched.  X
-    must hold psi's type (`install_poles` promotes it).  Returns the raw
-    pair applied, or None when the ratio already equals psi; raises
-    DeflationError (`pencil.pole_at`) when the new position has deflated,
-    and IndexError when the pencil has no pole position (m < 2).
+    must hold psi's type (`install_poles` promotes it).  `scale` is the
+    pencil's `pencil_scale`, which rotations keep.  Returns the raw pair
+    applied, or None when the ratio already equals psi; raises
+    DeflationError (judged against `scale` as in `pencil.pole_at`) when the
+    new position has deflated, and IndexError when the pencil has no pole
+    position (m < 2).
     """
     H, K = X[0], X[1]
     m = H.shape[0]
@@ -266,7 +290,7 @@ def op2_add_pole(X: np.ndarray, psi) -> tuple[complex, complex] | None:
         return None
     rotate_cols(X[:2], *rot, m - 2, m - 1)
     _pin(X, m - 1, m - 2, mu, nu)
-    pole_at(H, K, m - 2)
+    pencil._subdiagonal_pole(H, K, m - 2, DEFLATION_RTOL * scale)
     return rot
 
 
@@ -293,44 +317,49 @@ def op3_swap_adjacent(X: np.ndarray, c: int):
     return out
 
 
-def _move_pole(X: np.ndarray, t: int) -> None:
-    """Move the pole at the last position m - 2 up to position t with one
-    LAPACK ?tgexc call; the poles at t .. m - 3 each move one down.
+def _move_poles(X: np.ndarray, moves) -> None:
+    """Make each move (f, t) of `moves` in turn -- the pole at position f to
+    position t, the poles between shifting by one -- by one LAPACK ?tgexc
+    call each, on one copy of the pencil.
 
     The poles are the eigenvalues of the triangular pencil
     (H[1:, :-1], K[1:, :-1]), and ?tgexc reorders them.  It rotates only
     the first N rows of q and z, so it gets the pencil at N = m: a = H[1:]
     and b = K[1:] with a zero last row, q = Q[:, 1:], and rows 0 of H and K
-    in z, which takes the right rotations.  A move to t reads and writes
-    only columns t.. of a, b and z and t .. m - 2 of q (and a[t, t - 1],
-    which must be zero), so only those are copied in and back.  dtgexc and
-    ztgexc pick different right-rotation signs, so a unimodular factor per
-    moved column makes the entry `_pin` keeps real and nonnegative; then the
-    `_pin` rule, applied to every moved pair at once, carries each moved pole
-    as its pair (on real data bit for bit what one `_pin` call per pair
-    writes).  DeflationError when ?tgexc refuses a swap (nonzero info).
+    in z, which takes the right rotations.  Moves within positions lo .. hi
+    read and write only columns lo.. of a, b and z and lo .. m - 2 of q (and
+    a[lo, lo - 1], which must be zero), so only those are copied in and
+    back.  dtgexc and ztgexc pick different right-rotation signs, so a
+    unimodular factor per column lo .. hi makes the entry `_pin` keeps real
+    and nonnegative; then the `_pin` rule, applied to every moved pair at
+    once, carries each pole as its pair before the moves (on real data bit
+    for bit what one `_pin` call per pair writes).  DeflationError when
+    ?tgexc refuses a swap (nonzero info).
     """
     m = X.shape[1]
-    i = np.arange(t, m - 1)
-    src = i - 1
-    src[0] = m - 2
-    h, k = X[:2].diagonal(-1, 1, 2)[:, src]  # the pole pairs after the move
+    lo, hi = min(map(min, moves)), max(map(max, moves))
+    src = list(range(lo, hi + 1))
+    for f, t in moves:
+        src.insert(t - lo, src.pop(f - lo))
+    i = np.arange(lo, hi + 1)
+    h, k = X[:2].diagonal(-1, 1, 2)[:, src]  # the pole pairs after the moves
     a, b, q, z = (np.empty((m, m), X.dtype, order="F") for _ in range(4))
-    a[:-1, t:], b[:-1, t:], q[:, t:-1], z[:2, t:] = X[0, 1:, t:], X[1, 1:, t:], X[2, t + 1:].T, X[:2, 0, t:]
-    a[-1, t:] = b[-1, t:] = a[t, :t] = z[2:, t:] = 0.0
+    a[:-1, lo:], b[:-1, lo:], q[:, lo:-1], z[:2, lo:] = X[0, 1:, lo:], X[1, 1:, lo:], X[2, lo + 1:].T, X[:2, 0, lo:]
+    a[-1, lo:] = b[-1, lo:] = a[lo, :lo] = z[2:, lo:] = 0.0
     tgexc = get_lapack_funcs("tgexc", (X,))
-    a, b, q, z, *_, info = tgexc(a, b, q, z, m - 1, t + 1, overwrite_a=1, overwrite_b=1, overwrite_q=1, overwrite_z=1)
-    if info != 0:
-        raise DeflationError(f"pole move to index {t} degenerated (?tgexc info {info})")
+    for f, t in moves:
+        a, b, q, z, *_, info = tgexc(a, b, q, z, f + 1, t + 1, overwrite_a=1, overwrite_b=1, overwrite_q=1, overwrite_z=1)
+        if info != 0:
+            raise DeflationError(f"pole move from index {f} to {t} degenerated (?tgexc info {info})")
     keep_h = np.abs(h) >= np.abs(k)
     kept = np.where(keep_h, a[i, i], b[i, i])
     size = np.abs(kept)
     phases = np.divide(size, kept, out=np.ones_like(kept), where=kept != 0.0)
     for M in (a, b, z[:2]):
-        M[:, t:-1] *= phases
+        M[:, lo:hi + 1] *= phases
     other = size * (np.where(keep_h, k, h) / np.where(keep_h, h, k))
     a[i, i], b[i, i] = np.where(keep_h, size, other), np.where(keep_h, other, size)
-    X[0, 1:, t:], X[1, 1:, t:], X[2, t + 1:], X[:2, 0, t:] = a[:-1, t:], b[:-1, t:], q[:, t:-1].T, z[:2, t:]
+    X[0, 1:, lo:], X[1, 1:, lo:], X[2, lo + 1:], X[:2, 0, lo:] = a[:-1, lo:], b[:-1, lo:], q[:, lo:-1].T, z[:2, lo:]
 
 
 def install_poles(sol: IEPSolution, poles, first_index: int) -> None:
@@ -338,9 +367,11 @@ def install_poles(sol: IEPSolution, poles, first_index: int) -> None:
     (j its place in `poles`), in place on the stack sol.X = (H, K, Q^T): by
     a chain of `op3_swap_adjacent` calls over at most
     max(SWAP_CHAIN_MAX, m // 16) positions, further by one ?tgexc call
-    (`_move_pole`), which beats a long chain but not a short one.  ValueError, before any change, when the
-    poles do not fit in positions first_index .. m - 2.  A complex pole
-    makes a real stack complex: the one place that promotes the type,
+    (`_move_poles`), which beats a long chain but not a short one.
+    Rotations keep the Frobenius norms, so the adds share one deflation
+    scale.  ValueError, before any change,
+    when the poles do not fit in positions first_index .. m - 2.  A complex
+    pole makes a real stack complex: the one place that promotes the type,
     rebinding sol.X to the complex stack."""
     m = sol.m
     if not 0 <= first_index <= m - 1 - len(poles):
@@ -348,11 +379,11 @@ def install_poles(sol: IEPSolution, poles, first_index: int) -> None:
     X = sol.X
     if (dtype := np.result_type(X, np.asarray(poles))) != X.dtype:
         X = sol.X = X.astype(dtype)
-    chain_max = max(SWAP_CHAIN_MAX, m // 16)
+    longest, scale = max(SWAP_CHAIN_MAX, m // 16), pencil_scale(X[0], X[1])
     for t, psi in enumerate(poles, first_index):
-        op2_add_pole(X, psi)
-        if m - 2 - t > chain_max:
-            _move_pole(X, t)
+        op2_add_pole(X, psi, scale)
+        if m - 2 - t > longest:
+            _move_poles(X, [(m - 2, t)])
         else:
             for c in range(m - 3, t - 1, -1):
                 op3_swap_adjacent(X, c)
@@ -363,6 +394,10 @@ def add_block(current: IEPSolution | None, node, alphas, weight, new_poles) -> I
 
     `new_poles` supplies s + 1 poles (s for the very first block), ordered by
     target position: the first entry lands deepest and moves s positions.
+    The paper's procedure: the block is appended (J's rows in the order
+    current, block) and `restore_hessenberg` clears the weight rotation's
+    fill.  `solve_updating` takes this placement while the partial solution
+    has at most `SWEEP_MAX` rows and `_lead_block` past it.
     """
     blk = single_block_solution(node, alphas, weight)
     if current is None:
@@ -370,32 +405,64 @@ def add_block(current: IEPSolution | None, node, alphas, weight, new_poles) -> I
             raise ValueError("the first block introduces exactly s poles")
         install_poles(blk, new_poles, 0)
         return blk
-    s_sigma = len(alphas)
-    if len(new_poles) != s_sigma + 1:
+    s = len(alphas)
+    if len(new_poles) != s + 1:
         raise ValueError("an appended block introduces exactly s + 1 poles")
     sol = embed(current, blk)
-    weight_rotation(sol, current.wnorm, weight, s_sigma)
-    restore_hessenberg(sol.H, sol.K, sol.Q, s_sigma)
-    install_poles(sol, new_poles, sol.m - s_sigma - 2)
+    weight_rotation(sol, current.wnorm, weight, current.m)
+    restore_hessenberg(sol.H, sol.K, sol.Q, s)
+    install_poles(sol, new_poles, current.m - 1)
+    return sol
+
+
+def _lead_block(current: IEPSolution, node, alphas, weight, new_poles) -> IEPSolution:
+    """`add_block` with the block first (J's rows in the order block, current).
+
+    The weight rotation of rows 0 and s + 1 fills row s + 1 at column 0
+    only.  The node step -- reversing columns 0 .. s of H and K and rows
+    1 .. s of the stack, a permutation that rounds nothing -- moves that
+    entry onto the subdiagonal and leaves a Hessenberg pencil whose s + 1
+    leading poles all equal the node.  `_move_poles` takes them, the lowest
+    first, to positions m - s - 2 .. m - 2, which shifts the current poles
+    up to 0 .. m - s - 3 unchanged, and `install_poles` replaces them.
+    """
+    s = len(alphas)
+    sol = embed(single_block_solution(node, alphas, weight), current)
+    weight_rotation(sol, weight, current.wnorm, s + 1)
+    X, m = sol.X, sol.m
+    X[:2, :, : s + 1] = X[:2, :, s::-1]
+    X[:, 1 : s + 1] = X[:, s:0:-1]
+    _move_poles(X, [(j, m - s - 2 + j) for j in range(s, -1, -1)])
+    install_poles(sol, new_poles, current.m - 1)
     return sol
 
 
 def solve_updating(spec: DiscreteSobolevSpec, poles) -> IEPSolution:
     """Solve the inverse eigenvalue problem block by block.
 
-    `poles` lists psi_1 .. psi_{m-1} (0-based positions 0 .. m-2); the block
-    for node j consumes the next s_j + 1 of them (s_1 for the first block).
+    `poles` lists psi_1 .. psi_{m-1} (0-based positions 0 .. m-2); the
+    partial solution of size p takes positions 0 .. p - 2, whatever its
+    blocks, so the next block consumes the next s + 1 of them (s for the
+    first block).  Blocks come by decreasing |weight|, ties in node order.
+    A block is appended (`add_block`) while the partial solution has at
+    most `SWEEP_MAX` rows and leads (`_lead_block`) past it; Q's rows follow
+    the blocks' places and are put back into J's order at the end.
     """
     m = spec.m
     poles = list(poles)
     if len(poles) != m - 1:
         raise ValueError(f"need m - 1 = {m - 1} poles, got {len(poles)}")
     check_spectrum_disjoint(poles, spec.nodes)
+    start = np.cumsum([0, *(s + 1 for s in spec.orders)])  # J's first row of each block
     sol: IEPSolution | None = None
-    pos = 0  # size of the solution built so far
-    for node, s, alphas, weight in zip(spec.nodes, spec.orders, spec.alphas, spec.weights):
-        sol = add_block(sol, node, alphas, weight, poles[max(pos - 1, 0) : pos + s])
-        pos += s + 1
+    rows: list = []  # J's rows in the order of the solution's
+    for j in sorted(range(spec.sigma), key=lambda j: -abs(spec.weights[j])):
+        pos, s = len(rows), spec.orders[j]
+        first = pos > SWEEP_MAX
+        sol = (_lead_block if first else add_block)(sol, spec.nodes[j], spec.alphas[j], spec.weights[j], poles[max(pos - 1, 0) : pos + s])
+        blk = list(range(start[j], start[j] + s + 1))
+        rows = blk + rows if first else rows + blk
     assert sol is not None
+    sol.X[2] = sol.X[2][:, np.argsort(rows)]
     assert_unreduced(sol.H, sol.K)
     return sol

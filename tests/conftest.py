@@ -15,9 +15,9 @@ ROUTES = {
 }
 
 
-def random_spec(rng, sigma=None, max_order=2, complex_alphas=False):
+def random_spec(rng, sigma=None, max_order=2, complex_alphas=False, complex_weights=False):
     """Random discrete Sobolev spec: distinct real nodes in (-1, 1),
-    positive weights, nonzero derivative scalings."""
+    positive (or complex) weights, nonzero derivative scalings."""
     if sigma is None:
         sigma = int(rng.integers(1, 8))
     while True:
@@ -32,6 +32,8 @@ def random_spec(rng, sigma=None, max_order=2, complex_alphas=False):
             a = a * np.exp(1j * rng.uniform(0, 2 * np.pi, size=s))
         alphas.append(tuple(a))
     weights = rng.uniform(0.3, 2.0, size=sigma)
+    if complex_weights:
+        weights = weights * np.exp(1j * rng.uniform(0, 2 * np.pi, size=sigma))
     return DiscreteSobolevSpec(
         nodes=tuple(nodes), orders=tuple(int(s) for s in orders),
         alphas=tuple(alphas), weights=tuple(weights),
@@ -47,6 +49,14 @@ def random_pole_list(rng, m, n_finite=None):
         mag = rng.uniform(1.05, 3.0)
         xi.append(complex(mag if rng.random() < 0.5 else -mag))
     return default_pole_list(xi, m), xi
+
+
+def phase_free_distance(Qa, Qb):
+    """max_k min_s ||qa_k - s qb_k|| over unimodular s: how far two bases are
+    apart once each column's free phase is matched."""
+    c = np.sum(Qb.conj() * Qa, axis=0)
+    s = np.divide(c, np.abs(c), out=np.ones_like(c), where=c != 0)
+    return float(np.max(np.linalg.norm(Qa - s * Qb, axis=0)))
 
 
 def is_upper_hessenberg(A):

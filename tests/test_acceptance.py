@@ -18,7 +18,7 @@ from sorf.evaluation import (
     metric_recurrence,
     table_agreement,
 )
-from sorf.pencil import is_infinite_pole, pole_at
+from sorf.pencil import is_infinite_pole, pencil_scale, pole_at
 from sorf.quadrature import clenshaw_curtis, gauss_gegenbauer, rational_gauss
 from sorf.reference import rational_arnoldi, solve_via_sop
 from sorf.sobolev import (
@@ -195,7 +195,7 @@ def test_criterion_4c_elimination_count():
                 first = 0
             else:
                 emb = embed(sol, blk)
-                weight_rotation(emb, sol.wnorm, spec.weights[j], s)
+                weight_rotation(emb, sol.wnorm, spec.weights[j], sol.m)
                 targets = restore_hessenberg(emb.H, emb.K, emb.Q, s)
                 assert len(targets) == expected_elimination_count(emb.m, s), (trial, j)
                 sol = emb
@@ -216,7 +216,7 @@ def test_criterion_4d_pole_placement_by_add_and_swap():
         H, K, Q = sol.H.copy(), sol.K.copy(), sol.Q.copy()
         psi = complex(rng.uniform(1.1, 2.5) * (1 if rng.random() < 0.5 else -1))
         target = int(rng.integers(2, m - 1))
-        on_stack(op2_add_pole, H, K, None, psi)
+        on_stack(op2_add_pole, H, K, None, psi, pencil_scale(H, K))
         for c in range(m - 3, target - 1, -1):
             on_stack(op3_swap_adjacent, H, K, Q, c)
         assert abs(pole_at(H, K, target) - psi) <= 1e-12 * abs(psi)

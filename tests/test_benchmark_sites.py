@@ -29,15 +29,18 @@ def test_traced_solve_counts_are_pinned():
     with tracer:
         run_solve({"N": 4, "method": "all"})
     calls = {name: agg["calls"] for name, agg in tracer.layer_times().items()}
-    assert tracer.counts["updating.eliminations"] == 78
-    assert tracer.counts["updating.eliminations_expected"] == 78
+    # m = 14: the block that finds a partial solution of 2 rows (at most
+    # SWEEP_MAX) is appended and swept, 3 eliminations; the five that find
+    # 4 .. 12 rows lead, without any, and bypass add_block
+    assert tracer.counts["updating.eliminations"] == 3
+    assert tracer.counts["updating.eliminations_expected"] == 3
     assert calls["updating.op2_add_pole"] == 16
     # the updating route's 6 one-position swaps; sop moves each of its 3
     # poles by one ?tgexc call, which the tracer does not wrap
     assert calls["updating.op3_swap_adjacent"] == 6
-    assert calls["updating.restore_hessenberg"] == 6
+    assert calls["updating.restore_hessenberg"] == 1
     assert calls["updating.embed"] == 6
-    assert calls["updating.add_block"] == 7
+    assert calls["updating.add_block"] == 2
     assert tracer.counts["reference.rational_arnoldi.shifted_solves"] == 3
     # per method one node table and one table for the continuous matrix
     assert calls["evaluation.evaluate_sorfs"] == 6

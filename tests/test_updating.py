@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import KERNEL_AT, ROUTES, assert_iep_invariants, is_upper_hessenberg, kernel_stack, on_stack, random_pole_list, random_spec, rotation_matrix
+from conftest import KERNEL_AT, ROUTES, assert_iep_invariants, is_upper_hessenberg, kernel_stack, on_stack, phase_free_distance, random_pole_list, random_spec, rotation_matrix
 
 from sorf import updating
 
 from sorf.errors import ConfigError, DeflationError, NumericalError
-from sorf.evaluation import metric_poles
-from sorf.pencil import INFINITY, is_infinite_pole, pole_at, pole_pair
+from sorf.evaluation import metric_orthonormality, metric_poles, metric_recurrence
+from sorf.pencil import INFINITY, is_infinite_pole, pencil_scale, pole_at, pole_pair
+from sorf.reference import rational_arnoldi
 from sorf.rotations import rotate_cols, rotate_rows
 from sorf.sobolev import DiscreteSobolevSpec, build_jordan, default_pole_list
 from sorf.updating import (
@@ -132,14 +133,14 @@ def identity_solution(m):
 
 def test_weight_rotation_zero_new_weight_is_identity():
     sol = identity_solution(6)
-    a, b = weight_rotation(sol, 1.0, 0.0, 1)
+    a, b = weight_rotation(sol, 1.0, 0.0, 4)
     assert a == 1.0 and b == 0.0
     assert np.array_equal(sol.Q, np.eye(6))
 
 
 def test_weight_rotation_zero_hat_norm_is_pure_swap():
     sol = identity_solution(6)
-    a, b = weight_rotation(sol, 0.0, 2.0, 1)
+    a, b = weight_rotation(sol, 0.0, 2.0, 4)
     assert a == 0.0 and abs(b) == 1.0
     # rows 0 and 4 (the first row of the appended block) trade places
     assert np.array_equal(np.abs(sol.H), np.eye(6)[[4, 1, 2, 3, 0, 5]])
@@ -152,7 +153,7 @@ def test_weight_rotation_fixes_first_column(rng):
     w_new = 1.7
     blk = single_block_solution(0.9, [0.8], w_new)
     emb = embed(hat, blk)
-    weight_rotation(emb, hat.wnorm, w_new, 1)
+    weight_rotation(emb, hat.wnorm, w_new, hat.m)
     w_full = np.concatenate([build_jordan(spec).w, [0.0, w_new]])
     assert np.linalg.norm(emb.Q[:, 0] - w_full / np.linalg.norm(w_full)) <= 1e-14
 
@@ -164,7 +165,7 @@ def test_weight_rotation_rotates_the_q_a_solver_returns(weight):
     sol = add_block(add_block(None, -0.5, [1.0], weight, [-1.3]), 0.1, [1.0], 1.1, [2.2, -1.9])
     assert not sol.Q.flags.c_contiguous
     H, K, Q = sol.H.copy(), sol.K.copy(), sol.Q.copy()
-    P = rotation_matrix(weight_rotation(sol, 0.7, 1.2, 1), 0, 2, 4)
+    P = rotation_matrix(weight_rotation(sol, 0.7, 1.2, 2), 0, 2, 4)
     for new, old in ((sol.H, H), (sol.K, K)):
         assert np.linalg.norm(new - P @ old) <= 1e-14 * np.linalg.norm(old)
     assert np.linalg.norm(sol.Q - Q @ P.conj().T) <= 1e-14
@@ -176,7 +177,7 @@ def weight_rotated_6x6():
     hat = add_block(hat, 0.1, [1.0], 1.1, [2.2, -1.9])
     blk = single_block_solution(0.7, [1.0], 1.2)
     emb = embed(hat, blk)
-    weight_rotation(emb, hat.wnorm, 1.2, 1)
+    weight_rotation(emb, hat.wnorm, 1.2, hat.m)
     return emb
 
 
@@ -370,7 +371,7 @@ def test_restore_elimination_count_random_blocks(seed):
             first = 0
         else:
             emb = embed(sol, blk)
-            weight_rotation(emb, sol.wnorm, spec.weights[j], s)
+            weight_rotation(emb, sol.wnorm, spec.weights[j], sol.m)
             targets = restore_hessenberg(emb.H, emb.K, emb.Q, s)
             assert len(targets) == expected_elimination_count(emb.m, s)
             sol = emb
@@ -387,7 +388,7 @@ def test_restore_preserves_hat_poles(rng):
     hat_poles = hat.poles()
     blk = single_block_solution(0.9, [1.1], 0.7)
     emb = embed(hat, blk)
-    weight_rotation(emb, hat.wnorm, 0.7, 1)
+    weight_rotation(emb, hat.wnorm, 0.7, hat.m)
     q_col0 = emb.Q[:, 0].copy()
     restore_hessenberg(emb.H, emb.K, emb.Q, 1)
     for k in range(spec.m - 1):
@@ -418,14 +419,14 @@ def test_op2_pole_already_in_place_is_identity(rng):
     sol, _ = random_unreduced_pencil(rng, 6, poles=[-1.4, 2.0, -1.2, 1.5, 1.9])
     psi = pole_at(sol.H, sol.K, 4)
     H, K = sol.H.copy(), sol.K.copy()
-    on_stack(op2_add_pole, H, K, None, psi)
+    on_stack(op2_add_pole, H, K, None, psi, pencil_scale(H, K))
     assert abs(pole_at(H, K, 4) - psi) <= 1e-13 * abs(psi)
 
 
 def test_op2_infinite_pole_zeroes_k_subdiagonal(rng):
     sol, _ = random_unreduced_pencil(rng, 6, poles=[-1.4, 2.0, -1.2, 1.5, 1.9])
     H, K = sol.H.copy(), sol.K.copy()
-    on_stack(op2_add_pole, H, K, None, INFINITY)
+    on_stack(op2_add_pole, H, K, None, INFINITY, pencil_scale(H, K))
     assert K[5, 4] == 0.0
     assert is_infinite_pole(pole_at(H, K, 4))
 
@@ -437,7 +438,7 @@ def test_op2_random_pencil_places_pole_and_keeps_residual(rng):
     sys = build_jordan(spec)
     res_before = np.linalg.norm(sys.J @ sol.Q @ sol.K - sol.Q @ sol.H)
     H, K = sol.H.copy(), sol.K.copy()
-    on_stack(op2_add_pole, H, K, None, -1.1)
+    on_stack(op2_add_pole, H, K, None, -1.1, pencil_scale(H, K))
     m = spec.m
     assert abs(pole_at(H, K, m - 2) + 1.1) <= 1e-13 * 1.1
     res_after = np.linalg.norm(sys.J @ sol.Q @ K - sol.Q @ H)
@@ -508,7 +509,7 @@ def test_op2_op3_return_the_pairs_they_applied(rng):
         assert np.linalg.norm(new - GL @ old @ GR) <= 1e-13 * np.linalg.norm(old)
     assert np.linalg.norm(Q - sol.Q @ GL.conj().T) <= 1e-13
     H0, K0 = H.copy(), K.copy()
-    G = rotation_matrix(on_stack(op2_add_pole, H, K, None, -1.1), 4, 5, 6)
+    G = rotation_matrix(on_stack(op2_add_pole, H, K, None, -1.1, pencil_scale(H, K)), 4, 5, 6)
     assert np.linalg.norm(H - H0 @ G) <= 1e-13 * np.linalg.norm(H0)
     assert np.linalg.norm(K - K0 @ G) <= 1e-13 * np.linalg.norm(K0)
 
@@ -558,7 +559,7 @@ def test_op2_then_swaps_places_pole_at_target(rng):
         H, K, Q = sol.H.copy(), sol.K.copy(), sol.Q.copy()
         psi = complex(rng.uniform(1.1, 2.5) * (1 if rng.random() < 0.5 else -1))
         target = int(rng.integers(2, m - 1))
-        on_stack(op2_add_pole, H, K, None, psi)
+        on_stack(op2_add_pole, H, K, None, psi, pencil_scale(H, K))
         for c in range(m - 3, target - 1, -1):
             on_stack(op3_swap_adjacent, H, K, Q, c)
         assert abs(pole_at(H, K, target) - psi) <= 1e-12 * abs(psi)
@@ -572,7 +573,7 @@ def test_op2_then_swaps_places_pole_at_target(rng):
 def test_add_block_first_block_reduces_to_single_solution():
     sol = add_block(None, 0.5, [1.0], 2.0, [-1.5])
     ref = single_block_solution(0.5, [1.0], 2.0)
-    on_stack(op2_add_pole, ref.H, ref.K, None, -1.5)
+    on_stack(op2_add_pole, ref.H, ref.K, None, -1.5, pencil_scale(ref.H, ref.K))
     assert np.array_equal(sol.H, ref.H)
     assert np.array_equal(sol.K, ref.K)
     assert np.array_equal(sol.Q, ref.Q)
@@ -669,7 +670,7 @@ def test_solve_updating_complex_nodes_and_weights(rng):
 def test_op2_zero_pole_zeroes_h_subdiagonal(rng):
     sol, _ = random_unreduced_pencil(rng, 5, poles=[-1.4, 2.0, -1.2, 1.5])
     H, K = sol.H.copy(), sol.K.copy()
-    on_stack(op2_add_pole, H, K, None, 0.0)
+    on_stack(op2_add_pole, H, K, None, 0.0, pencil_scale(H, K))
     assert H[4, 3] == 0.0
     assert pole_at(H, K, 3) == 0.0
 
@@ -723,7 +724,7 @@ def test_op2_returns_none_when_the_trailing_row_already_has_ratio_psi():
     K = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
     X = np.stack((H, K, np.eye(2, dtype=complex)))
     before = X.copy()
-    assert op2_add_pole(X, 3.0) is None
+    assert op2_add_pole(X, 3.0, pencil_scale(X[0], X[1])) is None
     assert np.array_equal(X, before)
 
 
@@ -775,7 +776,7 @@ def test_op2_refuses_a_pencil_without_a_pole_position(psi):
     # m = 1: H[0, -1] would wrap around to the only entry
     X = np.stack([np.eye(1)] * 3)
     with pytest.raises(IndexError):
-        op2_add_pole(X, psi)
+        op2_add_pole(X, psi, pencil_scale(X[0], X[1]))
     assert np.array_equal(X, np.stack([np.eye(1)] * 3))
 
 
@@ -784,7 +785,7 @@ def test_op2_refuses_a_nan_pole_and_leaves_the_pencil(psi):
     X = add_block(None, 0.5, [1.0, 0.8], 2.0, [-1.5, 2.5]).X
     before = X.copy()
     with pytest.raises(ConfigError, match="is NaN"):
-        op2_add_pole(X, psi)
+        op2_add_pole(X, psi, pencil_scale(X[0], X[1]))
     assert X.tobytes() == before.tobytes()
 
 
@@ -800,6 +801,90 @@ def test_install_poles_refuses_more_poles_than_positions():
     assert np.array_equal(sol.X, before)
     install_poles(sol, [-4.0, 5.0], 0)  # exactly the two positions
     assert sol.poles() == pytest.approx([-4.0, 5.0], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# a leading block: the node step, and the moves past the solved poles
+# ---------------------------------------------------------------------------
+
+
+def spec_with_leading_order(rng, s, sigma, dtype):
+    """Random spec whose block 0 has order s; complex data for dtype complex."""
+    cplx = dtype is complex
+    spec = random_spec(rng, sigma=sigma, max_order=2, complex_alphas=cplx, complex_weights=cplx)
+    alphas = tuple(rng.uniform(0.5, 2.0, size=s) * (1j if cplx else 1.0))
+    return DiscreteSobolevSpec(spec.nodes, (s, *spec.orders[1:]), (alphas, *spec.alphas[1:]), spec.weights)
+
+
+def rest_of(spec):
+    return DiscreteSobolevSpec(spec.nodes[1:], spec.orders[1:], spec.alphas[1:], spec.weights[1:])
+
+
+@pytest.mark.parametrize("dtype", (float, complex))
+@pytest.mark.parametrize("s", (0, 1, 2, 3))
+def test_a_leading_block_solves_the_problem_with_its_rows_first(rng, monkeypatch, s, dtype):
+    # block 0 leads the solved blocks 1..: J's rows are in the spec's order;
+    # before the install the pencil holds the solved poles at 0 .. mhat - 2
+    # and the node at the s + 1 positions below
+    spec = spec_with_leading_order(rng, s, 4, dtype)
+    poles, _ = random_pole_list(rng, spec.m, 3)
+    hat = solve_updating(rest_of(spec), poles[: spec.m - s - 2])
+    seen = []
+    install = updating.install_poles
+    monkeypatch.setattr(updating, "install_poles", lambda sol, new, first: (seen.append(sol.poles()), install(sol, new, first)))
+    sol = updating._lead_block(hat, spec.nodes[0], spec.alphas[0], spec.weights[0], poles[hat.m - 1 :])
+    interim = np.array(seen[0], dtype=complex)
+    assert np.abs(interim[: hat.m - 1] - hat.poles()).max() <= 1e-13 * np.abs(hat.poles()).max()
+    assert np.abs(interim[hat.m - 1 :] - spec.nodes[0]).max() <= 1e-13
+    assert_iep_invariants(build_jordan(spec), sol, poles, rtol=1e-13)
+    assert metric_poles(sol, poles) <= spec.m * np.finfo(float).eps
+    assert sol.X.dtype == np.result_type(dtype, *spec.weights, *sum(spec.alphas, ()), np.asarray(poles))
+    assert phase_free_distance(sol.Q, rational_arnoldi(build_jordan(spec), poles).Q) <= 1e-12
+
+
+def test_the_block_order_follows_the_weights_alone(rng):
+    # blocks come by decreasing |weight| whatever the spec's node order, so a
+    # permuted spec gives the same pencil bit for bit and Q's rows permuted
+    spec = random_spec(rng, sigma=9, max_order=2, complex_alphas=True, complex_weights=True)
+    poles, _ = random_pole_list(rng, spec.m, 3)
+    order = rng.permutation(spec.sigma)
+    permuted = DiscreteSobolevSpec(*(tuple(field[j] for j in order) for field in (spec.nodes, spec.orders, spec.alphas, spec.weights)))
+    start = np.cumsum([0, *(s + 1 for s in spec.orders)])
+    rows = np.concatenate([np.arange(start[j], start[j + 1]) for j in order])
+    a, b = solve_updating(spec, poles), solve_updating(permuted, poles)
+    assert np.array_equal(a.H, b.H) and np.array_equal(a.K, b.K)
+    assert np.array_equal(a.Q[rows], b.Q)
+
+
+def test_general_specs_on_every_route_with_both_placements(rng, monkeypatch):
+    # orders 0-3, complex scalings and weights; poles: one conjugate pair,
+    # then finite and infinite ones mixed.  A block that finds at most
+    # SWEEP_MAX rows is appended and swept, every later one leads.
+    placed = {"add_block": set(), "_lead_block": set()}
+    for name in placed:
+        place = getattr(updating, name)
+
+        def spy(current, node, alphas, weight, new_poles, name=name, place=place):
+            if current is not None:
+                placed[name].add(len(alphas))
+            return place(current, node, alphas, weight, new_poles)
+
+        monkeypatch.setattr(updating, name, spy)
+    eps = np.finfo(float).eps
+    for _ in range(6):
+        spec = random_spec(rng, sigma=12, max_order=3, complex_alphas=True, complex_weights=True)
+        m = spec.m
+        poles = [1.6 + 0.4j, 1.6 - 0.4j] + [
+            INFINITY if rng.random() < 0.4 else float(rng.uniform(1.05, 3.0) * rng.choice((-1.0, 1.0))) for _ in range(m - 3)
+        ]
+        system = build_jordan(spec)
+        sols = {name: route(spec, poles) for name, route in ROUTES.items()}
+        for name, sol in sols.items():
+            assert metric_poles(sol, poles) <= m * eps, name
+            assert metric_recurrence(system, sol) <= 1e-13, name
+            assert metric_orthonormality(sol) <= 1e-13, name
+        assert phase_free_distance(sols["updating"].Q, sols["sop"].Q) <= 1e-11
+    assert placed["add_block"] and placed["_lead_block"] == {0, 1, 2, 3}
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +927,7 @@ def assert_move_matches_swap_chain(tgexc_calls, X, poles, first_index, moves):
     m = X.shape[1]
     chain = X.astype(np.result_type(X, np.asarray(poles)))
     for t, psi in enumerate(poles, first_index):
-        op2_add_pole(chain, psi)
+        op2_add_pole(chain, psi, pencil_scale(chain[0], chain[1]))
         for c in range(m - 3, t - 1, -1):
             op3_swap_adjacent(chain, c)
     sol = IEPSolution(X.copy(), 1.0)
