@@ -54,12 +54,11 @@ def pole_at(H: np.ndarray, K: np.ndarray, k: int) -> complex:
     m = H.shape[0]
     if not 0 <= k <= m - 2:
         raise IndexError(f"pole index {k} out of range for dimension {m}")
-    return _subdiagonal_pole(H, K, k, DEFLATION_RTOL * pencil_scale(H, K))
+    return _pair_pole(H[k + 1, k], K[k + 1, k], k, DEFLATION_RTOL * pencil_scale(H, K))
 
 
-def _subdiagonal_pole(H: np.ndarray, K: np.ndarray, k: int, tol: float) -> complex:
-    h = H[k + 1, k]
-    kk = K[k + 1, k]
+def _pair_pole(h, kk, k: int, tol: float) -> complex:
+    """Pole of the subdiagonal pair (h, kk) at position k: the one deflation rule."""
     if abs(h) <= tol and abs(kk) <= tol:
         raise DeflationError(f"pencil is reduced at position {k}: both subdiagonal entries vanish")
     if abs(kk) <= tol:
@@ -70,7 +69,7 @@ def _subdiagonal_pole(H: np.ndarray, K: np.ndarray, k: int, tol: float) -> compl
 def poles(H: np.ndarray, K: np.ndarray) -> list[complex]:
     """All m - 1 poles, judged against one deflation tolerance per pencil."""
     tol = DEFLATION_RTOL * pencil_scale(H, K)
-    return [_subdiagonal_pole(H, K, k, tol) for k in range(H.shape[0] - 1)]
+    return [_pair_pole(H[k + 1, k], K[k + 1, k], k, tol) for k in range(H.shape[0] - 1)]
 
 
 def assert_unreduced(H: np.ndarray, K: np.ndarray) -> None:

@@ -11,9 +11,8 @@ the basis is kept orthogonal with a second orthogonalization pass.
 polynomials from polynomial Arnoldi (all poles at infinity, K = I exactly;
 no updating solve) and then installs the poles, up to the last finite one,
 with the updating solver's loop `install_poles`: each is added at the bottom
-and moved to its place by a chain of swaps, or by one LAPACK ?tgexc call
-when it travels more than `updating.SWAP_CHAIN_MAX` positions.  Both routes
-take the caller's `JordanSystem` (J, w).
+and moved to its place by one LAPACK ?tgexc call, all on one copy of the
+pencil.  Both routes take the caller's `JordanSystem` (J, w).
 """
 
 from __future__ import annotations
@@ -117,4 +116,4 @@ def solve_via_sop(sys: JordanSystem, poles) -> IEPSolution:
     sol = rational_arnoldi(sys, [np.inf] * (m - 1))
     install_poles(sol, xi, 0)
     assert_unreduced(sol.H, sol.K)
-    return sol
+    return IEPSolution(sol.X, sol.wnorm)

@@ -14,13 +14,15 @@ rotation.  A partial solution of at most `SWEEP_MAX` rows takes the new
 block last, as in the paper: pole-preserving eliminations restore the
 Hessenberg shape.  A larger one takes it first: reversing its columns and
 rows (the node step) leaves a Hessenberg pencil whose s + 1 leading poles
-all equal the node, and LAPACK ?tgexc moves them to the bottom.  Either way
-the new block's poles are then installed by adding each one at the bottom
-position and moving it upward: by a chain of swaps over a short distance,
-else by one ?tgexc call.  Elimination and swap share one 2x2 step, `_step`:
-a right rotation from the null direction of a rank-one combination of the H
-and K kernels, then a re-triangularizing left rotation.  `_pin` then carries
-each moved pole as its homogeneous pair.
+all equal the node, which are moved to the bottom.  Either way the new
+block's poles are then installed by adding each one at the bottom position
+and moving it upward.  `install_poles` makes every move as one LAPACK
+?tgexc call and every add with op2's rule (`_add`), on one copy of the
+pencil in LAPACK's layout per call.  The paper's elimination and swap
+(`op1_eliminate`, `op3_swap_adjacent`) share one 2x2 step, `_step`: a right
+rotation from the null direction of a rank-one combination of the H and K
+kernels, then a re-triangularizing left rotation.  `_pin` carries each
+moved pole as its homogeneous pair.
 
 All index arguments are 0-based; pole index k refers to the subdiagonal
 position (k+1, k).  Rotations are raw (a, b) pairs (see `sorf.rotations`).
@@ -45,14 +47,6 @@ from .pencil import DEFLATION_RTOL, assert_unreduced, pencil_scale, pole_pair
 from .rotations import bind, null_direction, rotate_cols, rotate_rows, zeroing
 from .sobolev import DiscreteSobolevSpec, check_spectrum_disjoint
 
-# The longest move `install_poles` makes by a chain of swaps is
-# max(SWAP_CHAIN_MAX, m // 16) positions; longer moves take one ?tgexc call.
-# Measured with one BLAS thread on sop's pencils, a swap costs 6-8 us and a
-# ?tgexc move 40-50 us plus 1 us per position at m <= 94, 75 us plus 2 us
-# per position at m = 198 (its m x m work arrays): the chain breaks even at
-# 8 positions for m = 10 .. 94 and at 13 for m = 198.
-SWAP_CHAIN_MAX = 8
-
 # The largest partial solution `solve_updating` grows by the paper's
 # procedure (`add_block`: appended block, elimination sweep); past it each
 # new block leads (`_lead_block`).  Timed per block with one BLAS thread
@@ -66,7 +60,10 @@ SWEEP_MAX = 2
 @dataclass
 class IEPSolution:
     """Pencil (H, K), basis matrix Q and weight norm solving the inverse
-    problem, as one C-contiguous stack X = (H, K, Q^T) that H, K, Q view."""
+    problem, as one C-contiguous stack X = (H, K, Q^T) that H, K, Q view.
+    Construction checks the stack's shape and that every entry is finite;
+    `_built` skips the check for the partial solutions of the updating
+    loop, finite by construction, and each route checks what it returns."""
 
     X: np.ndarray
     wnorm: float
@@ -77,6 +74,12 @@ class IEPSolution:
             raise ValueError("X must be a C-contiguous stack of three square matrices (H, K, Q^T)")
         if not np.all(np.isfinite(X)):
             raise ValueError("pencil and basis entries must be finite")
+
+    @classmethod
+    def _built(cls, X: np.ndarray, wnorm: float) -> IEPSolution:
+        sol = object.__new__(cls)
+        sol.X, sol.wnorm = X, wnorm
+        return sol
 
     H = property(lambda self: self.X[0])
     K = property(lambda self: self.X[1])
@@ -110,7 +113,7 @@ def single_block_solution(node: complex, alphas, weight: complex) -> IEPSolution
     QT[0] *= phase
     H[:, 0] *= phase
     H[0, :] *= np.conj(phase)
-    return IEPSolution(X, abs(weight))
+    return IEPSolution._built(X, abs(weight))
 
 
 def embed(hat: IEPSolution, blk: IEPSolution) -> IEPSolution:
@@ -124,7 +127,7 @@ def embed(hat: IEPSolution, blk: IEPSolution) -> IEPSolution:
     X = np.zeros((3, m, m), np.result_type(hat.X, blk.X))
     X[:, :mh, :mh] = hat.X
     X[:, mh:, mh:] = blk.X
-    return IEPSolution(X, float(np.hypot(hat.wnorm, blk.wnorm)))
+    return IEPSolution._built(X, float(np.hypot(hat.wnorm, blk.wnorm)))
 
 
 def weight_rotation(sol: IEPSolution, w0: complex, wk: complex, k: int) -> tuple[float, float]:
@@ -169,13 +172,11 @@ def _step(S, p: int, q: int, c: int, d: int, a00, a01, a10, a11, b00, b01, b10, 
     return left, (ra, rb)
 
 
-def _pin(X, i: int, j: int, h, k) -> None:
-    """Write (H[i, j], K[i, j]) as a multiple of the pole pair (h, k): keep
-    the entry facing the larger of |h|, |k|, set the other from the ratio."""
-    if abs(h) >= abs(k):
-        X[1, i, j] = X.item(0, i, j) * (k / h)
-    else:
-        X[0, i, j] = X.item(1, i, j) * (h / k)
+def _pin(x, y, h, k):
+    """The subdiagonal pair (x, y) of H and K as a multiple of the pole pair
+    (h, k): keep the entry facing the larger of |h|, |k|, set the other from
+    the ratio."""
+    return (x, x * (k / h)) if abs(h) >= abs(k) else (y * (h / k), y)
 
 
 def _eliminate(X, S, r: int, c: int, tol: float):
@@ -198,7 +199,7 @@ def _eliminate(X, S, r: int, c: int, tol: float):
         raise NumericalError("elimination kernel violates the zero-corner precondition")
     z0, z1 = beta * a10 - delta * b10, beta * a11 - delta * b11
     out = _step(S, p, r, c, r, delta, a01, a10, a11, beta, b01, b10, b11, z0, z1, DEFLATION_RTOL * scale, "elimination would deflate the pencil")
-    _pin(X, p, c, delta, beta)
+    X[0, p, c], X[1, p, c] = _pin(X.item(0, p, c), X.item(1, p, c), delta, beta)
     return out
 
 
@@ -268,39 +269,54 @@ def expected_elimination_count(m: int, s_sigma: int) -> int:
     return (mhat - 1) * S + s_sigma * S // 2
 
 
-def op2_add_pole(X: np.ndarray, psi, scale: float) -> tuple[complex, complex] | None:
-    """Set the pole at the last subdiagonal position (m-1, m-2) to psi.
+def _add(h0, h1, k0, k1, psi, tol: float, at: int):
+    """op2's rule on the trailing row of a pencil: h0, h1 and k0, k1 are the
+    entries of H and K in the last two columns, (h0, k0) the subdiagonal
+    pair at position `at`.  Returns (a, b, h, k): the raw pair of the right
+    rotation whose first column is the null direction of
+    nu*(h0, h1) - mu*(k0, k1), (mu, nu) = pole_pair(psi), and the pair it
+    makes at that position, pinned to (mu, nu) (`_pin`); None when the row
+    is zero, as the ratio already equals psi.  DeflationError, by `pencil`'s
+    rule against `tol`, when the new pair has deflated."""
+    mu, nu = pole_pair(psi)
+    if (rot := null_direction(nu * h0 - mu * k0, nu * h1 - mu * k1)) is None:
+        return None
+    a, b = rot
+    h, k = _pin(a * h0 + b * h1, a * k0 + b * k1, mu, nu)
+    pencil._pair_pole(h, k, at, tol)
+    return a, b, h, k
 
-    A single right rotation on the last two columns, then `_pin` writes the
-    new pair as a multiple of (mu, nu) = pole_pair(psi); Q is untouched.  X
-    must hold psi's type (`install_poles` promotes it).  `scale` is the
-    pencil's `pencil_scale`, which rotations keep.  Returns the raw pair
-    applied, or None when the ratio already equals psi; raises
-    DeflationError (judged against `scale` as in `pencil.pole_at`) when the
-    new position has deflated, and IndexError when the pencil has no pole
-    position (m < 2).
+
+def op2_add_pole(X: np.ndarray, psi, scale: float) -> tuple[complex, complex] | None:
+    """Set the pole at the last subdiagonal position (m-1, m-2) to psi: the
+    paper's op2, by its rule `_add`, on the stack X = (H, K, Q^T).
+
+    A single right rotation on the last two columns of H and K, then the
+    new pair pinned to (mu, nu) = pole_pair(psi); Q is untouched.  X must
+    hold psi's type.  `scale` is the pencil's `pencil_scale`, which
+    rotations keep.  Returns the raw pair applied, or None when the ratio
+    already equals psi; raises DeflationError (judged against `scale` as in
+    `pencil.pole_at`), before any change, when the new position would
+    deflate, and IndexError when the pencil has no pole position (m < 2).
     """
-    H, K = X[0], X[1]
-    m = H.shape[0]
+    m = X.shape[1]
     if m < 2:
         raise IndexError(f"no pole position in a pencil of dimension {m}")
-    mu, nu = pole_pair(psi)
-    rot = null_direction(nu * H[m - 1, m - 2] - mu * K[m - 1, m - 2], nu * H[m - 1, m - 1] - mu * K[m - 1, m - 1])
-    if rot is None:  # the ratio at the trailing position already equals psi
+    if (out := _add(X.item(0, m - 1, m - 2), X.item(0, m - 1, m - 1), X.item(1, m - 1, m - 2), X.item(1, m - 1, m - 1), psi, DEFLATION_RTOL * scale, m - 2)) is None:
         return None
-    rotate_cols(X[:2], *rot, m - 2, m - 1)
-    _pin(X, m - 1, m - 2, mu, nu)
-    pencil._subdiagonal_pole(H, K, m - 2, DEFLATION_RTOL * scale)
-    return rot
+    rotate_cols(X[:2], *out[:2], m - 2, m - 1)
+    X[:2, m - 1, m - 2] = out[2:]
+    return out[:2]
 
 
 def op3_swap_adjacent(X: np.ndarray, c: int):
-    """Exchange the poles at indices c and c+1; all other ratios are fixed.
+    """Exchange the poles at indices c and c+1; all other ratios are fixed:
+    the paper's op3, which the tests hold `install_poles`'s ?tgexc moves to.
 
     The step's row is nu*A - mu*B for the triangular kernels at rows
     (c+1, c+2), columns (c, c+1); then `_pin` swaps the two pole pairs.  X
-    must hold the poles' type (`install_poles` promotes it).  Returns the raw
-    (left, right) pairs, or None when that row vanishes (equal poles).
+    must hold the poles' type.  Returns the raw (left, right) pairs, or None
+    when that row vanishes (equal poles).
     """
     if not 0 <= c <= X.shape[1] - 3:
         raise IndexError(f"swap index {c} out of range")
@@ -312,81 +328,74 @@ def op3_swap_adjacent(X: np.ndarray, c: int):
     if z0 == 0.0 and z1 == 0.0:
         return None
     out = _step(bind(X), p, p + 1, c, p, tau, h01, 0.0, mu, kap, k01, 0.0, nu, z0, z1, 0.0, "pole swap degenerated")
-    _pin(X, p, c, mu, nu)
-    _pin(X, p + 1, p, tau, kap)
+    X[0, p, c], X[1, p, c] = _pin(X.item(0, p, c), X.item(1, p, c), mu, nu)
+    X[0, p + 1, p], X[1, p + 1, p] = _pin(X.item(0, p + 1, p), X.item(1, p + 1, p), tau, kap)
     return out
 
 
-def _move_poles(X: np.ndarray, moves) -> None:
-    """Make each move (f, t) of `moves` in turn -- the pole at position f to
-    position t, the poles between shifting by one -- by one LAPACK ?tgexc
-    call each, on one copy of the pencil.
+def install_poles(sol: IEPSolution, poles, first_index: int, moves=()) -> None:
+    """Make each move (f, t) of `moves` -- the pole at position f to position
+    t, the poles between shifting by one -- then add each pole of `poles` at
+    the bottom and move it up to index first_index + j (j its place in
+    `poles`), in place on the stack sol.X = (H, K, Q^T).
 
-    The poles are the eigenvalues of the triangular pencil
-    (H[1:, :-1], K[1:, :-1]), and ?tgexc reorders them.  It rotates only
-    the first N rows of q and z, so it gets the pencil at N = m: a = H[1:]
-    and b = K[1:] with a zero last row, q = Q[:, 1:], and rows 0 of H and K
-    in z, which takes the right rotations.  Moves within positions lo .. hi
-    read and write only columns lo.. of a, b and z and lo .. m - 2 of q (and
-    a[lo, lo - 1], which must be zero), so only those are copied in and
-    back.  dtgexc and ztgexc pick different right-rotation signs, so a
-    unimodular factor per column lo .. hi makes the entry `_pin` keeps real
-    and nonnegative; then the `_pin` rule, applied to every moved pair at
-    once, carries each pole as its pair before the moves (on real data bit
-    for bit what one `_pin` call per pair writes).  DeflationError when
-    ?tgexc refuses a swap (nonzero info).
+    Every move is one LAPACK ?tgexc call and every add op2's rule `_add`, on
+    one workspace per call.  The poles are the eigenvalues of the triangular
+    pencil (H[1:, :-1], K[1:, :-1]), so ?tgexc gets the pencil at N = m:
+    a = H[1:] and b = K[1:] with a zero last row, q = Q[:, 1:], and rows 0
+    of H and K in z, which takes the right rotations.  The workspace is the
+    C-ordered stack W = (a^T, b^T, z^T, q^T), so an add turns two rows of
+    W[:3].  With lo the lowest position involved, only columns lo.. of a, b
+    and z and lo .. m - 2 of q are read and written (and a[lo, :lo], which
+    must be zero), so only those are copied in, and back once at the end.
+    There a unimodular factor per column lo .. m - 2 makes the entry `_pin`
+    keeps real and nonnegative (dtgexc and ztgexc pick different
+    right-rotation signs), and `_pin`'s rule, applied to every pair from lo
+    at once, carries each pole as the pair it had in the pencil or was added
+    as (on real data bit for bit what one `_pin` call per pair writes); the
+    moves in between read the pairs as ?tgexc leaves them.  Rotations keep
+    the Frobenius norms, so the adds share one deflation scale.  ValueError,
+    before any change, when the poles do not fit in positions first_index ..
+    m - 2; DeflationError, with sol.X as it was, when an add deflates the
+    pencil or ?tgexc refuses a swap (nonzero info).  A complex pole makes a
+    real stack complex: the one place that promotes the type, rebinding
+    sol.X to the complex stack.
     """
-    m = X.shape[1]
-    lo, hi = min(map(min, moves)), max(map(max, moves))
-    src = list(range(lo, hi + 1))
-    for f, t in moves:
-        src.insert(t - lo, src.pop(f - lo))
-    i = np.arange(lo, hi + 1)
-    h, k = X[:2].diagonal(-1, 1, 2)[:, src]  # the pole pairs after the moves
-    a, b, q, z = (np.empty((m, m), X.dtype, order="F") for _ in range(4))
-    a[:-1, lo:], b[:-1, lo:], q[:, lo:-1], z[:2, lo:] = X[0, 1:, lo:], X[1, 1:, lo:], X[2, lo + 1:].T, X[:2, 0, lo:]
-    a[-1, lo:] = b[-1, lo:] = a[lo, :lo] = z[2:, lo:] = 0.0
-    tgexc = get_lapack_funcs("tgexc", (X,))
-    for f, t in moves:
-        a, b, q, z, *_, info = tgexc(a, b, q, z, f + 1, t + 1, overwrite_a=1, overwrite_b=1, overwrite_q=1, overwrite_z=1)
-        if info != 0:
-            raise DeflationError(f"pole move from index {f} to {t} degenerated (?tgexc info {info})")
-    keep_h = np.abs(h) >= np.abs(k)
-    kept = np.where(keep_h, a[i, i], b[i, i])
-    size = np.abs(kept)
-    phases = np.divide(size, kept, out=np.ones_like(kept), where=kept != 0.0)
-    for M in (a, b, z[:2]):
-        M[:, lo:hi + 1] *= phases
-    other = size * (np.where(keep_h, k, h) / np.where(keep_h, h, k))
-    a[i, i], b[i, i] = np.where(keep_h, size, other), np.where(keep_h, other, size)
-    X[0, 1:, lo:], X[1, 1:, lo:], X[2, lo + 1:], X[:2, 0, lo:] = a[:-1, lo:], b[:-1, lo:], q[:, lo:-1].T, z[:2, lo:]
-
-
-def install_poles(sol: IEPSolution, poles, first_index: int) -> None:
-    """Add each pole at the bottom and move it up to index first_index + j
-    (j its place in `poles`), in place on the stack sol.X = (H, K, Q^T): by
-    a chain of `op3_swap_adjacent` calls over at most
-    max(SWAP_CHAIN_MAX, m // 16) positions, further by one ?tgexc call
-    (`_move_poles`), which beats a long chain but not a short one.
-    Rotations keep the Frobenius norms, so the adds share one deflation
-    scale.  ValueError, before any change,
-    when the poles do not fit in positions first_index .. m - 2.  A complex
-    pole makes a real stack complex: the one place that promotes the type,
-    rebinding sol.X to the complex stack."""
     m = sol.m
     if not 0 <= first_index <= m - 1 - len(poles):
         raise ValueError(f"{len(poles)} poles from index {first_index} overrun the {m - 1} positions")
     X = sol.X
     if (dtype := np.result_type(X, np.asarray(poles))) != X.dtype:
         X = sol.X = X.astype(dtype)
-    longest, scale = max(SWAP_CHAIN_MAX, m // 16), pencil_scale(X[0], X[1])
-    for t, psi in enumerate(poles, first_index):
-        op2_add_pole(X, psi, scale)
-        if m - 2 - t > longest:
-            _move_poles(X, [(m - 2, t)])
-        else:
-            for c in range(m - 3, t - 1, -1):
-                op3_swap_adjacent(X, c)
+    steps = [(None, f, t) for f, t in moves] + [(psi, m - 2, t) for t, psi in enumerate(poles, first_index)]
+    if not steps:
+        return
+    lo = min(min(step[1:]) for step in steps)
+    W = np.empty((4, m, m), X.dtype)
+    a, b, z, q = (M.T for M in W)
+    W[:2, lo:, :-1], W[2, lo:, :2], W[3, lo:-1] = X[:2, 1:, lo:].transpose(0, 2, 1), X[:2, 0, lo:].T, X[2, lo + 1 :]
+    W[:2, lo:, -1] = W[2, lo:, 2:] = W[0, :lo, lo] = 0.0
+    pairs = X[:2].diagonal(-1, 1, 2)[:, lo:].T.tolist()  # the pole pair each position lo .. m - 2 carries
+    tgexc, tol = get_lapack_funcs("tgexc", (X,)), DEFLATION_RTOL * pencil_scale(X[0], X[1])
+    for psi, f, t in steps:
+        if psi is not None:
+            if (out := _add(W.item(0, m - 2, m - 2), W.item(0, m - 1, m - 2), W.item(1, m - 2, m - 2), W.item(1, m - 1, m - 2), psi, tol, m - 2)) is not None:
+                rotate_rows(W[:3], out[0], -out[1].conjugate(), m - 2, m - 1)  # columns m - 2, m - 1 of a, b, z
+                W[:2, m - 2, m - 2] = out[2:]
+            pairs[-1] = W[:2, m - 2, m - 2].tolist()
+        *_, info = tgexc(a, b, q, z, f + 1, t + 1, overwrite_a=1, overwrite_b=1, overwrite_q=1, overwrite_z=1)
+        if info != 0:
+            raise DeflationError(f"pole move from index {f} to {t} degenerated (?tgexc info {info})")
+        pairs.insert(t - lo, pairs.pop(f - lo))
+    h, k = np.array(pairs, X.dtype).T
+    keep, i = (np.abs(h) < np.abs(k)).astype(np.intp), np.arange(lo, m - 1)  # keep: 0 for H's entry, 1 for K's
+    kept = W[keep, i, i]
+    size = np.abs(kept)
+    phases = np.divide(size, kept, out=np.ones_like(kept), where=kept != 0.0)[:, None]
+    W[:2, lo:-1] *= phases
+    W[2, lo:-1, :2] *= phases
+    X[:2, 1:, lo:], X[:2, 0, lo:], X[2, lo + 1 :] = W[:2, lo:, :-1].transpose(0, 2, 1), W[2, lo:, :2].T, W[3, lo:-1]
+    X[keep, i + 1, i], X[1 - keep, i + 1, i] = size, size * (np.where(keep, h, k) / np.where(keep, k, h))
 
 
 def add_block(current: IEPSolution | None, node, alphas, weight, new_poles) -> IEPSolution:
@@ -422,9 +431,10 @@ def _lead_block(current: IEPSolution, node, alphas, weight, new_poles) -> IEPSol
     only.  The node step -- reversing columns 0 .. s of H and K and rows
     1 .. s of the stack, a permutation that rounds nothing -- moves that
     entry onto the subdiagonal and leaves a Hessenberg pencil whose s + 1
-    leading poles all equal the node.  `_move_poles` takes them, the lowest
-    first, to positions m - s - 2 .. m - 2, which shifts the current poles
-    up to 0 .. m - s - 3 unchanged, and `install_poles` replaces them.
+    leading poles all equal the node.  One `install_poles` call moves them,
+    the lowest first, to positions m - s - 2 .. m - 2, which shifts the
+    current poles up to 0 .. m - s - 3 unchanged, and replaces them with the
+    new poles.
     """
     s = len(alphas)
     sol = embed(single_block_solution(node, alphas, weight), current)
@@ -432,8 +442,7 @@ def _lead_block(current: IEPSolution, node, alphas, weight, new_poles) -> IEPSol
     X, m = sol.X, sol.m
     X[:2, :, : s + 1] = X[:2, :, s::-1]
     X[:, 1 : s + 1] = X[:, s:0:-1]
-    _move_poles(X, [(j, m - s - 2 + j) for j in range(s, -1, -1)])
-    install_poles(sol, new_poles, current.m - 1)
+    install_poles(sol, new_poles, current.m - 1, [(j, m - s - 2 + j) for j in range(s, -1, -1)])
     return sol
 
 
@@ -465,4 +474,4 @@ def solve_updating(spec: DiscreteSobolevSpec, poles) -> IEPSolution:
     assert sol is not None
     sol.X[2] = sol.X[2][:, np.argsort(rows)]
     assert_unreduced(sol.H, sol.K)
-    return sol
+    return IEPSolution(sol.X, sol.wnorm)

@@ -34,10 +34,11 @@ def test_traced_solve_counts_are_pinned():
     # 4 .. 12 rows lead, without any, and bypass add_block
     assert tracer.counts["updating.eliminations"] == 3
     assert tracer.counts["updating.eliminations_expected"] == 3
-    assert calls["updating.op2_add_pole"] == 16
-    # the updating route's 6 one-position swaps; sop moves each of its 3
-    # poles by one ?tgexc call, which the tracer does not wrap
-    assert calls["updating.op3_swap_adjacent"] == 6
+    # every route adds and moves its poles inside `install_poles` (op2's
+    # rule `_add` and one ?tgexc call per move), which the tracer does not
+    # wrap; the public op2 and op3 serve the tests alone
+    assert calls.get("updating.op2_add_pole", 0) == 0
+    assert calls.get("updating.op3_swap_adjacent", 0) == 0
     assert calls["updating.restore_hessenberg"] == 1
     assert calls["updating.embed"] == 6
     assert calls["updating.add_block"] == 2

@@ -390,7 +390,7 @@ EXTREME_LAMBDA_DOCS = [{"N": 3, "lambda": 1e300}, {"N": 3, "lambda": 1e-300}]
 def test_extreme_lambda_deflates_in_pole_placement(tmp_path, doc):
     with pytest.raises(DeflationError) as info:
         run_solve({**doc, "method": "all"})
-    assert "op2_add_pole" in [frame.name for frame in traceback.extract_tb(info.tb)]
+    assert "_add" in [frame.name for frame in traceback.extract_tb(info.tb)]  # op2's rule
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     proc = run_cli("solve", str(cfg))

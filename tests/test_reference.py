@@ -132,6 +132,31 @@ def gegenbauer_problem(N, mu=2.0, omega=1.5):
     return spec, build_jordan(spec), poles
 
 
+def nan_in_h_after(check):
+    return lambda H, K: (check(H, K), H.__setitem__((0, 0), np.nan))
+
+
+def nan_in_q_after(install):
+    return lambda sol, *args: (install(sol, *args), sol.X[2].__setitem__((0, 0), np.nan))
+
+
+# the last step of each route that touches the pencil before it returns
+LAST_STEPS = {
+    "updating": (updating, "assert_unreduced", nan_in_h_after),
+    "sop": (reference, "install_poles", nan_in_q_after),
+    "krylov": (reference, "assert_unreduced", nan_in_h_after),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_route_refuses_to_return_a_nonfinite_solution(monkeypatch, route):
+    module, name, poison = LAST_STEPS[route]
+    monkeypatch.setattr(module, name, poison(getattr(module, name)))
+    spec, _, poles = gegenbauer_problem(N=3)
+    with pytest.raises(ValueError, match="finite"):
+        ROUTES[route](spec, poles)
+
+
 def test_sop_does_not_use_the_updating_solver(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("sop must not run the updating solver")
@@ -147,8 +172,8 @@ def test_sop_does_not_use_the_updating_solver(monkeypatch):
 def test_sop_installs_poles_through_the_updating_loop(monkeypatch, tgexc_calls):
     # sop adds and moves with the operations the updating solver uses, looked
     # up by name in sorf.updating: each of the 11 prescribed poles is added
-    # once and moved from the bottom up to its index by one ?tgexc call, as
-    # every move spans 34 to 44 positions, more than updating.SWAP_CHAIN_MAX
+    # once by op2's rule and moved from the bottom up to its index by one
+    # ?tgexc call; no route swaps by op3
     calls = {"add": 0, "swap": 0}
 
     def counting(key, op):
@@ -158,7 +183,7 @@ def test_sop_installs_poles_through_the_updating_loop(monkeypatch, tgexc_calls):
 
         return wrapped
 
-    monkeypatch.setattr(updating, "op2_add_pole", counting("add", updating.op2_add_pole))
+    monkeypatch.setattr(updating, "_add", counting("add", updating._add))
     monkeypatch.setattr(updating, "op3_swap_adjacent", counting("swap", updating.op3_swap_adjacent))
     spec, system, poles = gegenbauer_problem(N=12)
     m = spec.m

@@ -803,6 +803,34 @@ def test_install_poles_refuses_more_poles_than_positions():
     assert sol.poles() == pytest.approx([-4.0, 5.0], rel=1e-12)
 
 
+@pytest.mark.parametrize("dtype", (float, complex))
+def test_moves_and_adds_in_one_install_equal_two_installs(rng, dtype):
+    # the moves come first, then the adds: as one call on one workspace, and
+    # as two calls that each pin and copy back
+    m = 9
+    X = random_pole_stack(rng, dtype, [2.0, 2.0, -1.3, 1.7, INFINITY, -2.0, 1.1, 2.4])
+    moves, new = [(1, m - 2), (0, m - 3)], [3.5, -1.5]
+    one, two = IEPSolution(X.copy(), 1.0), IEPSolution(X.copy(), 1.0)
+    install_poles(one, new, m - 3, moves)
+    install_poles(two, [], m - 3, moves)
+    install_poles(two, new, m - 3)
+    assert one.poles() == pytest.approx(two.poles(), rel=1e-13)
+    for a, b in zip(one.X, two.X):
+        assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
+
+
+def test_the_updating_loop_scans_only_the_solution_it_returns(rng, monkeypatch):
+    # partial solutions are finite by construction; the one returned is
+    # checked once, whatever the number of blocks
+    scanned = []
+    check = IEPSolution.__post_init__
+    monkeypatch.setattr(IEPSolution, "__post_init__", lambda sol: (scanned.append(sol.X), check(sol)))
+    spec = random_spec(rng, sigma=7, max_order=2)
+    poles, _ = random_pole_list(rng, spec.m, 3)
+    sol = solve_updating(spec, poles)
+    assert len(scanned) == 1 and scanned[0] is sol.X
+
+
 # ---------------------------------------------------------------------------
 # a leading block: the node step, and the moves past the solved poles
 # ---------------------------------------------------------------------------
@@ -829,11 +857,16 @@ def test_a_leading_block_solves_the_problem_with_its_rows_first(rng, monkeypatch
     spec = spec_with_leading_order(rng, s, 4, dtype)
     poles, _ = random_pole_list(rng, spec.m, 3)
     hat = solve_updating(rest_of(spec), poles[: spec.m - s - 2])
+    # the one install_poles call makes the interim moves and then the adds;
+    # its moves alone give the interim pencil
     seen = []
     install = updating.install_poles
-    monkeypatch.setattr(updating, "install_poles", lambda sol, new, first: (seen.append(sol.poles()), install(sol, new, first)))
+    monkeypatch.setattr(updating, "install_poles", lambda sol, new, first, moves: (seen.append((sol.X.copy(), moves)), install(sol, new, first, moves)))
     sol = updating._lead_block(hat, spec.nodes[0], spec.alphas[0], spec.weights[0], poles[hat.m - 1 :])
-    interim = np.array(seen[0], dtype=complex)
+    (X, moves), = seen
+    interim = IEPSolution(X, 1.0)
+    install(interim, [], hat.m - 1, moves)
+    interim = np.array(interim.poles(), dtype=complex)
     assert np.abs(interim[: hat.m - 1] - hat.poles()).max() <= 1e-13 * np.abs(hat.poles()).max()
     assert np.abs(interim[hat.m - 1 :] - spec.nodes[0]).max() <= 1e-13
     assert_iep_invariants(build_jordan(spec), sol, poles, rtol=1e-13)
@@ -888,15 +921,8 @@ def test_general_specs_on_every_route_with_both_placements(rng, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# long moves: one ?tgexc call in place of a swap chain
+# pole moves: one ?tgexc call each, held to the paper's chain of swaps
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def short_chains(monkeypatch):
-    """install_poles moves a pole by ?tgexc whenever it travels two or more
-    positions, so that small pencils reach the compiled move."""
-    monkeypatch.setattr(updating, "SWAP_CHAIN_MAX", 1)
 
 
 def random_pole_stack(rng, dtype, poles):
@@ -922,8 +948,8 @@ def random_pole_stack(rng, dtype, poles):
 
 def assert_move_matches_swap_chain(tgexc_calls, X, poles, first_index, moves):
     """install_poles on X equals, to rounding and one phase per column of Q,
-    adding each pole and swapping it up one position at a time; it makes
-    `moves` ?tgexc calls.  Returns both stacks."""
+    the paper's loop: op2 adds each pole and op3 swaps it up one position at
+    a time; install_poles makes `moves` ?tgexc calls."""
     m = X.shape[1]
     chain = X.astype(np.result_type(X, np.asarray(poles)))
     for t, psi in enumerate(poles, first_index):
@@ -943,7 +969,6 @@ def assert_move_matches_swap_chain(tgexc_calls, X, poles, first_index, moves):
     assert np.abs(np.abs(chain[2].conj() @ sol.X[2].T) - np.eye(m)).max() <= 1e-13
     assert metric_poles(sol, expected) <= m * np.finfo(float).eps
     assert is_upper_hessenberg(sol.H) and is_upper_hessenberg(sol.K)
-    return sol.X, chain
 
 
 MOVE_CASES = {
@@ -958,39 +983,27 @@ MOVE_CASES = {
 
 @pytest.mark.parametrize("dtype", (float, complex))
 @pytest.mark.parametrize("case", MOVE_CASES)
-def test_move_of_two_or_more_positions_matches_the_swap_chain(short_chains, tgexc_calls, rng, dtype, case):
+def test_every_move_matches_the_swap_chain(tgexc_calls, rng, dtype, case):
     existing, new = MOVE_CASES[case]
-    for first_index in range(len(existing) - 2):  # every move of two or more positions
+    for first_index in range(len(existing) - 1):  # every move of one or more positions
         X = random_pole_stack(rng, dtype, existing)
         assert_move_matches_swap_chain(tgexc_calls, X, new, first_index, 1)
 
 
 @pytest.mark.parametrize("dtype", (float, complex))
 @pytest.mark.parametrize("s", (2, 3))
-def test_block_of_order_s_installs_like_the_swap_chain(short_chains, tgexc_calls, rng, dtype, s):
-    # an appended block of order s brings s + 1 poles from index m - s - 2;
-    # the ones that travel two or more positions move by ?tgexc here (at the
-    # default cut-off all of them swap)
-    for m in (5, 8, 12):
+def test_block_of_order_s_installs_like_the_swap_chain(tgexc_calls, rng, dtype, s):
+    # an appended block of order s brings s + 1 poles from index m - s - 2,
+    # which move s, s - 1, .. 0 positions: one ?tgexc call each
+    for m in (5, 8, 12, 200):
         X = random_pole_stack(rng, dtype, list(rng.uniform(-3.0, 3.0, size=m - 1)))
         new = list(rng.uniform(1.1, 4.0, size=s + 1) * rng.choice((-1.0, 1.0), size=s + 1))
-        assert_move_matches_swap_chain(tgexc_calls, X, new, m - s - 2, s - 1)
+        assert_move_matches_swap_chain(tgexc_calls, X, new, m - s - 2, s + 1)
 
 
-@pytest.mark.parametrize("dtype", (float, complex))
-@pytest.mark.parametrize("m", (updating.SWAP_CHAIN_MAX + 4, 200))
-def test_install_poles_swaps_up_to_the_cut_off_and_moves_beyond_it(tgexc_calls, rng, dtype, m):
-    # a move of max(SWAP_CHAIN_MAX, m // 16) positions (8, and 12 at m = 200)
-    # is the swap chain bit for bit; one position more takes one ?tgexc call
-    chain_max = max(updating.SWAP_CHAIN_MAX, m // 16)
-    X = random_pole_stack(rng, dtype, list(rng.uniform(-3.0, 3.0, size=m - 1)))
-    installed, chain = assert_move_matches_swap_chain(tgexc_calls, X, [2.5], m - 2 - chain_max, 0)
-    assert np.array_equal(installed, chain)
-    assert_move_matches_swap_chain(tgexc_calls, X, [2.5], m - 3 - chain_max, 1)
-
-
-def test_a_refused_move_raises_deflation_error(monkeypatch, rng):
-    X = random_pole_stack(rng, float, [INFINITY] * (updating.SWAP_CHAIN_MAX + 4))
+def test_a_refused_move_raises_deflation_error_and_leaves_the_stack(monkeypatch, rng):
+    X = random_pole_stack(rng, float, [INFINITY] * 6)
+    before = X.copy()
 
     def refusing(a, b, q, z, *args, **kwargs):
         return a, b, q, z, None, 1
@@ -998,3 +1011,4 @@ def test_a_refused_move_raises_deflation_error(monkeypatch, rng):
     monkeypatch.setattr(updating, "get_lapack_funcs", lambda name, arrays: refusing)
     with pytest.raises(DeflationError, match="info 1"):
         install_poles(IEPSolution(X, 1.0), [1.5], 0)
+    assert np.array_equal(X, before)
