@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from sorf.evaluation import metric_orthonormality, metric_poles, metric_recurren
 from sorf.pencil import INFINITY, is_infinite_pole, pencil_scale, pole_at, pole_pair
 from sorf.reference import rational_arnoldi
 from sorf.rotations import rotate_cols, rotate_rows
-from sorf.sobolev import DiscreteSobolevSpec, build_jordan, default_pole_list
+from sorf.sobolev import DiscreteSobolevSpec, GegenbauerSobolevConfig, build_jordan, default_pole_list, discretize_gegenbauer
 from sorf.updating import (
     IEPSolution,
     add_block,
@@ -857,15 +859,17 @@ def test_a_leading_block_solves_the_problem_with_its_rows_first(rng, monkeypatch
     spec = spec_with_leading_order(rng, s, 4, dtype)
     poles, _ = random_pole_list(rng, spec.m, 3)
     hat = solve_updating(rest_of(spec), poles[: spec.m - s - 2])
-    # the one install_poles call makes the interim moves and then the adds;
-    # its moves alone give the interim pencil
+    # the one _place call makes the interim moves and then the adds; its
+    # moves alone give the interim pencil.  The block leads in the route's
+    # workspace of order m, which the route's last _place call writes back
     seen = []
-    install = updating.install_poles
-    monkeypatch.setattr(updating, "install_poles", lambda sol, new, first, moves: (seen.append((sol.X.copy(), moves)), install(sol, new, first, moves)))
-    sol = updating._lead_block(hat, spec.nodes[0], spec.alphas[0], spec.weights[0], poles[hat.m - 1 :])
-    (X, moves), = seen
-    interim = IEPSolution(X, 1.0)
-    install(interim, [], hat.m - 1, moves)
+    place = updating._place
+    monkeypatch.setattr(updating, "_place", lambda ws, steps, X=None: (seen.append((dataclasses.replace(ws, W=ws.W.copy()), steps)), place(ws, steps, X)))
+    ws = updating._lead_block(updating._open(hat, spec.m), spec.nodes[0], spec.alphas[0], spec.weights[0], poles[hat.m - 1 :])
+    place(ws, [], (sol := IEPSolution(np.empty((3, spec.m, spec.m), ws.W.dtype), ws.wnorm)).X)
+    (before, steps), = seen
+    interim = IEPSolution(np.empty_like(sol.X), 1.0)
+    place(before, [step for step in steps if step[0] is None], interim.X)
     interim = np.array(interim.poles(), dtype=complex)
     assert np.abs(interim[: hat.m - 1] - hat.poles()).max() <= 1e-13 * np.abs(hat.poles()).max()
     assert np.abs(interim[hat.m - 1 :] - spec.nodes[0]).max() <= 1e-13
@@ -873,6 +877,69 @@ def test_a_leading_block_solves_the_problem_with_its_rows_first(rng, monkeypatch
     assert metric_poles(sol, poles) <= spec.m * np.finfo(float).eps
     assert sol.X.dtype == np.result_type(dtype, *spec.weights, *sum(spec.alphas, ()), np.asarray(poles))
     assert phase_free_distance(sol.Q, rational_arnoldi(build_jordan(spec), poles).Q) <= 1e-12
+
+
+def gegenbauer_problem(N, mu=2.0, omega=1.5):
+    """The config and spec `sorf solve` builds for N (m = 4N - 2), lambda 1."""
+    config = GegenbauerSobolevConfig(mu=mu, lam=1.0, omega=omega, N=N)
+    return config, discretize_gegenbauer(config)
+
+
+def test_the_leading_blocks_keep_no_bookkeeping_of_their_own(monkeypatch):
+    # the leading blocks share the route's one workspace: its deflation scale
+    # is carried (no pencil_scale call), and the copy in (_open) and the
+    # phase pass and copy back (_place with a stack) come once per solve.
+    # What remains is the appended blocks' own: the first and second block
+    # (0 and 2 rows found) each install through a workspace of their own, and
+    # the second one's sweep takes its scale -- the same at m = 22 and 46
+    counts = {}
+
+    def counting(name, fn, counts_call=lambda *args: True):
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + counts_call(*args, **kwargs)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(updating, name, counted)
+
+    counting("pencil_scale", updating.pencil_scale)
+    counting("_open", updating._open)
+    counting("_place", updating._place, lambda ws, steps, X=None: X is not None)
+    seen = []
+    for N in (6, 12):
+        config, spec = gegenbauer_problem(N)
+        counts.clear()
+        solve_updating(spec, default_pole_list(config.poles, spec.m))
+        seen.append(dict(counts))
+    assert seen[0] == seen[1] == {"pencil_scale": 1, "_open": 3, "_place": 3}
+
+
+def test_a_conjugate_pair_in_the_last_leading_block_promotes_the_workspace(monkeypatch):
+    # m = 46: the ladder, real free poles, then 1.6 +- 0.4i in the last two
+    # positions, which the last leading block installs: the workspace stays
+    # real until that block promotes it
+    config, spec = gegenbauer_problem(12)
+    m = spec.m
+    free = [(1.2 + 0.05 * k) * (-1) ** k for k in range(m - 3 - len(config.poles))]
+    poles = default_pole_list(config.poles, m, free=free + [1.6 + 0.4j, 1.6 - 0.4j])
+    types = []
+    lead = updating._lead_block
+
+    def spy(ws, *block):
+        grown = lead(ws, *block)
+        types.append((ws.W.dtype, grown.W.dtype))
+        return grown
+
+    monkeypatch.setattr(updating, "_lead_block", spy)
+    sol = solve_updating(spec, poles)
+    assert types[:-1] == [(np.float64, np.float64)] * (len(types) - 1) and types[-1] == (np.float64, np.complex128)
+    assert sol.X.dtype == np.complex128
+    system = build_jordan(spec)
+    assert metric_poles(sol, poles) <= m * np.finfo(float).eps
+    assert metric_recurrence(system, sol) <= 1e-13
+    assert metric_orthonormality(sol) <= 1e-13
+    # measured 4.15e-14 with one BLAS thread (Krylov's Q is 2.1e-14 from
+    # sop's): a margin of 2.4x
+    assert phase_free_distance(sol.Q, ROUTES["sop"](spec, poles).Q) <= 1e-13
 
 
 def test_the_block_order_follows_the_weights_alone(rng):
