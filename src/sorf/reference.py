@@ -34,15 +34,11 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
     (or J q_k for a polynomial step) in the basis built so far; the phase of
     each new basis vector is chosen so the H subdiagonal is nonnegative.
     Orthogonalization is classical Gram-Schmidt with one full
-    reorthogonalization pass.  Q, H and K take the type of J, w and poles.
+    reorthogonalization pass.  Q, H and K take the type of J, w and poles;
+    `poles` meets the solvers' one contract, `check_spectrum_disjoint`.
     """
-    J, w = sys.J, sys.w
-    m = J.shape[0]
-    poles = list(poles)
-    if len(poles) != m - 1:
-        raise ValueError(f"need m - 1 = {m - 1} poles, got {len(poles)}")
-    diag = J.diagonal()
-    check_spectrum_disjoint(poles, diag)
+    J, w, m, diag = sys.J, sys.w, sys.m, sys.J.diagonal()
+    poles = check_spectrum_disjoint(poles, diag, m)
     wnorm = float(np.linalg.norm(w))
     if wnorm == 0.0:
         raise KrylovBreakdownError("starting vector is zero")
@@ -99,18 +95,13 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
 
 def solve_via_sop(sys: JordanSystem, poles) -> IEPSolution:
     """Polynomial-first route on the Jordan system `sys`: polynomial Arnoldi
-    gives H with K = I, then the poles psi_1, psi_2, ... are added and
-    moved into the leading subpencil.
-
-    `poles` may stop short of m - 1 entries; the positions after it keep
-    their infinite poles, and so do trailing infinite entries, which are
+    gives H with K = I, then the poles psi_1 .. psi_{m-1} are added and
+    moved into the leading subpencil.  `poles` meets the solvers' one
+    contract, `check_spectrum_disjoint`; its trailing infinite entries are
     already in place and are not installed.
     """
     m = sys.m
-    xi = list(poles)
-    if len(xi) > m - 1:
-        raise ValueError("more prescribed poles than pencil positions")
-    check_spectrum_disjoint(xi, sys.J.diagonal())
+    xi = check_spectrum_disjoint(poles, sys.J.diagonal(), m)
     while xi and is_infinite_pole(xi[-1]):
         xi.pop()
     sol = rational_arnoldi(sys, [np.inf] * (m - 1))

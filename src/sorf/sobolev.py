@@ -137,13 +137,7 @@ class GegenbauerSobolevConfig:
 
 def gegenbauer_pole_ladder(omega: float, count: int) -> list[float]:
     """First `count` poles of the ladder -w, w, -2w, 2w, ..."""
-    ladder = []
-    k = 1
-    while len(ladder) < count:
-        ladder.append(scalar(-k * omega))
-        ladder.append(scalar(k * omega))
-        k += 1
-    return ladder[:count]
+    return [scalar(sign * k * omega) for k in range(1, count // 2 + 2) for sign in (-1, 1)][:count]
 
 
 def gegenbauer_rule(config: GegenbauerSobolevConfig) -> QuadratureRule:
@@ -180,18 +174,11 @@ def build_jordan(spec: DiscreteSobolevSpec) -> JordanSystem:
     its superdiagonal; w holds w_j at the last index of block j.  Both take
     the type of the spec's scalars: real data give real J and w.
     """
-    m = spec.m
-    dtype = np.asarray([*spec.nodes, *spec.weights, *sum(spec.alphas, ())]).dtype
-    J = np.zeros((m, m), dtype)
-    w = np.zeros(m, dtype)
-    row = 0
-    for z, s, al, wj in zip(spec.nodes, spec.orders, spec.alphas, spec.weights):
-        for i in range(s + 1):
-            J[row + i, row + i] = z
-        for i in range(s):
-            J[row + i, row + i + 1] = al[s - 1 - i]
-        w[row + s] = wj
-        row += s + 1
+    size, dtype = np.add(spec.orders, 1), np.asarray([*spec.nodes, *spec.weights, *sum(spec.alphas, ())]).dtype
+    J, w = np.zeros((spec.m, spec.m), dtype), np.zeros(spec.m, dtype)
+    np.fill_diagonal(J, np.repeat(spec.nodes, size))
+    np.fill_diagonal(J[:, 1:], [a for al in spec.alphas for a in (*al[::-1], 0.0)][:-1])
+    w[np.cumsum(size) - 1] = spec.weights
     return JordanSystem(J, w)
 
 
@@ -212,16 +199,22 @@ def default_pole_list(xi, m: int, free=None) -> list:
     return [INFINITY if is_infinite_pole(x) else scalar(x) for x in xi + free]
 
 
-def check_spectrum_disjoint(poles, nodes) -> None:
-    """The one pole-versus-node rule of all three solvers, applied on entry:
-    a NaN pole raises ConfigError, and a finite pole within
-    NODE_GAP * max(1, |psi|) of a node raises SpectrumOverlapError."""
-    z = np.asarray(nodes)
-    for k, psi in enumerate(poles):
-        if is_infinite_pole(psi):
-            continue
-        if np.isnan(complex(psi)):
-            raise ConfigError(f"pole psi_{k + 1} = {psi} is NaN")
-        d = np.min(np.abs(z - complex(psi)))
-        if d <= NODE_GAP * max(1.0, abs(complex(psi))):
-            raise SpectrumOverlapError(f"pole psi_{k + 1} = {psi} coincides with a node")
+def check_spectrum_disjoint(poles, nodes, m: int) -> list:
+    """The one pole-list contract of all three solvers, applied on entry and
+    returning the poles as a list: exactly m - 1 of them (ValueError
+    otherwise), and at the first offender a NaN pole raises ConfigError and
+    a finite pole within NODE_GAP * max(1, |psi|) of a node raises
+    SpectrumOverlapError.  An infinite pole (an infinite real or imaginary
+    part, `is_infinite_pole`) passes."""
+    poles = list(poles)
+    if len(poles) != m - 1:
+        raise ValueError(f"need m - 1 = {m - 1} poles, got {len(poles)}")
+    p = np.array(poles, complex)
+    nan, finite = np.isnan(p) & ~np.isinf(p), np.isfinite(p)  # neither: an infinite pole
+    near = np.zeros_like(finite)
+    near[finite] = np.abs(p[finite, None] - np.asarray(nodes)).min(axis=1) <= NODE_GAP * np.maximum(1.0, np.abs(p[finite]))
+    for k in np.flatnonzero(nan | near)[:1]:  # the first offender
+        if nan[k]:
+            raise ConfigError(f"pole psi_{k + 1} = {poles[k]} is NaN")
+        raise SpectrumOverlapError(f"pole psi_{k + 1} = {poles[k]} coincides with a node")
+    return poles

@@ -359,13 +359,13 @@ class _Workspace:
     wnorm: float
 
 
-def _open(sol: IEPSolution, m: int = 0) -> _Workspace:
+def _open(sol: IEPSolution, m: int) -> _Workspace:
     """The one copy of the stack sol.X into the trailing corner of a
-    workspace of order max(m, sol.m), with its squared norms."""
+    workspace of order m >= sol.m, with its squared norms."""
     X, n = sol.X, sol.m
-    W = np.zeros((4, max(m, n), max(m, n)), X.dtype)
+    W = np.zeros((4, m, m), X.dtype)
     W[:2, -n:, -n:-1], W[2, -n:, -2:], W[3, -n:-1, -n:], W[3, -1, -n:] = X[:2, 1:].transpose(0, 2, 1), X[:2, 0].T, X[2, 1:], X[2, 0]
-    return _Workspace(W, W.shape[1] - n, np.linalg.norm(X[:2], axis=(1, 2)) ** 2, sol.wnorm)
+    return _Workspace(W, m - n, np.linalg.norm(X[:2], axis=(1, 2)) ** 2, sol.wnorm)
 
 
 def _place(ws: _Workspace, steps, X: np.ndarray | None = None) -> None:
@@ -409,11 +409,10 @@ def _place(ws: _Workspace, steps, X: np.ndarray | None = None) -> None:
         X[:2, 1:], X[:2, 0], X[2, 1:], X[2, 0] = W[:2, :, :-1].transpose(0, 2, 1), W[2, :, -2:].T, W[3, :-1], W[3, -1]
 
 
-def install_poles(sol: IEPSolution, poles, first_index: int, moves=()) -> None:
-    """Make each move (f, t) of `moves` -- the pole at position f to position
-    t, the poles between shifting by one -- then add each pole of `poles` at
-    the bottom and move it up to index first_index + j (j its place in
-    `poles`), in place on the stack sol.X = (H, K, Q^T).
+def install_poles(sol: IEPSolution, poles, first_index: int) -> None:
+    """Add each pole of `poles` at the bottom and move it up to index
+    first_index + j (j its place in `poles`), in place on the stack
+    sol.X = (H, K, Q^T).
 
     One copy into a workspace (`_open`), then one `_place` call: the move
     loop (every move one LAPACK ?tgexc call, every add op2's rule `_add`)
@@ -432,8 +431,8 @@ def install_poles(sol: IEPSolution, poles, first_index: int, moves=()) -> None:
     if not 0 <= first_index <= m - 1 - len(poles):
         raise ValueError(f"{len(poles)} poles from index {first_index} overrun the {m - 1} positions")
     sol.X = sol.X.astype(np.result_type(sol.X, np.asarray(poles)), copy=False)
-    if steps := [(None, f, t) for f, t in moves] + [(psi, m - 2, t) for t, psi in enumerate(poles, first_index)]:
-        _place(_open(sol), steps, sol.X)
+    if steps := [(psi, m - 2, t) for t, psi in enumerate(poles, first_index)]:
+        _place(_open(sol, m), steps, sol.X)
 
 
 def add_block(current: IEPSolution | None, node, alphas, weight, new_poles) -> IEPSolution:
@@ -498,21 +497,19 @@ def _lead_block(ws: _Workspace, node, alphas, weight, new_poles) -> _Workspace:
 def solve_updating(spec: DiscreteSobolevSpec, poles) -> IEPSolution:
     """Solve the inverse eigenvalue problem block by block.
 
-    `poles` lists psi_1 .. psi_{m-1} (0-based positions 0 .. m-2); the
-    partial solution of size p takes positions 0 .. p - 2, whatever its
-    blocks, so the next block consumes the next s + 1 of them (s for the
-    first block).  Blocks come by decreasing |weight|, ties in node order.
-    A block is appended (`add_block`) while the partial solution has at
-    most `SWEEP_MAX` rows and leads (`_lead_block`) past it, in one
-    workspace of order m that the first leading block opens (`_open`) and
-    the last `_place` call phases and writes back; Q's rows follow the
-    blocks' places and are put back into J's order at the end.
+    `poles` lists psi_1 .. psi_{m-1} (0-based positions 0 .. m-2) and
+    meets the solvers' one contract, `check_spectrum_disjoint`; the partial
+    solution of size p takes positions 0 .. p - 2, whatever its blocks, so
+    the next block consumes the next s + 1 of them (s for the first block).
+    Blocks come by decreasing |weight|, ties in node order.  A block is
+    appended (`add_block`) while the partial solution has at most
+    `SWEEP_MAX` rows and leads (`_lead_block`) past it, in one workspace of
+    order m that the first leading block opens (`_open`) and the last
+    `_place` call phases and writes back; Q's rows follow the blocks'
+    places and are put back into J's order at the end.
     """
     m = spec.m
-    poles = list(poles)
-    if len(poles) != m - 1:
-        raise ValueError(f"need m - 1 = {m - 1} poles, got {len(poles)}")
-    check_spectrum_disjoint(poles, spec.nodes)
+    poles = check_spectrum_disjoint(poles, spec.nodes, m)
     start = np.cumsum([0, *(s + 1 for s in spec.orders)])  # J's first row of each block
     sol = ws = None
     rows: list = []  # J's rows in the order of the solution's

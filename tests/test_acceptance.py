@@ -84,7 +84,7 @@ def test_criterion_2_sweep_all_methods():
         assert spec.m == 2 + (N - 1) * 4
         sols = {
             "updating": solve_updating(spec, poles),
-            "sop": solve_via_sop(system, xi),
+            "sop": solve_via_sop(system, poles),
             "krylov": rational_arnoldi(system, poles),
         }
         for name, sol in sols.items():
@@ -111,7 +111,7 @@ def test_criterion_3_oracle_equivalence():
         system = build_jordan(spec)
         sols = {
             "updating": solve_updating(spec, poles),
-            "sop": solve_via_sop(system, xi),
+            "sop": solve_via_sop(system, poles),
             "krylov": rational_arnoldi(system, poles),
         }
         for name, sol in sols.items():

@@ -43,3 +43,15 @@ def test_the_total_is_the_sum_over_the_modules(tmp_path, capsys):
     (tmp_path / "b.py").write_text("x = 1\n\n# note\n", encoding="utf-8")
     assert load_loc_tool().main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.split("\n") == ["    7 a.py", "    1 b.py", "    8 total", ""]
+
+
+def test_at_most_gates_the_total(tmp_path, capsys):
+    # the total here is 8: allowed at 8, refused with a message at 7
+    (tmp_path / "a.py").write_text(SOURCE, encoding="utf-8")
+    (tmp_path / "b.py").write_text("x = 1\n", encoding="utf-8")
+    loc = load_loc_tool()
+    assert loc.main([str(tmp_path), "--at-most", "8"]) == 0
+    assert capsys.readouterr().err == ""
+    assert loc.main([str(tmp_path), "--at-most", "7"]) == 1
+    out, err = capsys.readouterr()
+    assert out.endswith("    8 total\n") and err.startswith("8 code lines exceed the allowed 7")

@@ -116,14 +116,17 @@ def test_arnoldi_pole_count_mismatch(rng):
 def test_sop_empty_prefix_gives_identity_k():
     spec = random_spec(np.random.default_rng(7), sigma=3, max_order=1)
     sys = build_jordan(spec)
-    sol = solve_via_sop(sys, [])
+    sol = solve_via_sop(sys, [INFINITY] * (spec.m - 1))
     assert np.array_equal(sol.K, np.eye(spec.m, dtype=complex))
     assert_iep_invariants(sys, sol, [INFINITY] * (spec.m - 1))
 
 
 def test_sop_refuses_more_poles_than_positions():
-    with pytest.raises(ValueError, match="^more prescribed poles than pencil positions$"):
+    # one pole too many and one too few, refused by the solvers' shared message
+    with pytest.raises(ValueError, match=r"^need m - 1 = 1 poles, got 2$"):
         solve_via_sop(diagonal_system([1, 0]), [INFINITY, INFINITY])
+    with pytest.raises(ValueError, match=r"^need m - 1 = 1 poles, got 0$"):
+        solve_via_sop(diagonal_system([1, 0]), [])
 
 
 def gegenbauer_problem(N, mu=2.0, omega=1.5):
@@ -219,7 +222,7 @@ def test_sop_leading_subpencil_carries_prescribed_poles(rng):
     spec = random_spec(rng, sigma=4, max_order=1)
     xi = [-1.7, 1.3, -2.4][: max(1, min(3, spec.m - 1))]
     sys = build_jordan(spec)
-    sol = solve_via_sop(sys, xi)
+    sol = solve_via_sop(sys, default_pole_list(xi, spec.m))
     for k, x in enumerate(xi):
         assert pole_at(sol.H, sol.K, k) == pytest.approx(x, rel=1e-12)
     for k in range(len(xi), spec.m - 1):
@@ -236,7 +239,7 @@ def test_three_solvers_agree_on_function_tables(rng):
         sys = build_jordan(spec)
         sols = {
             "updating": solve_updating(spec, poles),
-            "sop": solve_via_sop(sys, xi),
+            "sop": solve_via_sop(sys, poles),
             "krylov": rational_arnoldi(sys, poles),
         }
         pts = np.array(spec.nodes)

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from conftest import ROUTES
+from conftest import ROUTES, assert_iep_invariants
 
 from sorf.errors import ConfigError, SpectrumOverlapError
 from sorf.pencil import INFINITY, is_infinite_pole
@@ -11,6 +13,7 @@ from sorf.sobolev import (
     GegenbauerSobolevConfig,
     JordanSystem,
     build_jordan,
+    check_spectrum_disjoint,
     default_pole_list,
     discretize_gegenbauer,
     gegenbauer_pole_ladder,
@@ -297,6 +300,59 @@ def test_every_route_refuses_a_nan_pole(route, make_poles):
     # a NaN is not the point at infinity: every route refuses it on entry
     with pytest.raises(ConfigError, match=r"^pole psi_\d+ = .* is NaN$"):
         ROUTES[route](NAN_POLE_SPEC, make_poles(NAN_POLE_SPEC.m))
+
+
+# the solvers' one input contract (`check_spectrum_disjoint`): m = 5, so
+# four poles, and nodes -0.5, 0.25, 0.75
+CONTRACT_SPEC = DiscreteSobolevSpec(
+    nodes=(-0.5, 0.25, 0.75), orders=(1, 0, 1), alphas=((0.7,), (), (1.3,)), weights=(1.0, 0.8, 0.6)
+)
+
+
+def one_at(k, psi):
+    return [-2.0, 2.0, -3.0, 3.0][:k] + [psi] + [INFINITY] * (3 - k)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize(
+    "poles, error, message",
+    [
+        ([-2.0, INFINITY, INFINITY], ValueError, "need m - 1 = 4 poles, got 3"),
+        ([-2.0, *[INFINITY] * 4], ValueError, "need m - 1 = 4 poles, got 5"),
+        *((one_at(k, np.nan), ConfigError, f"pole psi_{k + 1} = nan is NaN") for k in range(4)),
+        *((one_at(k, 0.25), SpectrumOverlapError, f"pole psi_{k + 1} = 0.25 coincides with a node") for k in range(4)),
+        ([-2.0, -0.5, np.nan, INFINITY], SpectrumOverlapError, "pole psi_2 = -0.5 coincides with a node"),
+        ([-2.0, np.nan, 0.75, INFINITY], ConfigError, "pole psi_2 = nan is NaN"),
+    ],
+    ids=["short", "long", *(f"nan-{k}" for k in range(4)), *(f"on-node-{k}" for k in range(4)), "overlap-first", "nan-first"],
+)
+def test_every_route_keeps_one_pole_list_contract(route, poles, error, message):
+    # each route refuses a bad list with the same type and message: a count
+    # other than m - 1, else the first NaN or pole on a node
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        ROUTES[route](CONTRACT_SPEC, poles)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_an_infinite_part_with_a_nan_part_passes_the_contract(route):
+    # complex(inf, nan) is the point at infinity, not a NaN
+    poles = [-2.0, complex(np.inf, np.nan), 2.0, INFINITY]
+    assert check_spectrum_disjoint(poles, CONTRACT_SPEC.nodes, CONTRACT_SPEC.m) == poles
+    sol = ROUTES[route](CONTRACT_SPEC, poles)
+    assert_iep_invariants(build_jordan(CONTRACT_SPEC), sol, [-2.0, INFINITY, 2.0, INFINITY])
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_the_pole_list_contract_on_complex_nodes_and_poles(route):
+    spec = DiscreteSobolevSpec(
+        nodes=(0.2 + 0.3j, -0.4 + 0.1j, 0.5 - 0.2j), orders=(1, 0, 1), alphas=((0.8 + 0.1j,), (), (1.1,)), weights=(1.0 + 0.5j, 0.7, 1.2 - 0.3j)
+    )
+    poles = [2.0 + 1.0j, INFINITY, -1.8 - 0.4j, INFINITY]
+    assert_iep_invariants(build_jordan(spec), ROUTES[route](spec, poles), poles)
+    with pytest.raises(SpectrumOverlapError, match=f"^{re.escape('pole psi_3 = (-0.4+0.1j) coincides with a node')}$"):
+        ROUTES[route](spec, [2.0 + 1.0j, INFINITY, -0.4 + 0.1j, INFINITY])
+    with pytest.raises(ConfigError, match=f"^{re.escape('pole psi_2 = (1.5+nanj) is NaN')}$"):
+        ROUTES[route](spec, [2.0 + 1.0j, complex(1.5, np.nan), -0.4 + 0.1j, INFINITY])
 
 
 def test_default_pole_list_explicit_free_poles():

@@ -659,7 +659,7 @@ def test_solve_updating_complex_nodes_and_weights(rng):
 
     xi = [2.0 + 1.0j, INFINITY, -1.8]
     psis = default_pole_list(xi, spec.m)
-    routes = [solve_updating(spec, psis), solve_via_sop(sys, xi), rational_arnoldi(sys, psis)]
+    routes = [solve_updating(spec, psis), solve_via_sop(sys, psis), rational_arnoldi(sys, psis)]
     nodes = np.array(spec.nodes)
     tables = [evaluate_solution(sol, nodes, max_deriv=2) for sol in routes]
     for sol in routes:
@@ -807,15 +807,17 @@ def test_install_poles_refuses_more_poles_than_positions():
 
 @pytest.mark.parametrize("dtype", (float, complex))
 def test_moves_and_adds_in_one_install_equal_two_installs(rng, dtype):
-    # the moves come first, then the adds: as one call on one workspace, and
-    # as two calls that each pin and copy back
+    # the moves come first, then the adds: as one `_place` call on one
+    # workspace, and as two calls that each pin and copy back, which is what
+    # `_lead_block`'s one call relies on
     m = 9
     X = random_pole_stack(rng, dtype, [2.0, 2.0, -1.3, 1.7, INFINITY, -2.0, 1.1, 2.4])
-    moves, new = [(1, m - 2), (0, m - 3)], [3.5, -1.5]
+    moves = [(None, 1, m - 2), (None, 0, m - 3)]
+    adds = [(psi, m - 2, t) for t, psi in enumerate([3.5, -1.5], m - 3)]
     one, two = IEPSolution(X.copy(), 1.0), IEPSolution(X.copy(), 1.0)
-    install_poles(one, new, m - 3, moves)
-    install_poles(two, [], m - 3, moves)
-    install_poles(two, new, m - 3)
+    for sol, calls in ((one, [moves + adds]), (two, [moves, adds])):
+        for steps in calls:
+            updating._place(updating._open(sol, m), steps, sol.X)
     assert one.poles() == pytest.approx(two.poles(), rel=1e-13)
     for a, b in zip(one.X, two.X):
         assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)

@@ -1,16 +1,20 @@
 """Code lines of a package, per module and in total.
 
-    python3 tools/loc.py [package directory, default src/sorf]
+    python3 tools/loc.py [package directory, default src/sorf] [--at-most N]
 
 A code line is a non-blank line that carries a token of a statement: the
 lines a docstring spans (the string that opens a module, class or function
 body) and lines holding only a comment do not count; every physical line a
 statement spans does.  Prints one `<count> <module>` line per module, then
 `<count> total`, so that "src/ should not grow" reads as one number.
+With `--at-most N` it also exits 1, with a message on stderr, when that
+total exceeds N: CI passes the current total, so a change that grows the
+package raises N in its own diff.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -41,13 +45,19 @@ def code_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    package = Path(argv[0]) if argv else PACKAGE
+    parser = argparse.ArgumentParser(description="Code lines of a package, per module and in total.")
+    parser.add_argument("package", nargs="?", type=Path, default=PACKAGE)
+    parser.add_argument("--at-most", type=int, metavar="N", help="exit 1 when the total exceeds N")
+    args = parser.parse_args(argv)
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(args.package.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:5d} {path.name}")
     print(f"{total:5d} total")
+    if args.at_most is not None and total > args.at_most:
+        print(f"{total} code lines exceed the allowed {args.at_most}; raise --at-most only with a capability that needs them", file=sys.stderr)
+        return 1
     return 0
 
 
