@@ -2,10 +2,12 @@
 
 `rational_arnoldi` builds the orthonormal basis of the rational Krylov
 subspace generated by (J, w) with the prescribed pole sequence and reads the
-pencil off the recurrence; each shifted system (J - psi I) x = q is one call
-of LAPACK's banded solver `?gbsv` (J upper bidiagonal, looked up once per
-pencil) once `check_spectrum_disjoint` has kept the poles off the nodes, and
-the basis is kept orthogonal with a second orthogonalization pass.
+pencil off the recurrence, every step from the pole's homogeneous pair
+(mu, nu) with one rule for finite and infinite poles; each shifted system
+(J - mu I) x = q is one call of LAPACK's banded solver `?gbsv` (J upper
+bidiagonal, looked up once per pencil) once `check_spectrum_disjoint` has
+kept the poles off the nodes, and the basis is kept orthogonal with a second
+orthogonalization pass.
 
 `solve_via_sop` takes the recurrence matrix of the Sobolev orthogonal
 polynomials from polynomial Arnoldi (all poles at infinity, K = I exactly;
@@ -21,7 +23,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import KrylovBreakdownError
-from .pencil import assert_unreduced, is_infinite_pole
+from .pencil import assert_unreduced, is_infinite_pole, pole_pair
 from .sobolev import JordanSystem, check_spectrum_disjoint
 from .updating import IEPSolution, install_poles
 from .updating import op2_add_pole, op3_swap_adjacent, solve_updating  # noqa: F401 (traced here by name)
@@ -30,12 +32,17 @@ from .updating import op2_add_pole, op3_swap_adjacent, solve_updating  # noqa: F
 def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
     """Full rational Krylov run producing an m-by-m pencil and basis.
 
-    Column k of the pencil encodes the expansion of (J - psi_k I)^{-1} q_k
-    (or J q_k for a polynomial step) in the basis built so far; the phase of
-    each new basis vector is chosen so the H subdiagonal is nonnegative.
-    Orthogonalization is classical Gram-Schmidt with one full
-    reorthogonalization pass.  Q, H and K take the type of J, w and poles;
-    `poles` meets the solvers' one contract, `check_spectrum_disjoint`.
+    Step k takes the homogeneous pole pair (mu, nu) = pole_pair(psi_k),
+    (psi_k, 1) at a finite pole and (1, 0) at infinity (Berljafa and
+    Guttel's rational Arnoldi decomposition).  nu chooses two things only:
+    the vector v, (J - mu I)^{-1} q_k or J q_k, and K's column, v's
+    coefficients c in the basis Q[:, : k + 2] or e_k.  The rest is one path
+    for every pole: the phase of q_{k+1} makes H's subdiagonal mu * beta
+    real and nonnegative (phase 1 at infinity), and H's column is mu * c,
+    plus e_k at a finite pole, since J Q (nu c + (1 - nu) e_k) equals
+    Q (mu c + nu e_k).  Orthogonalization is classical Gram-Schmidt with
+    one full reorthogonalization pass.  Q, H and K take the type of J, w and
+    poles; `poles` meets the solvers' one contract, `check_spectrum_disjoint`.
     """
     J, w, m, diag = sys.J, sys.w, sys.m, sys.J.diagonal()
     poles = check_spectrum_disjoint(poles, diag, m)
@@ -48,14 +55,13 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
     upper = np.concatenate(([0.0], J.diagonal(1)))  # band row 0: the superdiagonal after a leading 0
     gbsv = get_lapack_funcs("gbsv", (J, Q))
     for k in range(m - 1):
-        psi = poles[k]
-        infinite = is_infinite_pole(psi)
-        if infinite:
-            v = J @ Q[:, k]
-        else:
-            _, _, v, info = gbsv(0, 1, np.array((upper, diag - psi)), Q[:, k], overwrite_ab=True)
+        mu, nu = pole_pair(poles[k])  # nu chooses the solve and K's column; the rest is one path
+        if nu:
+            _, _, v, info = gbsv(0, 1, np.array((upper, diag - mu)), Q[:, k], overwrite_ab=True)
             if info != 0 or not np.isfinite(v).all():
                 raise KrylovBreakdownError(f"shifted system at step {k + 1} is singular or not finite")
+        else:
+            v = J @ Q[:, k]
         vnorm0 = np.linalg.norm(v)
         basis = Q[:, : k + 1]
         coeff = (v.conj() @ basis).conj()
@@ -66,22 +72,16 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
         beta = float(np.linalg.norm(v))
         if beta <= 1e-13 * vnorm0:
             raise KrylovBreakdownError(f"rational Krylov space degenerated at step {k + 1}")
-        q_next = v / beta
-        if infinite:
-            K[k, k] = 1.0
-            H[: k + 1, k] = coeff
-            H[k + 1, k] = beta
-        else:
-            sub = psi * beta
-            phase = sub / abs(sub) if sub != 0.0 else 1.0
-            q_next = q_next * phase
-            beta_eff = beta * np.conj(phase)
-            K[: k + 1, k] = coeff
-            K[k + 1, k] = beta_eff
-            H[: k + 1, k] = psi * coeff
+        sub = mu * beta  # H's subdiagonal before the phase: beta itself at infinity
+        phase = sub / abs(sub) if sub != 0.0 else 1.0
+        Q[:, k + 1] = v / beta * phase
+        last = beta * np.conj(phase)  # the coefficient of Q[:, k + 1]
+        H[: k + 1, k], H[k + 1, k] = mu * coeff, mu * last
+        if nu:
+            K[: k + 1, k], K[k + 1, k] = coeff, last
             H[k, k] += 1.0
-            H[k + 1, k] = psi * beta_eff
-        Q[:, k + 1] = q_next
+        else:
+            K[k, k] = 1.0
     K[m - 1, m - 1] = 1.0
     QH = Q.conj().T
     H[:, m - 1] = QH @ (J @ Q[:, m - 1])

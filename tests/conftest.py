@@ -59,6 +59,39 @@ def phase_free_distance(Qa, Qb):
     return float(np.max(np.linalg.norm(Qa - s * Qb, axis=0)))
 
 
+def mp_rational_arnoldi(system, poles, dps=60):
+    """Forward-error oracle: the orthonormal basis of the rational Krylov
+    space of (J, w) with the poles, computed in mpmath at `dps` digits from
+    the double-precision J (upper bidiagonal), w and poles, then rounded to
+    complex128.  Step k appends (J - psi_k I)^{-1} q_k, or J q_k at an
+    infinite pole, orthogonalized twice by modified Gram-Schmidt; the
+    columns' phases are free, so compare with `phase_free_distance`."""
+    import mpmath
+
+    J, m = system.J, system.m
+    assert np.array_equal(J, np.diag(J.diagonal()) + np.diag(J.diagonal(1), 1))
+    with mpmath.workdps(dps):
+        d = [mpmath.mpc(complex(x)) for x in J.diagonal()]
+        e = [mpmath.mpc(complex(x)) for x in J.diagonal(1)] + [mpmath.mpc(0)]
+        w = [mpmath.mpc(complex(x)) for x in system.w]
+        Q = [[x / mpmath.sqrt(mpmath.fsum(abs(y) ** 2 for y in w)) for x in w]]
+        for psi in poles:
+            q = Q[-1]
+            if np.isinf(psi):
+                v = [d[i] * q[i] + e[i] * q[i + 1] for i in range(m - 1)] + [d[-1] * q[-1]]
+            else:
+                p, v = mpmath.mpc(complex(psi)), [mpmath.mpc(0)] * m
+                for i in reversed(range(m)):  # back substitution on J - psi I
+                    v[i] = (q[i] - (e[i] * v[i + 1] if i < m - 1 else 0)) / (d[i] - p)
+            for _ in range(2):
+                for b in Q:
+                    c = mpmath.fsum(mpmath.conj(x) * y for x, y in zip(b, v))
+                    v = [y - c * x for x, y in zip(b, v)]
+            norm = mpmath.sqrt(mpmath.fsum(abs(y) ** 2 for y in v))
+            Q.append([y / norm for y in v])
+        return np.array([[complex(x) for x in col] for col in Q]).T
+
+
 def is_upper_hessenberg(A):
     return not np.tril(A, -2).any()
 

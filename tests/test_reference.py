@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ROUTES, assert_iep_invariants, phase_free_distance, random_pole_list, random_spec, rotation_matrix
+from conftest import (
+    ROUTES,
+    assert_iep_invariants,
+    mp_rational_arnoldi,
+    phase_free_distance,
+    random_pole_list,
+    random_spec,
+    rotation_matrix,
+)
 
 from sorf import reference, updating
 from sorf.errors import KrylovBreakdownError, SpectrumOverlapError
@@ -33,6 +41,24 @@ def test_arnoldi_all_infinite_poles_is_classical():
         assert sol.H[k + 1, k].real >= 0.0
         assert abs(sol.H[k + 1, k].imag) <= 1e-14
     assert_iep_invariants(sys, sol, [INFINITY] * (m - 1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_arnoldi_takes_every_pole_through_one_pole_pair_rule(seed):
+    # negative real, zero, a conjugate pair and infinite poles in one run:
+    # each step's phase leaves H's subdiagonal real and nonnegative, K's
+    # column is e_k at infinity, and H / K on the subdiagonal is the pole
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, sigma=5, max_order=2, complex_weights=seed % 2 == 1)
+    z = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 1.0))
+    cycle = [-rng.uniform(1.05, 3.0), INFINITY, 0.0, z, z.conjugate(), INFINITY, INFINITY]
+    poles = [cycle[k % len(cycle)] for k in range(spec.m - 1)]
+    sol = rational_arnoldi(build_jordan(spec), poles)
+    eps, sub = np.finfo(float).eps, np.diagonal(sol.H, -1)
+    assert np.all(np.abs(sub.imag) <= 4 * eps * np.abs(sub)) and np.all(sub.real >= 0.0)
+    for k in (k for k, psi in enumerate(poles) if is_infinite_pole(psi)):
+        assert np.array_equal(sol.K[:, k], np.eye(spec.m)[k])
+    assert metric_poles(sol, poles) <= spec.m * eps
 
 
 def test_arnoldi_full_run_residual_and_weight(rng):
@@ -352,6 +378,27 @@ def test_updating_basis_is_within_its_bound_of_sops(N, mu, omega, bound):
     spec, system, poles = gegenbauer_problem(N, mu, omega)
     updated, sop = solve_updating(spec, poles), solve_via_sop(system, poles)
     assert phase_free_distance(updated.Q, sop.Q) <= bound
+
+
+# Each route's Q against the 60-digit rational Krylov basis of the same
+# double-precision J, w and poles, phase-free, at m = 22 (N = 6, lambda 1,
+# omega 1.5): the ladder at four mu and one conjugate pole pair.  The largest
+# distance over these 15 solves is 9.9 m eps (Krylov at mu -0.5; updating
+# 6.7, sop 1.5), so 100 m eps sits 10x above every one of them.
+ORACLE_CASES = {f"mu{mu}": (mu, None) for mu in (-0.5, 0.0, 2.0, 5.0)}
+ORACLE_CASES["conjugate-pair"] = (1.0, (1.6 + 0.4j, 1.6 - 0.4j, *gegenbauer_pole_ladder(1.5, 3)))
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_every_route_is_within_its_bound_of_the_multiprecision_basis(case):
+    mu, xi = ORACLE_CASES[case]
+    cfg = GegenbauerSobolevConfig(mu=mu, lam=1.0, omega=1.5, N=6, poles=xi)
+    spec = discretize_gegenbauer(cfg)
+    poles = default_pole_list(cfg.poles, spec.m)
+    exact = mp_rational_arnoldi(build_jordan(spec), poles)
+    for route, solve in ROUTES.items():
+        distance = phase_free_distance(solve(spec, poles).Q, exact)
+        assert distance <= 100 * spec.m * np.finfo(float).eps, route
 
 
 @pytest.mark.parametrize("omega", (1.7892410218959494, 2.3553338813253797))

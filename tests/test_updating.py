@@ -868,9 +868,9 @@ def test_a_leading_block_solves_the_problem_with_its_rows_first(rng, monkeypatch
     place = updating._place
     monkeypatch.setattr(updating, "_place", lambda ws, steps, X=None: (seen.append((dataclasses.replace(ws, W=ws.W.copy()), steps)), place(ws, steps, X)))
     ws = updating._lead_block(updating._open(hat, spec.m), spec.nodes[0], spec.alphas[0], spec.weights[0], poles[hat.m - 1 :])
-    place(ws, [], (sol := IEPSolution(np.empty((3, spec.m, spec.m), ws.W.dtype), ws.wnorm)).X)
+    place(ws, [], (sol := IEPSolution(np.zeros((3, spec.m, spec.m), ws.W.dtype), ws.wnorm)).X)
     (before, steps), = seen
-    interim = IEPSolution(np.empty_like(sol.X), 1.0)
+    interim = IEPSolution(np.zeros_like(sol.X), 1.0)
     place(before, [step for step in steps if step[0] is None], interim.X)
     interim = np.array(interim.poles(), dtype=complex)
     assert np.abs(interim[: hat.m - 1] - hat.poles()).max() <= 1e-13 * np.abs(hat.poles()).max()
