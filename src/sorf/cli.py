@@ -6,15 +6,23 @@ config file that cannot be read or is not UTF-8 JSON, or an output (file or
 stdout) that cannot be written, is a config error; a rule file that cannot be
 read or parsed fails validation.  The output file is created or truncated
 once the input document is read, before any work.
+
+`solve` writes its report straight from the solvers' arrays: H and K go out
+row by row, to the same bytes as `json.dumps(run_solve(doc))`, and no
+per-entry `[re, im]` list is built; those lists exist only for library
+callers of `run_solve`.  The argument parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
+
+import numpy as np
 
 from .driver import dump_quadrature, import_quadrature, read_json, rule_document, run_solve, run_sweep
 from .errors import ConfigError, NumericalError, RuleValidationError, SorfError
@@ -50,7 +58,38 @@ def _write(text: str, fh) -> None:
         raise ConfigError(f"cannot write to stdout: {exc}") from None
 
 
+def _report_json(report: dict) -> str:
+    """`json.dumps` of `run_solve`'s report, for one whose H and K are still
+    the solvers' arrays: `json.dumps` writes the rest and a NUL string where
+    each array stands (no report holds one), and `_matrix_json`'s text of
+    the array replaces it."""
+    matrices = []
+    parts = json.dumps(report, default=lambda M: matrices.append(_matrix_json(M)) or "\0").split(r'"\u0000"')
+    return "".join(part + matrix for part, matrix in zip(parts, matrices + [""]))
+
+
+@functools.lru_cache(maxsize=1024)
+def _row_template(zeros: int, n: int, width: int) -> str:
+    return "[" + "[0.0, 0.0], " * zeros + ", ".join([("[%r, 0.0]", "[%r, %r]")[width - 1]] * n) + "]"
+
+
+def _matrix_json(M: np.ndarray) -> str:
+    """`json.dumps(driver._encode_matrix(M))`, the same bytes, without one
+    list per entry.  Per row, its leading +0.0 entries (a Hessenberg
+    matrix's zeros below the subdiagonal, both parts for complex data) come
+    from a cached run, and its other floats go through one `%r` template:
+    `[x, 0.0]` per entry for real data, `[re, im]` for complex."""
+    M = np.ascontiguousarray(M)
+    n, width = M.shape[1], 2 if np.iscomplexobj(M) else 1
+    nonzero = M.view(np.int64).reshape(*M.shape, width).any(-1)  # +0.0 is the float whose bits are all 0
+    zeros = np.minimum((~nonzero).cumprod(1).sum(1), n - 1).tolist()  # a zero row keeps one entry
+    rows = [_row_template(k, n - k, width) % tuple(row[width * k :]) for row, k in zip(M.view(float).tolist(), zeros)]
+    return "[" + ", ".join(rows) + "]"
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser; each `parse_args` call makes a new namespace."""
     parser = argparse.ArgumentParser(
         prog="sorf",
         description="Recurrence pencils for Sobolev orthonormal rational functions.",
@@ -84,7 +123,7 @@ def main(argv=None) -> int:
             doc = read_json(args.config)
         with _output(args.output) as fh:
             if args.command == "solve":
-                text = json.dumps(run_solve(doc))
+                text = _report_json(run_solve(doc, _keep_arrays=True))
             elif args.command == "sweep":
                 text = run_sweep(doc)
             elif args.command == "dump-quadrature":

@@ -175,9 +175,13 @@ def _solve_and_score(cfg: dict, N: int):
         yield method, sol, metrics, table, 1e3 * (time.perf_counter() - t0)
 
 
-def run_solve(doc: dict) -> dict:
-    """Solve one configuration and emit a report document."""
+def run_solve(doc: dict, _keep_arrays: bool = False) -> dict:
+    """Solve one configuration and emit a report document.
+
+    `_keep_arrays` is for `sorf.cli`, which writes H and K straight from
+    the solvers' arrays to the bytes `json.dumps` gives for their lists."""
     cfg = parse_config(doc)
+    encode = np.asarray if _keep_arrays else _encode_matrix
     reports = []
     tables = {}
     for method, sol, metrics, table, ms in _solve_and_score(cfg, cfg["N"]):
@@ -186,8 +190,8 @@ def run_solve(doc: dict) -> dict:
             {
                 "method": method,
                 "m": sol.m,
-                "H": _encode_matrix(sol.H),
-                "K": _encode_matrix(sol.K),
+                "H": encode(sol.H),
+                "K": encode(sol.K),
                 "poles": [_encode_scalar(p) for p in sol.poles()],
                 "metrics": metrics,
                 "ms": ms,

@@ -3,9 +3,11 @@ rename in `src/` would silently drop its spans and counters.  This checks
 every wrap site still resolves and that a traced solve reports the counts it
 always did, without writing anything under perfbench/."""
 
+import json
 import types
 from pathlib import Path
 
+from sorf import cli
 from sorf.driver import run_solve
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -47,3 +49,16 @@ def test_traced_solve_counts_are_pinned():
     assert tracer.counts["reference.rational_arnoldi.shifted_solves"] == 3
     # per method one node table and one table for the continuous matrix
     assert calls["evaluation.evaluate_sorfs"] == 6
+
+
+def test_traced_cli_solve_records_one_run_solve_span(tmp_path):
+    # the tracer wraps `sorf.cli.run_solve` by name: the cli must reach the
+    # solve through that one call, or admissible_grid's layers read wrong
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 4, "method": "all"}))
+    tracer = load_tracing().Tracer()
+    with tracer:
+        assert cli.main(["solve", str(cfg), "-o", str(tmp_path / "report.json")]) == 0
+    calls = {name: agg["calls"] for name, agg in tracer.layer_times().items()}
+    assert calls["cli.main"] == 1
+    assert calls["driver.run_solve"] == 1

@@ -20,6 +20,7 @@ from sorf.driver import (
     run_sweep,
 )
 import sorf.cli
+import sorf.driver
 from sorf.errors import AccuracyError, ConfigError, DeflationError, NumericalError, RuleValidationError, SorfError
 from sorf.sobolev import (
     GegenbauerSobolevConfig,
@@ -165,6 +166,86 @@ def test_encode_matrix_runs_no_collection_and_keeps_gc_state(enabled):
     finally:
         gc.callbacks.remove(count)
         gc.enable() if was_enabled else gc.disable()
+
+
+CONJUGATE_POLES = {"N": 6, "mu": 1.0, "omega": 1.5, "method": "all",
+                   "poles": [[1.6, 0.4], [1.6, -0.4], [-2.0, 0.3], [-2.0, -0.3], [3.0, 0]]}
+INFINITE_POLES = {**BASE, "method": "all", "free_poles": ["inf", [-5, 0], "inf", [2, 0], "inf", "inf", [6, 0]]}
+
+
+def listed(report: dict) -> dict:
+    """The library document for a report whose H and K are still arrays."""
+    if "reports" in report:
+        return {**report, "reports": [listed(r) for r in report["reports"]]}
+    return {**report, "H": _encode_matrix(report["H"]), "K": _encode_matrix(report["K"])}
+
+
+def without_ms(report: dict) -> dict:
+    if "reports" in report:
+        return {**report, "reports": [without_ms(r) for r in report["reports"]]}
+    return {k: v for k, v in report.items() if k != "ms"}
+
+
+@pytest.mark.parametrize("doc", [{**BASE, "N": 4, "method": "all"}, CONJUGATE_POLES, INFINITE_POLES],
+                         ids=["real", "conjugate-poles", "infinite-poles"])
+def test_solve_writer_gives_the_bytes_of_json_dumps(doc):
+    arrays = run_solve(doc, _keep_arrays=True)
+    assert without_ms(listed(arrays)) == without_ms(run_solve(doc))  # the seam changes nothing else
+    reports = arrays.get("reports", [arrays])
+    if doc is CONJUGATE_POLES:
+        assert all(np.iscomplexobj(r["H"]) and np.iscomplexobj(r["K"]) for r in reports)
+    if doc is INFINITE_POLES:
+        assert all(np.any(np.diag(r["K"], -1) == 0) for r in reports)
+    assert sorf.cli._report_json(arrays) == json.dumps(listed(arrays))
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        np.array([[1.0, 2.0, 3.0], [-0.0, 4.0, 5.0], [-0.0, 0.0, 6.0]]),
+        np.array([[1.0, 2.0], [0.0, 0.0], [0.0, -0.0]]),  # a zero row keeps its last entry in the template
+        np.array([[1 + 2j, complex(3, -0.0)], [complex(0, -0.0), 4j], [complex(-0.0, 0), 0j]]),
+        np.asfortranarray(np.triu(np.arange(1.0, 17.0).reshape(4, 4) / 3, -1)),
+    ],
+    ids=["negative-zero-below-subdiagonal", "zero-rows", "complex-signed-zeros", "fortran-hessenberg"],
+)
+def test_matrix_writer_keeps_every_sign_of_zero(M):
+    # a -0.0 written from the cached "[0.0, 0.0], " run would read back as +0.0
+    assert sorf.cli._matrix_json(M) == json.dumps(_encode_matrix(M))
+    assert sorf.cli._report_json({"H": M, "K": M.T, "m": 2}) == json.dumps(
+        {"H": _encode_matrix(M), "K": _encode_matrix(M.T), "m": 2})
+
+
+def test_cli_solve_builds_no_per_entry_lists(tmp_path, monkeypatch):
+    def never(M):
+        raise AssertionError("the cli encoded a matrix to per-entry lists")
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CONJUGATE_POLES))
+    out = tmp_path / "report.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(sorf.driver, "_encode_matrix", never)
+        assert sorf.cli.main(["solve", str(cfg), "-o", str(out)]) == 0
+    assert without_ms(json.loads(out.read_text())) == without_ms(run_solve(CONJUGATE_POLES))
+
+
+def test_cli_parser_is_built_once_and_keeps_no_arguments(tmp_path, capsys):
+    assert sorf.cli.build_parser() is sorf.cli.build_parser()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE, "N": 2, "method": "krylov"}))
+    report = tmp_path / "report.json"
+    assert sorf.cli.main(["solve", str(cfg), "-o", str(report)]) == 0
+    written = report.read_text()
+    # no -o this time: the rule goes to stdout, not to the first call's file
+    assert sorf.cli.main(["dump-quadrature", str(cfg)]) == 0
+    rule = capsys.readouterr().out
+    assert report.read_text() == written and json.loads(rule) == dump_quadrature({**BASE, "N": 2})
+    (tmp_path / "rule.json").write_text(rule)
+    copy = tmp_path / "copy.json"
+    assert sorf.cli.main(["import-quadrature", str(tmp_path / "rule.json"), "-o", str(copy)]) == 0
+    assert copy.read_text() == rule and report.read_text() == written
+    args = sorf.cli.build_parser().parse_args(["import-quadrature", "r.json"])
+    assert vars(args) == {"command": "import-quadrature", "rule": "r.json", "output": None}
 
 
 def test_run_solve_deterministic():
