@@ -52,7 +52,8 @@ def _write(text: str, fh) -> None:
     except OSError as exc:
         if fh is not sys.stdout:
             raise ConfigError(f"cannot write {fh.name!r}: {exc}") from exc
-        # mostly a reader that closed the pipe: point stdout at devnull, so the flush at exit cannot fail again
+        # mostly a reader that closed the pipe: point stdout at devnull, so the
+        # flush at exit cannot fail again
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         raise ConfigError(f"cannot write to stdout: {exc}") from None
@@ -83,7 +84,10 @@ def _matrix_json(M: np.ndarray) -> str:
     n, width = M.shape[1], 2 if np.iscomplexobj(M) else 1
     nonzero = M.view(np.int64).reshape(*M.shape, width).any(-1)  # +0.0 is the float whose bits are all 0
     zeros = np.minimum((~nonzero).cumprod(1).sum(1), n - 1).tolist()  # a zero row keeps one entry
-    rows = [_row_template(k, n - k, width) % tuple(row[width * k :]) for row, k in zip(M.view(float).tolist(), zeros)]
+    rows = [
+        _row_template(k, n - k, width) % tuple(row[width * k :])
+        for row, k in zip(M.view(float).tolist(), zeros)
+    ]
     return "[" + ", ".join(rows) + "]"
 
 

@@ -241,7 +241,9 @@ def import_quadrature(doc: dict) -> QuadratureRule:
     if not isinstance(doc, dict) or "nodes" not in doc or "weights" not in doc:
         raise RuleValidationError("rule document needs 'nodes' and 'weights'")
     nodes, weights = doc["nodes"], doc["weights"]
-    if not (isinstance(nodes, (list, tuple)) and isinstance(weights, (list, tuple)) and len(nodes) == len(weights)):
+    if not (
+        isinstance(nodes, (list, tuple)) and isinstance(weights, (list, tuple)) and len(nodes) == len(weights)
+    ):
         raise RuleValidationError("'nodes' and 'weights' must be lists of equal length")
     try:
         values = np.array([_decode_scalar(z) for z in [*nodes, *weights]], dtype=complex)

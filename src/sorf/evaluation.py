@@ -184,7 +184,8 @@ def _norm2(A: np.ndarray) -> float:
         return s
     G = (B := A / s).conj().T @ B  # |B_ij| <= 1: no square under- or overflows
     evr = get_lapack_funcs("heevr" if np.iscomplexobj(G) else "syevr", (G,))
-    lam, _, _, _, info = evr(G.T, compute_v=0, range="I", il=len(G), iu=len(G), overwrite_a=1)  # G.T: F-ordered, G's eigenvalues
+    # G.T: F-ordered, G's eigenvalues
+    lam, _, _, _, info = evr(G.T, compute_v=0, range="I", il=len(G), iu=len(G), overwrite_a=1)
     if info != 0:
         raise AccuracyError(f"?syevr/?heevr did not converge on a Gram matrix (info {info})")
     return s * np.sqrt(lam[0])

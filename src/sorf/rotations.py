@@ -66,7 +66,10 @@ def bind(M: np.ndarray, a: float = 0.0) -> tuple:
     refuses what the kernel would silently rotate as a copy, or with a truncated cosine."""
     rot = _ROT.get(M.dtype)
     if rot is None or not M.flags.c_contiguous or isinstance(a, complex):
-        raise ValueError(f"rotations act in place on C-contiguous float64 or complex128 arrays with a real cosine, got {M.dtype} (C-contiguous: {M.flags.c_contiguous}) and cosine {a!r}")
+        raise ValueError(
+            "rotations act in place on C-contiguous float64 or complex128 arrays with a real cosine, "
+            f"got {M.dtype} (C-contiguous: {M.flags.c_contiguous}) and cosine {a!r}"
+        )
     x = M.reshape(-1)
     return rot, x, M.shape[-1], range(0, x.size, M.shape[-2] * M.shape[-1])
 

@@ -89,7 +89,10 @@ class JordanSystem:
     w: np.ndarray
 
     def __post_init__(self):
-        if self.J.ndim != 2 or self.J.shape != self.w.shape * 2 or np.any(np.tril(self.J, -1)) or np.any(np.triu(self.J, 2)):
+        if (
+            self.J.ndim != 2 or self.J.shape != self.w.shape * 2
+            or np.any(np.tril(self.J, -1)) or np.any(np.triu(self.J, 2))
+        ):
             raise ConfigError("J must be a square upper bidiagonal matrix and w a vector of its size")
         if not (np.all(np.isfinite(self.J)) and np.all(np.isfinite(self.w))):
             raise ConfigError("J and w must be finite")
@@ -174,7 +177,8 @@ def build_jordan(spec: DiscreteSobolevSpec) -> JordanSystem:
     its superdiagonal; w holds w_j at the last index of block j.  Both take
     the type of the spec's scalars: real data give real J and w.
     """
-    size, dtype = np.add(spec.orders, 1), np.asarray([*spec.nodes, *spec.weights, *sum(spec.alphas, ())]).dtype
+    size = np.add(spec.orders, 1)
+    dtype = np.asarray([*spec.nodes, *spec.weights, *sum(spec.alphas, ())]).dtype
     J, w = np.zeros((spec.m, spec.m), dtype), np.zeros(spec.m, dtype)
     np.fill_diagonal(J, np.repeat(spec.nodes, size))
     np.fill_diagonal(J[:, 1:], [a for al in spec.alphas for a in (*al[::-1], 0.0)][:-1])
@@ -212,7 +216,8 @@ def check_spectrum_disjoint(poles, nodes, m: int) -> list:
     p = np.array(poles, complex)
     nan, finite = np.isnan(p) & ~np.isinf(p), np.isfinite(p)  # neither: an infinite pole
     near = np.zeros_like(finite)
-    near[finite] = np.abs(p[finite, None] - np.asarray(nodes)).min(axis=1) <= NODE_GAP * np.maximum(1.0, np.abs(p[finite]))
+    gap = np.abs(p[finite, None] - np.asarray(nodes)).min(axis=1)  # to the nearest node
+    near[finite] = gap <= NODE_GAP * np.maximum(1.0, np.abs(p[finite]))
     for k in np.flatnonzero(nan | near)[:1]:  # the first offender
         if nan[k]:
             raise ConfigError(f"pole psi_{k + 1} = {poles[k]} is NaN")

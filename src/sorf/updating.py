@@ -17,15 +17,16 @@ rows (the node step) leaves a Hessenberg pencil whose s + 1 leading poles
 all equal the node, which are moved to the bottom.  Either way the new
 block's poles are then installed by adding each one at the bottom position
 and moving it upward: every move is one LAPACK ?tgexc call and every add
-op2's rule (`_add`), on a copy of the pencil in LAPACK's layout, a
-`_Workspace`.  `install_poles` makes one copy per call.  The route makes
-one at its first leading block, in a workspace of the problem's order,
-grows the pencil there block by block (each block pins its pole pairs),
-and makes the phase pass and the copy back once, at the end.  The paper's
-elimination and swap (`op1_eliminate`, `op3_swap_adjacent`) share one 2x2
-step, `_step`: a right rotation from the null direction of a rank-one
-combination of the H and K kernels, then a re-triangularizing left
-rotation.  `_pin` carries each moved pole as its homogeneous pair.
+op2's rule (`_add`), on a copy of the pencil in ?tgexc's layout, which one
+function maps (`_layout`), a `_Workspace`.  `install_poles` makes one copy
+per call.  The route makes one at its first leading block, in a workspace
+of the problem's order, grows the pencil there block by block (each block
+pins its pole pairs), and makes the phase pass and the copy back once, at
+the end.  The paper's elimination and swap (`op1_eliminate`,
+`op3_swap_adjacent`) share one 2x2 step, `_step`: a right rotation from the
+null direction of a rank-one combination of the H and K kernels, then a
+re-triangularizing left rotation.  `_pin` carries each moved pole as its
+homogeneous pair.
 
 All index arguments are 0-based; pole index k refers to the subdiagonal
 position (k+1, k).  Rotations are raw (a, b) pairs (see `sorf.rotations`).
@@ -153,7 +154,9 @@ def weight_rotation(sol: IEPSolution, w0: complex, wk: complex, k: int) -> tuple
     return rot
 
 
-def _step(S, p: int, q: int, c: int, d: int, a00, a01, a10, a11, b00, b01, b10, b11, z0, z1, floor: float, what: str):
+def _step(
+    S, p: int, q: int, c: int, d: int, a00, a01, a10, a11, b00, b01, b10, b11, z0, z1, floor: float, what: str
+):
     """The 2x2 move shared by elimination and swap, on the bound stack S.
 
     a00 .. a11 and b00 .. b11 are the H and K kernels at rows (p, q), columns
@@ -205,7 +208,10 @@ def _eliminate(X, S, r: int, c: int, tol: float):
     if abs(beta * a01 - delta * b01) > 1e-10 * max(md, mb) * scale:
         raise NumericalError("elimination kernel violates the zero-corner precondition")
     z0, z1 = beta * a10 - delta * b10, beta * a11 - delta * b11
-    out = _step(S, p, r, c, r, delta, a01, a10, a11, beta, b01, b10, b11, z0, z1, DEFLATION_RTOL * scale, "elimination would deflate the pencil")
+    out = _step(
+        S, p, r, c, r, delta, a01, a10, a11, beta, b01, b10, b11, z0, z1, DEFLATION_RTOL * scale,
+        "elimination would deflate the pencil"
+    )
     X[0, p, c], X[1, p, c] = _pin(X.item(0, p, c), X.item(1, p, c), delta, beta)
     return out
 
@@ -276,15 +282,16 @@ def expected_elimination_count(m: int, s_sigma: int) -> int:
     return (mhat - 1) * S + s_sigma * S // 2
 
 
-def _add(h0, h1, k0, k1, psi, tol: float, at: int):
-    """op2's rule on the trailing row of a pencil: h0, h1 and k0, k1 are the
-    entries of H and K in the last two columns, (h0, k0) the subdiagonal
-    pair at position `at`.  Returns (a, b, h, k): the raw pair of the right
-    rotation whose first column is the null direction of
+def _add(hk: np.ndarray, psi, tol: float, at: int):
+    """op2's rule on the trailing row of a pencil: hk holds the entries of H
+    and K in the last two columns, ((h0, h1), (k0, k1)), (h0, k0) the
+    subdiagonal pair at position `at`.  Returns (a, b, h, k): the raw pair of
+    the right rotation whose first column is the null direction of
     nu*(h0, h1) - mu*(k0, k1), (mu, nu) = pole_pair(psi), and the pair it
     makes at that position, pinned to (mu, nu) (`_pin`); None when the row
     is zero, as the ratio already equals psi.  DeflationError, by `pencil`'s
     rule against `tol`, when the new pair has deflated."""
+    (h0, h1), (k0, k1) = hk.tolist()
     mu, nu = pole_pair(psi)
     if (rot := null_direction(nu * h0 - mu * k0, nu * h1 - mu * k1)) is None:
         return None
@@ -309,7 +316,7 @@ def op2_add_pole(X: np.ndarray, psi, scale: float) -> tuple[complex, complex] | 
     m = X.shape[1]
     if m < 2:
         raise IndexError(f"no pole position in a pencil of dimension {m}")
-    if (out := _add(X.item(0, m - 1, m - 2), X.item(0, m - 1, m - 1), X.item(1, m - 1, m - 2), X.item(1, m - 1, m - 1), psi, DEFLATION_RTOL * scale, m - 2)) is None:
+    if (out := _add(X[:2, m - 1, m - 2 :], psi, DEFLATION_RTOL * scale, m - 2)) is None:
         return None
     rotate_cols(X[:2], *out[:2], m - 2, m - 1)
     X[:2, m - 1, m - 2] = out[2:]
@@ -334,7 +341,9 @@ def op3_swap_adjacent(X: np.ndarray, c: int):
     z0, z1 = nu * tau - mu * kap, nu * h01 - mu * k01
     if z0 == 0.0 and z1 == 0.0:
         return None
-    out = _step(bind(X), p, p + 1, c, p, tau, h01, 0.0, mu, kap, k01, 0.0, nu, z0, z1, 0.0, "pole swap degenerated")
+    out = _step(
+        bind(X), p, p + 1, c, p, tau, h01, 0.0, mu, kap, k01, 0.0, nu, z0, z1, 0.0, "pole swap degenerated"
+    )
     X[0, p, c], X[1, p, c] = _pin(X.item(0, p, c), X.item(1, p, c), mu, nu)
     X[0, p + 1, p], X[1, p + 1, p] = _pin(X.item(0, p + 1, p), X.item(1, p + 1, p), tau, kap)
     return out
@@ -342,16 +351,14 @@ def op3_swap_adjacent(X: np.ndarray, c: int):
 
 @dataclass
 class _Workspace:
-    """A pencil in `install_poles`'s layout W = (a^T, b^T, z^T, q^T), the
-    rows the pencil operations leave alone last: rows 0 of H and K in z's
-    last two rows and Q^T's row 0 in W[3, -1] (q's last column, which ?tgexc
-    never reaches).  A pencil of order m - lo sits in the trailing corner of
-    the order-m workspace, rows and columns lo .. (and those last rows),
-    where ?tgexc moves its poles as in its own, and a leading block grows it
-    without a copy.  Carried with it: the squared Frobenius norms of H and
-    K, which rotations and permutations keep (the deflation scale), and the
-    weight norm.  `install_poles` keeps one for a call, the updating route
-    one from its first leading block to its end."""
+    """A pencil in LAPACK's ?tgexc layout W = (a^T, b^T, z^T, q^T), placed
+    by `_layout`.  A pencil of order m - lo sits in the window lo .. m - 1
+    of the order-m workspace, where ?tgexc moves its poles as in its own,
+    and a leading block grows it without a copy.  Carried with it: the
+    squared Frobenius norms of H and K, which rotations and permutations
+    keep (the deflation scale), and the weight norm.  `install_poles` keeps
+    one for a call, the updating route one from its first leading block to
+    its end."""
 
     W: np.ndarray
     lo: int
@@ -359,13 +366,35 @@ class _Workspace:
     wnorm: float
 
 
+def _layout(W: np.ndarray, lo: int, X: np.ndarray):
+    """The one map between a stack X = (H, K, Q^T) of order n and its place
+    in the window lo .. lo + n - 1 of a workspace W = (a^T, b^T, z^T, q^T),
+    as pairs (view of W, view of X), to copy either way.
+
+    The poles are the eigenvalues of the triangular pencil (H[1:, :-1],
+    K[1:, :-1]), so ?tgexc gets a and b with H's and K's rows 1 .. n - 1 in
+    their rows lo .. lo + n - 2, and q with Q^T's rows 1 .. n - 1 in its
+    columns there.  The rows the pencil operations leave alone go last:
+    rows 0 of H and K, which take only right rotations, in z's last two
+    rows, and Q^T's row 0 in q's last column, which ?tgexc never reaches.
+    W is C-ordered, so an add turns two rows of W[:3].
+    """
+    hi = lo + X.shape[1]
+    return (
+        (W[:2, lo:hi, lo : hi - 1].transpose(0, 2, 1), X[:2, 1:]),  # rows 1 .. of H and K: a and b
+        (W[3, lo : hi - 1, lo:hi], X[2, 1:]),  # rows 1 .. of Q^T: q's columns
+        (W[2, lo:hi, -2:].T, X[:2, 0]),  # rows 0 of H and K: z's last two rows
+        (W[3, -1, lo:hi], X[2, 0]),  # row 0 of Q^T: q's last column
+    )
+
+
 def _open(sol: IEPSolution, m: int) -> _Workspace:
     """The one copy of the stack sol.X into the trailing corner of a
     workspace of order m >= sol.m, with its squared norms."""
-    X, n = sol.X, sol.m
-    W = np.zeros((4, m, m), X.dtype)
-    W[:2, -n:, -n:-1], W[2, -n:, -2:], W[3, -n:-1, -n:], W[3, -1, -n:] = X[:2, 1:].transpose(0, 2, 1), X[:2, 0].T, X[2, 1:], X[2, 0]
-    return _Workspace(W, m - n, np.linalg.norm(X[:2], axis=(1, 2)) ** 2, sol.wnorm)
+    W, lo = np.zeros((4, m, m), sol.X.dtype), m - sol.m
+    for w, part in _layout(W, lo, sol.X):
+        w[...] = part
+    return _Workspace(W, lo, np.linalg.norm(sol.X[:2], axis=(1, 2)) ** 2, sol.wnorm)
 
 
 def _place(ws: _Workspace, steps, X: np.ndarray | None = None) -> None:
@@ -385,28 +414,34 @@ def _place(ws: _Workspace, steps, X: np.ndarray | None = None) -> None:
     (nonzero info)."""
     W, lo, m = ws.W, ws.lo, ws.W.shape[1]
     pairs = W[:2].diagonal(0, 1, 2)[:, lo:-1].T.tolist()  # the pole pair each position lo .. m - 2 carries
-    (a, b, z, q), (rot, x, n, offsets) = (M.T for M in W), bind(W)
-    tgexc, tol = get_lapack_funcs("tgexc", (W,)), DEFLATION_RTOL * math.sqrt(max(ws.sq))
+    a, b, z, q = (M.T for M in W)
+    tgexc = get_lapack_funcs("tgexc", (W,))
+    tol = DEFLATION_RTOL * math.sqrt(max(ws.sq))
+    rot, x, n, offsets = bind(W)
+    last = [(o + (m - 2) * n, o + (m - 1) * n) for o in offsets[:3]]  # rows m - 2, m - 1 of a^T, b^T, z^T
     for psi, f, t in steps:
         if psi is not None:
-            if (out := _add(W.item(0, m - 2, m - 2), W.item(0, m - 1, m - 2), W.item(1, m - 2, m - 2), W.item(1, m - 1, m - 2), psi, tol, m - 2)) is not None:
-                for off in offsets[:3]:  # columns m - 2, m - 1 of a, b, z
-                    rot(x, x, out[0], out[1], n, off + (m - 2) * n, 1, off + (m - 1) * n, 1, 1, 1)
-                W[0, m - 2, m - 2], W[1, m - 2, m - 2] = out[2:]
-            pairs[-1] = [W.item(0, m - 2, m - 2), W.item(1, m - 2, m - 2)]
+            if (out := _add(W[:2, m - 2 :, m - 2], psi, tol, m - 2)) is not None:
+                for u, v in last:
+                    rot(x, x, out[0], out[1], n, u, 1, v, 1, 1, 1)
+                W[:2, m - 2, m - 2] = out[2:]
+            pairs[-1] = W[:2, m - 2, m - 2].tolist()
         *_, info = tgexc(a, b, q, z, f + 1, t + 1, overwrite_a=1, overwrite_b=1, overwrite_q=1, overwrite_z=1)
         if info != 0:
             raise DeflationError(f"pole move from index {f} to {t} degenerated (?tgexc info {info})")
         pairs.insert(t - lo, pairs.pop(f - lo))
     h, k = np.fromiter(chain.from_iterable(pairs), W.dtype, 2 * len(pairs)).reshape(-1, 2).T
-    keep, i = (np.abs(h) < np.abs(k)).astype(np.intp), np.arange(lo, m - 1)  # keep: 0 for H's entry, 1 for K's
+    keep = (np.abs(h) < np.abs(k)).astype(np.intp)  # 0 for H's entry, 1 for K's
+    i = np.arange(lo, m - 1)
     kept = W[keep, i, i]
     if X is not None:  # z^T is zero outside rows 0 of H and K
-        W[:3, :-1] *= np.divide(size := np.abs(kept), kept, out=np.ones_like(kept), where=kept != 0.0)[:, None]
+        size = np.abs(kept)
+        W[:3, :-1] *= np.divide(size, kept, out=np.ones_like(kept), where=kept != 0.0)[:, None]
         W[keep, i, i] = kept = size
     W[1 - keep, i, i] = kept * (np.where(keep, h, k) / np.where(keep, k, h))
     if X is not None:
-        X[:2, 1:], X[:2, 0], X[2, 1:], X[2, 0] = W[:2, :, :-1].transpose(0, 2, 1), W[2, :, -2:].T, W[3, :-1], W[3, -1]
+        for w, part in _layout(W, lo, X):
+            part[...] = w
 
 
 def install_poles(sol: IEPSolution, poles, first_index: int) -> None:
@@ -416,16 +451,12 @@ def install_poles(sol: IEPSolution, poles, first_index: int) -> None:
 
     One copy into a workspace (`_open`), then one `_place` call: the move
     loop (every move one LAPACK ?tgexc call, every add op2's rule `_add`)
-    and one phase pass, pin pass and copy back.  The poles are the eigenvalues
-    of the triangular pencil (H[1:, :-1], K[1:, :-1]), so ?tgexc gets the
-    pencil at N = m: a = H[1:] and b = K[1:] with a zero last row,
-    q = Q[:, 1:], and rows 0 of H and K in z's last two rows, which take the
-    right rotations.  The workspace is the C-ordered stack W = (a^T, b^T, z^T, q^T),
-    so an add turns two rows of W[:3].  ValueError, before any change, when
-    the poles do not fit in positions first_index .. m - 2; DeflationError,
-    with sol.X as it was, when `_place` raises it.  A complex pole makes a
-    real stack complex, rebinding sol.X to the complex stack; the updating
-    route's leading blocks promote their workspace by the same rule.
+    and one phase pass, pin pass and copy back.  ValueError, before any
+    change, when the poles do not fit in positions first_index .. m - 2;
+    DeflationError, with sol.X as it was, when `_place` raises it.  A complex
+    pole makes a real stack complex, rebinding sol.X to the complex stack;
+    the updating route's leading blocks promote their workspace by the same
+    rule.
     """
     m = sol.m
     if not 0 <= first_index <= m - 1 - len(poles):
@@ -464,33 +495,46 @@ def add_block(current: IEPSolution | None, node, alphas, weight, new_poles) -> I
 def _lead_block(ws: _Workspace, node, alphas, weight, new_poles) -> _Workspace:
     """`add_block` with the block first (J's rows in the order block, current),
     in the updating route's workspace of the problem's order m: the current
-    pencil fills its trailing corner from row c = ws.lo, the grown one from
+    pencil fills its window from row c = ws.lo, the grown one from
     d = c - s - 1.  Returns the grown pencil's workspace (the same array,
     unless a complex block or pole promotes it), pinned: the route's last
     `_place` call makes the phase pass and the copy back.
 
-    The embedding moves the current's row 0 (z's last two rows and Q^T's
-    row 0) to row s + 1 and writes the block into rows and columns d .. c - 1
-    after the node step -- reversing columns 0 .. s of H and K and rows
-    1 .. s of the block's stack, a permutation that rounds nothing.  The
-    weight rotation of rows 0 and s + 1, one ?rot call per matrix from
-    column d, then fills row s + 1 at column 0 only, which leaves a
-    Hessenberg pencil whose s + 1 leading poles all equal the node.  The
-    block's squared norms add to the carried ones.  One `_place` call moves
-    the node poles, the lowest first, to positions m - s - 2 .. m - 2, which
-    shifts the current poles up unchanged, and replaces them with the new
-    poles.
+    The embedding moves the current's row 0 to row s + 1 and writes the
+    block into the window d .. c - 1 after the node step -- reversing rows
+    1 .. s of the block's stack and columns 0 .. s of H and K, a
+    permutation that rounds nothing.  The weight rotation of rows 0 and
+    s + 1, one ?rot call per matrix from column d, then fills row s + 1 at
+    column 0 only, which leaves a Hessenberg pencil whose s + 1 leading
+    poles all equal the node.  The block's squared norms add to the carried
+    ones.  One `_place` call moves the node poles, the lowest first, to
+    positions m - s - 2 .. m - 2, which shifts the current poles up
+    unchanged, and replaces them with the new poles.
     """
     s, B = len(alphas), single_block_solution(node, alphas, weight).X
-    W, (a, b) = ws.W.astype(np.result_type(ws.W, B, np.asarray(new_poles)), copy=False), zeroing(abs(weight), ws.wnorm)
-    m, c, d, r = W.shape[1], ws.lo, ws.lo - s - 1, ws.lo - 1  # r: row s + 1 of the grown pencil in a, b and q^T
-    W[:2, c:, r], W[3, r, c:], W[2, c:, -2:], W[3, -1, c:] = W[2, c:, -2:].T, W[3, -1, c:], 0.0, 0.0
-    W[:2, d:c, d:r], W[3, d:r, d:c], W[2, d:c, -2:], W[3, -1, d:c] = B[:2, :0:-1, ::-1].transpose(0, 2, 1), B[2, :0:-1], B[:2, 0, ::-1].T, B[2, 0]
+    W = ws.W.astype(np.result_type(ws.W, B, np.asarray(new_poles)), copy=False)
+    m, c = W.shape[1], ws.lo
+    d, r = c - s - 1, c - 1  # r: row s + 1 of the grown pencil in a, b and q
+    # the current's row 0 leaves its slots in z and q (`_layout`) for row s + 1
+    W[:2, c:, r], W[3, r, c:] = W[2, c:, -2:].T, W[3, -1, c:]
+    W[2, c:, -2:] = W[3, -1, c:] = 0.0
+    B[:, 1:] = B[:, :0:-1]  # the node step: rows 1 .. s reversed,
+    B[:2] = B[:2, :, ::-1]  # and H's and K's columns
+    for w, part in _layout(W, d, B):
+        w[...] = part
+    # the weight rotation of rows 0 and s + 1 from column d, one ?rot call per
+    # matrix: of H and K in z^T's last two columns and in a^T's and b^T's
+    # column r, of Q^T in q^T's rows m - 1 and r
+    a, b = zeroing(abs(weight), ws.wnorm)
     rot, x, n, (oa, ob, oz, oq) = bind(W, a)
-    for ox, oy, inc in ((oz + d * n + m - 2, oa + d * n + r, n), (oz + d * n + m - 1, ob + d * n + r, n), (oq + (m - 1) * n + d, oq + r * n + d, 1)):
-        rot(x, x, a, -b, m - d, ox, inc, oy, inc, 1, 1)  # rows 0 and s + 1 of H, K and Q^T
-    grown = _Workspace(W, d, ws.sq + ((s + 1) * abs(node) ** 2 + sum(abs(al) ** 2 for al in alphas), s + 1), float(np.hypot(abs(weight), ws.wnorm)))
-    _place(grown, [(None, d + j, m - s - 2 + j) for j in range(s, -1, -1)] + [(psi, m - 2, t) for t, psi in enumerate(new_poles, m - s - 2)])
+    h0, k0, h1, k1 = oz + d * n + m - 2, oz + d * n + m - 1, oa + d * n + r, ob + d * n + r
+    q0, q1 = oq + (m - 1) * n + d, oq + r * n + d
+    for u, v, inc in ((h0, h1, n), (k0, k1, n), (q0, q1, 1)):
+        rot(x, x, a, -b, m - d, u, inc, v, inc, 1, 1)
+    sq = ws.sq + ((s + 1) * abs(node) ** 2 + sum(abs(al) ** 2 for al in alphas), s + 1)
+    grown = _Workspace(W, d, sq, float(np.hypot(abs(weight), ws.wnorm)))
+    moves = [(None, d + j, m - s - 2 + j) for j in range(s, -1, -1)]
+    _place(grown, moves + [(psi, m - 2, t) for t, psi in enumerate(new_poles, m - s - 2)])
     return grown
 
 

@@ -1,9 +1,13 @@
-"""`tools/loc.py` counts the code lines that "src/ should not grow" refers to."""
+"""`tools/loc.py` counts the code lines and tokens that "src/ should not grow"
+refers to, and `src/sorf` keeps its lines short enough to read."""
 
 import importlib.util
+import tokenize
 from pathlib import Path
 
-LOC = Path(__file__).resolve().parents[1] / "tools" / "loc.py"
+ROOT = Path(__file__).resolve().parents[1]
+LOC = ROOT / "tools" / "loc.py"
+LINE_CAP = 110
 
 SOURCE = '''"""Module docstring,
 over two lines."""
@@ -38,20 +42,60 @@ def test_code_lines_skip_docstrings_comments_and_blank_lines():
     assert load_loc_tool().code_lines(SOURCE) == 7
 
 
+def test_code_tokens_skip_docstrings_comments_and_layout():
+    # import os (2); def f ( x ) : (6); y = ( x + (5); 1 ) (2); return and
+    # the string (2); class C : (3); z = 1 (3)
+    assert load_loc_tool().code_tokens(SOURCE) == 23
+
+
+def test_an_f_string_counts_as_one_token():
+    # Python >= 3.12 splits an f-string into parts, a nested one too
+    loc = load_loc_tool()
+    assert loc.code_tokens('s = f"{a!r} and {f\'{b:>{w}}\'}"\n') == loc.code_tokens('s = "a and b"\n') == 3
+    assert loc.code_tokens('print(f"{x}", f"y")\n') == 6
+
+
+def test_split_f_string_tokens_count_once(monkeypatch):
+    # the stream Python >= 3.12 makes of `s = f"a{b}"`, on any version:
+    # FSTRING_START, the literal part, the replacement field, FSTRING_END
+    loc = load_loc_tool()
+    start, middle, end = -1, -2, -3
+    monkeypatch.setattr(loc, "FSTRING_START", start)
+    monkeypatch.setattr(loc, "FSTRING_END", end)
+    N, O = tokenize.NAME, tokenize.OP
+    parts = [(N, "s"), (O, "="), (start, 'f"'), (middle, "a"), (O, "{"), (N, "b"), (O, "}"), (end, '"'), (tokenize.NEWLINE, "")]
+    stream = [tokenize.TokenInfo(kind, text, (1, 0), (1, 0), "") for kind, text in parts]
+    monkeypatch.setattr(loc, "tokens", lambda source: stream)
+    assert loc.code_tokens('s = f"a{b}"\n') == 3
+
+
 def test_the_total_is_the_sum_over_the_modules(tmp_path, capsys):
     (tmp_path / "a.py").write_text(SOURCE, encoding="utf-8")
     (tmp_path / "b.py").write_text("x = 1\n\n# note\n", encoding="utf-8")
     assert load_loc_tool().main([str(tmp_path)]) == 0
-    assert capsys.readouterr().out.split("\n") == ["    7 a.py", "    1 b.py", "    8 total", ""]
+    lines = ["lines tokens module", "    7     23 a.py", "    1      3 b.py", "    8     26 total", ""]
+    assert capsys.readouterr().out.split("\n") == lines
 
 
 def test_at_most_gates_the_total(tmp_path, capsys):
-    # the total here is 8: allowed at 8, refused with a message at 7
+    # 8 lines and 26 tokens: allowed at 26, refused with a message at 25 and
+    # at the line total
     (tmp_path / "a.py").write_text(SOURCE, encoding="utf-8")
     (tmp_path / "b.py").write_text("x = 1\n", encoding="utf-8")
     loc = load_loc_tool()
-    assert loc.main([str(tmp_path), "--at-most", "8"]) == 0
+    assert loc.main([str(tmp_path), "--at-most", "26"]) == 0
     assert capsys.readouterr().err == ""
-    assert loc.main([str(tmp_path), "--at-most", "7"]) == 1
-    out, err = capsys.readouterr()
-    assert out.endswith("    8 total\n") and err.startswith("8 code lines exceed the allowed 7")
+    for at_most in (25, 8):
+        assert loc.main([str(tmp_path), "--at-most", str(at_most)]) == 1
+        out, err = capsys.readouterr()
+        assert out.endswith("    8     26 total\n") and err.startswith(f"26 code tokens exceed the allowed {at_most};")
+
+
+def test_no_source_line_exceeds_the_cap():
+    long = [
+        f"{path.name}:{number}: {len(line)}"
+        for path in sorted((ROOT / "src" / "sorf").glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > LINE_CAP
+    ]
+    assert not long, f"lines over {LINE_CAP} characters: {long}"

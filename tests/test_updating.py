@@ -806,6 +806,34 @@ def test_install_poles_refuses_more_poles_than_positions():
 
 
 @pytest.mark.parametrize("dtype", (float, complex))
+@pytest.mark.parametrize("n", (7, 4))
+def test_the_layout_map_takes_a_stack_into_its_window_and_back(rng, dtype, n):
+    # `_layout` is the one map between a stack (H, K, Q^T) of order n and the
+    # window lo .. m - 1 of the workspace W = (a^T, b^T, z^T, q^T): in and out
+    # again bit for bit, every entry in a slot of its own, nothing written
+    # outside the window
+    m = 7
+    lo = m - n
+    X = rng.normal(size=(3, n, n)) + (1j * rng.normal(size=(3, n, n)) if dtype is complex else 0.0)
+    W = np.zeros((4, m, m), X.dtype)
+    for w, part in updating._layout(W, lo, X):
+        w[...] = part
+    a, b, z, q = (M.T for M in W)
+    # ?tgexc's pencil: a = H[1:], b = K[1:]; rows 0 of H and K in z's last
+    # two rows; Q^T's rows 1 .. in q's columns, its row 0 in q's last column
+    assert np.array_equal(a[lo:-1, lo:], X[0, 1:]) and np.array_equal(b[lo:-1, lo:], X[1, 1:])
+    assert np.array_equal(z[-2:, lo:], X[:2, 0])
+    assert np.array_equal(q[lo:, lo:-1], X[2, 1:].T) and np.array_equal(q[lo:, -1], X[2, 0])
+    slots = np.zeros(W.shape, bool)
+    slots[:2, lo:, lo:-1] = slots[2, lo:, -2:] = slots[3, lo:-1, lo:] = slots[3, -1, lo:] = True
+    assert np.count_nonzero(W) == X.size and not W[~slots].any()
+    back = np.zeros_like(X)
+    for w, part in updating._layout(W, lo, back):
+        part[...] = w
+    assert back.tobytes() == X.tobytes()
+
+
+@pytest.mark.parametrize("dtype", (float, complex))
 def test_moves_and_adds_in_one_install_equal_two_installs(rng, dtype):
     # the moves come first, then the adds: as one `_place` call on one
     # workspace, and as two calls that each pin and copy back, which is what
