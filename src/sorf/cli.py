@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .driver import dump_quadrature, import_quadrature, read_json, rule_document, run_solve, run_sweep
-from .errors import ConfigError, NumericalError, RuleValidationError, SorfError
+from .errors import ConfigError, NumericalError, RuleValidationError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -143,9 +143,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except SorfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

@@ -9,6 +9,7 @@ time in milliseconds.
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import time
 
@@ -39,7 +40,7 @@ from .updating import solve_updating
 
 SWEEP_CSV_HEADER = "N,m,method,E_r,E_p,E_Q,E_S_discrete,E_S_cont_leading,ms"
 
-METHODS = ("updating", "sop", "krylov")
+METHODS = ("updating", "sop", "krylov")  # the first is a config's default method
 
 
 def _decode_real(value) -> float:
@@ -93,7 +94,6 @@ def _encode_matrix(M: np.ndarray) -> list:
     enabled = gc.isenabled()
     gc.disable()  # lists of floats form no cycles: spare the collector its passes
     try:
-        M = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)  # real: M.imag is a zero plane
         return np.stack((M.real, M.imag), -1).tolist()
     finally:
         if enabled:
@@ -122,7 +122,7 @@ def parse_config(doc: dict) -> dict:
     out["N_range"] = (_decode_size(rng[0]), _decode_size(rng[1])) if "N_range" in doc else None
     if out["N_range"] is not None and not 1 <= out["N_range"][0] <= out["N_range"][1]:
         raise ConfigError("N_range must satisfy 1 <= lo <= hi")
-    method = doc.get("method", "updating")
+    method = doc.get("method", METHODS[0])
     if method not in METHODS + ("all",):
         raise ConfigError(f"method must be one of {METHODS + ('all',)}")
     out["method"] = method
@@ -200,8 +200,7 @@ def run_solve(doc: dict, _keep_arrays: bool = False) -> dict:
         )
     if cfg["method"] != "all":
         return reports[0]
-    pairs = [("updating", "sop"), ("updating", "krylov"), ("sop", "krylov")]
-    agreement = max(table_agreement(tables[a], tables[b]) for a, b in pairs)
+    agreement = max(table_agreement(tables[a], tables[b]) for a, b in itertools.combinations(METHODS, 2))
     return {"reports": reports, "cross_agreement": agreement}
 
 

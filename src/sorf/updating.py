@@ -401,15 +401,16 @@ def _place(ws: _Workspace, steps, X: np.ndarray | None = None) -> None:
     """Make each step (psi, f, t) on the workspace, positions counted in
     the whole workspace: for a pole psi, first add it at the bottom position
     f = m - 2 by op2's rule `_add`; then move the pole at position f to
-    position t by one ?tgexc call, the poles between shifting by one.  The
-    moves read the pairs as ?tgexc leaves them, and the adds share one
-    deflation scale.  Then `_pin`'s rule, applied to every pair at once,
-    carries each pole as the pair it had in the pencil or was added as (on
-    real data bit for bit what one `_pin` call per pair writes).  With X, on
-    a workspace the pencil fills, the pins follow the phase pass -- a
-    unimodular factor per column 0 .. m - 2 makes the entry `_pin` keeps
-    real and nonnegative (dtgexc and ztgexc pick different right-rotation
-    signs) -- and precede the one copy back into the stack X = (H, K, Q^T).
+    position t by one ?tgexc call (none when f == t), the poles between
+    shifting by one.  The moves read the pairs as ?tgexc leaves them, and
+    the adds share one deflation scale.  Then `_pin`'s rule, applied to
+    every pair at once, carries each pole as the pair it had in the pencil
+    or was added as (on real data bit for bit what one `_pin` call per pair
+    writes).  With X, on a workspace the pencil fills, the pins follow the
+    phase pass -- a unimodular factor per column 0 .. m - 2 makes the entry
+    `_pin` keeps real and nonnegative (dtgexc and ztgexc pick different
+    right-rotation signs) -- and precede the one copy back into the stack
+    X = (H, K, Q^T).
     DeflationError when an add deflates the pencil or ?tgexc refuses a swap
     (nonzero info)."""
     W, lo, m = ws.W, ws.lo, ws.W.shape[1]
@@ -426,6 +427,8 @@ def _place(ws: _Workspace, steps, X: np.ndarray | None = None) -> None:
                     rot(x, x, out[0], out[1], n, u, 1, v, 1, 1, 1)
                 W[:2, m - 2, m - 2] = out[2:]
             pairs[-1] = W[:2, m - 2, m - 2].tolist()
+        if f == t:  # ?tgexc returns at once when ifst == ilst
+            continue
         *_, info = tgexc(a, b, q, z, f + 1, t + 1, overwrite_a=1, overwrite_b=1, overwrite_q=1, overwrite_z=1)
         if info != 0:
             raise DeflationError(f"pole move from index {f} to {t} degenerated (?tgexc info {info})")

@@ -21,6 +21,7 @@ from sorf.driver import (
 )
 import sorf.cli
 import sorf.driver
+import sorf.errors
 from sorf.errors import AccuracyError, ConfigError, DeflationError, NumericalError, RuleValidationError, SorfError
 from sorf.sobolev import (
     GegenbauerSobolevConfig,
@@ -144,12 +145,15 @@ def test_report_matrix_decodes_bit_exactly():
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_encode_matrix_runs_no_collection_and_keeps_gc_state(enabled):
+def test_encode_matrix_runs_no_collection_and_keeps_gc_state(enabled, monkeypatch):
     starts = []
 
     def count(phase, info):
         if phase == "start":
             starts.append(info["generation"])
+
+    def refusing(*args, **kwargs):
+        raise ValueError("stack refused")
 
     was_enabled = gc.isenabled()
     gc.enable() if enabled else gc.disable()
@@ -160,8 +164,9 @@ def test_encode_matrix_runs_no_collection_and_keeps_gc_state(enabled):
         _encode_matrix(np.ones((198, 198), complex))
         assert starts == []
         assert gc.isenabled() is enabled
-        with pytest.raises(ValueError):
-            _encode_matrix(np.array([["a"]]))
+        with monkeypatch.context() as patch, pytest.raises(ValueError, match="stack refused"):
+            patch.setattr(sorf.driver.np, "stack", refusing)
+            _encode_matrix(np.ones((2, 2)))
         assert gc.isenabled() is enabled
     finally:
         gc.callbacks.remove(count)
@@ -374,6 +379,36 @@ def run_cli(*args):
         [sys.executable, "-m", "sorf", *args], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+# the documented exit code and stderr prefix of each kind of error
+EXIT_BY_ERROR = [
+    (ConfigError, 2, "config error: "),
+    (NumericalError, 3, "numerical failure: "),
+    (RuleValidationError, 4, "validation error: "),
+]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [e for e in vars(sorf.errors).values() if isinstance(e, type) and issubclass(e, SorfError) and e is not SorfError],
+    ids=lambda e: e.__name__,
+)
+def test_cli_maps_every_error_to_its_exit_code(tmp_path, monkeypatch, capsys, error):
+    documented = [(code, prefix) for kind, code, prefix in EXIT_BY_ERROR if issubclass(error, kind)]
+    assert len(documented) == 1, f"{error.__name__} has no documented exit code"
+    (code, prefix), = documented
+
+    def failing(doc, _keep_arrays=False):
+        raise error("raised from run_solve")
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(BASE))
+    monkeypatch.setattr(sorf.cli, "run_solve", failing)
+    assert sorf.cli.main(["solve", str(cfg)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == prefix + "raised from run_solve\n"  # one line, no traceback
+    assert captured.out == ""
 
 
 def test_cli_solve_success(tmp_path):
