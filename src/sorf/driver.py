@@ -11,11 +11,12 @@ from __future__ import annotations
 import gc
 import itertools
 import json
+import math
 import time
 
 import numpy as np
 
-from .errors import ConfigError, RuleValidationError, SorfError
+from .errors import AccuracyError, ConfigError, RuleValidationError, SorfError
 from .evaluation import (
     continuous_moment_matrix,
     discrete_moment_matrix,
@@ -142,6 +143,7 @@ def _gegenbauer_config(cfg: dict, N: int) -> GegenbauerSobolevConfig:
 def _solve_and_score(cfg: dict, N: int):
     """Yield (method, solution, metrics, node table, ms) for each configured
     method on the size-N problem; `ms` covers the solve and its metrics.
+    A metric that is not finite raises AccuracyError.
 
     The rule, spec, J, w and pole list are built once and shared by the
     methods.  Solvers and metrics are looked up in this module's globals at
@@ -172,6 +174,9 @@ def _solve_and_score(cfg: dict, N: int):
             "E_S_discrete": metric_sobolev(Md),
             "E_S_continuous_leading": metric_sobolev(Mc),
         }
+        for name, value in metrics.items():
+            if not math.isfinite(value):
+                raise AccuracyError(f"the {method} solve scores {name} = {value}")
         yield method, sol, metrics, table, 1e3 * (time.perf_counter() - t0)
 
 

@@ -209,7 +209,8 @@ def metric_poles(sol: IEPSolution, poles) -> float:
     r_k = h_k / k_k, t_k = psi_k, s_k = |psi_k| at a finite nonzero pole;
     r_k = h_k / k_k, t_k = 0, s_k = 1 at a zero pole; and r_k = k_k / h_k,
     t_k = 0, s_k = 1 at an infinite one.  An exactly zero denominator
-    scores inf."""
+    scores inf, a ratio past the float range inf or NaN, without a
+    floating-point warning."""
     psi = np.asarray(poles)
     h, k = np.diagonal(sol.H, -1)[: psi.size], np.diagonal(sol.K, -1)[: psi.size]
     infinite = np.isinf(psi)
@@ -217,9 +218,10 @@ def metric_poles(sol: IEPSolution, poles) -> float:
     if np.any(den == 0.0):
         return np.inf
     plain = infinite | (psi == 0.0)
-    d = num / den - np.where(plain, 0.0, psi)
-    # hypot, the scalar |z|: numpy's vectorized complex abs can differ in the last bit
-    err = np.hypot(d.real, d.imag) / np.where(plain, 1.0, np.hypot(psi.real, psi.imag))
+    with np.errstate(over="ignore", invalid="ignore"):  # a ratio past the float range scores inf or NaN
+        d = num / den - np.where(plain, 0.0, psi)
+        # hypot, the scalar |z|: numpy's vectorized complex abs can differ in the last bit
+        err = np.hypot(d.real, d.imag) / np.where(plain, 1.0, np.hypot(psi.real, psi.imag))
     return float(np.max(err, initial=0.0))
 
 

@@ -18,15 +18,16 @@ all equal the node, which are moved to the bottom.  Either way the new
 block's poles are then installed by adding each one at the bottom position
 and moving it upward: every move is one LAPACK ?tgexc call and every add
 op2's rule (`_add`), on a copy of the pencil in ?tgexc's layout, which one
-function maps (`_layout`), a `_Workspace`.  `install_poles` makes one copy
-per call.  The route makes one at its first leading block, in a workspace
-of the problem's order, grows the pencil there block by block (each block
-pins its pole pairs), and makes the phase pass and the copy back once, at
-the end.  The paper's elimination and swap (`op1_eliminate`,
-`op3_swap_adjacent`) share one 2x2 step, `_step`: a right rotation from the
-null direction of a rank-one combination of the H and K kernels, then a
-re-triangularizing left rotation.  `_pin` carries each moved pole as its
-homogeneous pair.
+function maps (`_layout`), a `_Workspace`.  Its order is one more than the
+pencil's, so rows 0 of H and K ride in ?tgexc's own matrices, just above
+the poles, and no Z is formed.  `install_poles` makes one copy per call.
+The route makes one at its first leading block, for the problem's order,
+grows the pencil there block by block (each block pins its pole pairs),
+and makes the phase pass and the copy back once, at the end.  The paper's
+elimination and swap (`op1_eliminate`, `op3_swap_adjacent`) share one 2x2
+step, `_step`: a right rotation from the null direction of a rank-one
+combination of the H and K kernels, then a re-triangularizing left
+rotation.  `_pin` carries each moved pole as its homogeneous pair.
 
 All index arguments are 0-based; pole index k refers to the subdiagonal
 position (k+1, k).  Rotations are raw (a, b) pairs (see `sorf.rotations`).
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -351,14 +351,14 @@ def op3_swap_adjacent(X: np.ndarray, c: int):
 
 @dataclass
 class _Workspace:
-    """A pencil in LAPACK's ?tgexc layout W = (a^T, b^T, z^T, q^T), placed
-    by `_layout`.  A pencil of order m - lo sits in the window lo .. m - 1
-    of the order-m workspace, where ?tgexc moves its poles as in its own,
-    and a leading block grows it without a copy.  Carried with it: the
-    squared Frobenius norms of H and K, which rotations and permutations
-    keep (the deflation scale), and the weight norm.  `install_poles` keeps
-    one for a call, the updating route one from its first leading block to
-    its end."""
+    """A pencil in LAPACK's ?tgexc layout W = (a^T, b^T, q^T), placed by
+    `_layout`.  A pencil of order n sits in the window lo .. m - 1 of the
+    workspace of order m (lo + n = m), where ?tgexc moves its poles as in
+    its own, and a leading block grows it upward without a copy.  Carried
+    with it: the squared Frobenius norms of H and K, which rotations and
+    permutations keep (the deflation scale), and the weight norm.
+    `install_poles` keeps one for a call, the updating route one from its
+    first leading block to its end."""
 
     W: np.ndarray
     lo: int
@@ -368,30 +368,29 @@ class _Workspace:
 
 def _layout(W: np.ndarray, lo: int, X: np.ndarray):
     """The one map between a stack X = (H, K, Q^T) of order n and its place
-    in the window lo .. lo + n - 1 of a workspace W = (a^T, b^T, z^T, q^T),
-    as pairs (view of W, view of X), to copy either way.
+    in the window lo .. lo + n - 1 (lo >= 1) of a workspace W = (a^T, b^T,
+    q^T), as pairs (view of W, view of X), to copy either way.
 
-    The poles are the eigenvalues of the triangular pencil (H[1:, :-1],
-    K[1:, :-1]), so ?tgexc gets a and b with H's and K's rows 1 .. n - 1 in
-    their rows lo .. lo + n - 2, and q with Q^T's rows 1 .. n - 1 in its
-    columns there.  The rows the pencil operations leave alone go last:
-    rows 0 of H and K, which take only right rotations, in z's last two
-    rows, and Q^T's row 0 in q's last column, which ?tgexc never reaches.
-    W is C-ordered, so an add turns two rows of W[:3].
+    H and K fill the columns lo .. of a and b from row lo - 1, and Q^T the
+    columns lo - 1 .. of q from row lo: each row 0 sits just above the
+    window.  The poles, the eigenvalues of the triangular pencil
+    (H[1:, :-1], K[1:, :-1]), are then a's and b's diagonal from lo on.
+    ?tgexc's right rotations turn the rows above their column pair too, row
+    0 of H and K included; its left rotations and their columns of q start
+    at row lo, so row 0 of each is never turned from the left.  W is
+    C-ordered, so an add turns two rows of W[:2].
     """
     hi = lo + X.shape[1]
     return (
-        (W[:2, lo:hi, lo : hi - 1].transpose(0, 2, 1), X[:2, 1:]),  # rows 1 .. of H and K: a and b
-        (W[3, lo : hi - 1, lo:hi], X[2, 1:]),  # rows 1 .. of Q^T: q's columns
-        (W[2, lo:hi, -2:].T, X[:2, 0]),  # rows 0 of H and K: z's last two rows
-        (W[3, -1, lo:hi], X[2, 0]),  # row 0 of Q^T: q's last column
+        (W[:2, lo:hi, lo - 1 : hi - 1].transpose(0, 2, 1), X[:2]),  # H and K: a and b from row lo - 1
+        (W[2, lo - 1 : hi - 1, lo:hi], X[2]),  # Q^T: q from column lo - 1
     )
 
 
 def _open(sol: IEPSolution, m: int) -> _Workspace:
     """The one copy of the stack sol.X into the trailing corner of a
-    workspace of order m >= sol.m, with its squared norms."""
-    W, lo = np.zeros((4, m, m), sol.X.dtype), m - sol.m
+    workspace of order m + 1 > sol.m, with its squared norms."""
+    W, lo = np.zeros((3, m + 1, m + 1), sol.X.dtype), m + 1 - sol.m
     for w, part in _layout(W, lo, sol.X):
         w[...] = part
     return _Workspace(W, lo, np.linalg.norm(sol.X[:2], axis=(1, 2)) ** 2, sol.wnorm)
@@ -399,47 +398,49 @@ def _open(sol: IEPSolution, m: int) -> _Workspace:
 
 def _place(ws: _Workspace, steps, X: np.ndarray | None = None) -> None:
     """Make each step (psi, f, t) on the workspace, positions counted in
-    the whole workspace: for a pole psi, first add it at the bottom position
-    f = m - 2 by op2's rule `_add`; then move the pole at position f to
-    position t by one ?tgexc call (none when f == t), the poles between
-    shifting by one.  The moves read the pairs as ?tgexc leaves them, and
-    the adds share one deflation scale.  Then `_pin`'s rule, applied to
+    the whole workspace of order m: for a pole psi, first add it at the
+    bottom position f = m - 2 by op2's rule `_add`; then move the pole at
+    position f to position t by one ?tgexc call (none when f == t; no Z
+    formed), the poles between shifting by one.  The moves carry the pairs
+    as ?tgexc leaves them, as a permutation of the pairs read at the start,
+    and the adds share one deflation scale.  Then `_pin`'s rule, applied to
     every pair at once, carries each pole as the pair it had in the pencil
     or was added as (on real data bit for bit what one `_pin` call per pair
     writes).  With X, on a workspace the pencil fills, the pins follow the
-    phase pass -- a unimodular factor per column 0 .. m - 2 makes the entry
-    `_pin` keeps real and nonnegative (dtgexc and ztgexc pick different
-    right-rotation signs) -- and precede the one copy back into the stack
-    X = (H, K, Q^T).
+    phase pass -- a unimodular factor per column of H and K but the last
+    makes the entry `_pin` keeps real and nonnegative (dtgexc and ztgexc
+    pick different right-rotation signs) -- and precede the one copy back
+    into the stack X = (H, K, Q^T).
     DeflationError when an add deflates the pencil or ?tgexc refuses a swap
     (nonzero info)."""
     W, lo, m = ws.W, ws.lo, ws.W.shape[1]
-    pairs = W[:2].diagonal(0, 1, 2)[:, lo:-1].T.tolist()  # the pole pair each position lo .. m - 2 carries
-    a, b, z, q = (M.T for M in W)
+    pairs = W[:2].diagonal(0, 1, 2)[:, lo:-1].copy()  # the pole pair each position lo .. m - 2 carries
+    order = list(range(m - 1 - lo))  # the pair each position carries now
+    a, b, q = (M.T for M in W)
+    z = np.empty((1, m), W.dtype)  # not referenced: wantz=0
     tgexc = get_lapack_funcs("tgexc", (W,))
     tol = DEFLATION_RTOL * math.sqrt(max(ws.sq))
-    rot, x, n, offsets = bind(W)
-    last = [(o + (m - 2) * n, o + (m - 1) * n) for o in offsets[:3]]  # rows m - 2, m - 1 of a^T, b^T, z^T
     for psi, f, t in steps:
         if psi is not None:
             if (out := _add(W[:2, m - 2 :, m - 2], psi, tol, m - 2)) is not None:
-                for u, v in last:
-                    rot(x, x, out[0], out[1], n, u, 1, v, 1, 1, 1)
+                # the right rotation (a, b) of a's and b's last two columns: the left
+                # one (a, -conj(b)) of those rows of a^T and b^T
+                rotate_rows(W[:2], out[0], -out[1].conjugate(), m - 2, m - 1)
                 W[:2, m - 2, m - 2] = out[2:]
-            pairs[-1] = W[:2, m - 2, m - 2].tolist()
+            pairs[:, order[-1]] = W[:2, m - 2, m - 2]
         if f == t:  # ?tgexc returns at once when ifst == ilst
             continue
-        *_, info = tgexc(a, b, q, z, f + 1, t + 1, overwrite_a=1, overwrite_b=1, overwrite_q=1, overwrite_z=1)
+        *_, info = tgexc(a, b, q, z, f + 1, t + 1, wantz=0, overwrite_a=1, overwrite_b=1, overwrite_q=1)
         if info != 0:
             raise DeflationError(f"pole move from index {f} to {t} degenerated (?tgexc info {info})")
-        pairs.insert(t - lo, pairs.pop(f - lo))
-    h, k = np.fromiter(chain.from_iterable(pairs), W.dtype, 2 * len(pairs)).reshape(-1, 2).T
+        order.insert(t - lo, order.pop(f - lo))
+    h, k = pairs[:, order]
     keep = (np.abs(h) < np.abs(k)).astype(np.intp)  # 0 for H's entry, 1 for K's
     i = np.arange(lo, m - 1)
     kept = W[keep, i, i]
-    if X is not None:  # z^T is zero outside rows 0 of H and K
+    if X is not None:
         size = np.abs(kept)
-        W[:3, :-1] *= np.divide(size, kept, out=np.ones_like(kept), where=kept != 0.0)[:, None]
+        W[:2, lo:-1] *= np.divide(size, kept, out=np.ones_like(kept), where=kept != 0.0)[:, None]
         W[keep, i, i] = kept = size
     W[1 - keep, i, i] = kept * (np.where(keep, h, k) / np.where(keep, k, h))
     if X is not None:
@@ -465,7 +466,7 @@ def install_poles(sol: IEPSolution, poles, first_index: int) -> None:
     if not 0 <= first_index <= m - 1 - len(poles):
         raise ValueError(f"{len(poles)} poles from index {first_index} overrun the {m - 1} positions")
     sol.X = sol.X.astype(np.result_type(sol.X, np.asarray(poles)), copy=False)
-    if steps := [(psi, m - 2, t) for t, psi in enumerate(poles, first_index)]:
+    if steps := [(psi, m - 1, t) for t, psi in enumerate(poles, first_index + 1)]:
         _place(_open(sol, m), steps, sol.X)
 
 
@@ -497,43 +498,36 @@ def add_block(current: IEPSolution | None, node, alphas, weight, new_poles) -> I
 
 def _lead_block(ws: _Workspace, node, alphas, weight, new_poles) -> _Workspace:
     """`add_block` with the block first (J's rows in the order block, current),
-    in the updating route's workspace of the problem's order m: the current
-    pencil fills its window from row c = ws.lo, the grown one from
-    d = c - s - 1.  Returns the grown pencil's workspace (the same array,
-    unless a complex block or pole promotes it), pinned: the route's last
-    `_place` call makes the phase pass and the copy back.
+    in the updating route's workspace of order m + 1 (m the problem's): the
+    current pencil fills its window from column c = ws.lo, the grown one
+    from d = c - s - 1.  Returns the grown pencil's workspace (the same
+    array, unless a complex block or pole promotes it), pinned: the route's
+    last `_place` call makes the phase pass and the copy back.
 
-    The embedding moves the current's row 0 to row s + 1 and writes the
-    block into the window d .. c - 1 after the node step -- reversing rows
-    1 .. s of the block's stack and columns 0 .. s of H and K, a
+    The current's row 0 already sits in row c - 1 of a and b and column
+    c - 1 of q, the grown pencil's row s + 1, so the embedding only writes
+    the block into the window d .. c - 1 after the node step -- reversing
+    rows 1 .. s of the block's stack and columns 0 .. s of H and K, a
     permutation that rounds nothing.  The weight rotation of rows 0 and
-    s + 1, one ?rot call per matrix from column d, then fills row s + 1 at
-    column 0 only, which leaves a Hessenberg pencil whose s + 1 leading
-    poles all equal the node.  The block's squared norms add to the carried
-    ones.  One `_place` call moves the node poles, the lowest first, to
-    positions m - s - 2 .. m - 2, which shifts the current poles up
-    unchanged, and replaces them with the new poles.
+    s + 1 then fills row s + 1 at column 0 only, which leaves a Hessenberg
+    pencil whose s + 1 leading poles all equal the node.  The block's
+    squared norms add to the carried ones.  One `_place` call moves the
+    node poles, the lowest first, to the s + 1 bottom positions, which
+    shifts the current poles up unchanged, and replaces them with the new
+    poles.
     """
     s, B = len(alphas), single_block_solution(node, alphas, weight).X
     W = ws.W.astype(np.result_type(ws.W, B, np.asarray(new_poles)), copy=False)
     m, c = W.shape[1], ws.lo
-    d, r = c - s - 1, c - 1  # r: row s + 1 of the grown pencil in a, b and q
-    # the current's row 0 leaves its slots in z and q (`_layout`) for row s + 1
-    W[:2, c:, r], W[3, r, c:] = W[2, c:, -2:].T, W[3, -1, c:]
-    W[2, c:, -2:] = W[3, -1, c:] = 0.0
+    d, r = c - s - 1, c - 1  # rows 0 and s + 1 of the grown pencil: rows d - 1 and r of a and b
     B[:, 1:] = B[:, :0:-1]  # the node step: rows 1 .. s reversed,
     B[:2] = B[:2, :, ::-1]  # and H's and K's columns
     for w, part in _layout(W, d, B):
         w[...] = part
-    # the weight rotation of rows 0 and s + 1 from column d, one ?rot call per
-    # matrix: of H and K in z^T's last two columns and in a^T's and b^T's
-    # column r, of Q^T in q^T's rows m - 1 and r
+    # the weight rotation: rows d - 1 and r of a and b, columns d - 1 and r of q
     a, b = zeroing(abs(weight), ws.wnorm)
-    rot, x, n, (oa, ob, oz, oq) = bind(W, a)
-    h0, k0, h1, k1 = oz + d * n + m - 2, oz + d * n + m - 1, oa + d * n + r, ob + d * n + r
-    q0, q1 = oq + (m - 1) * n + d, oq + r * n + d
-    for u, v, inc in ((h0, h1, n), (k0, k1, n), (q0, q1, 1)):
-        rot(x, x, a, -b, m - d, u, inc, v, inc, 1, 1)
+    rotate_cols(W[:2], a, -b, d - 1, r)
+    rotate_rows(W[2], a, b, d - 1, r)
     sq = ws.sq + ((s + 1) * abs(node) ** 2 + sum(abs(al) ** 2 for al in alphas), s + 1)
     grown = _Workspace(W, d, sq, float(np.hypot(abs(weight), ws.wnorm)))
     moves = [(None, d + j, m - s - 2 + j) for j in range(s, -1, -1)]
@@ -551,7 +545,7 @@ def solve_updating(spec: DiscreteSobolevSpec, poles) -> IEPSolution:
     Blocks come by decreasing |weight|, ties in node order.  A block is
     appended (`add_block`) while the partial solution has at most
     `SWEEP_MAX` rows and leads (`_lead_block`) past it, in one workspace of
-    order m that the first leading block opens (`_open`) and the last
+    order m + 1 that the first leading block opens (`_open`) and the last
     `_place` call phases and writes back; Q's rows follow the blocks'
     places and are put back into J's order at the end.
     """

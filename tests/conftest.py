@@ -147,7 +147,8 @@ def assert_iep_invariants(system, sol, poles, rtol=1e-12):
 
 @pytest.fixture
 def tgexc_calls(monkeypatch):
-    """The ?tgexc calls `sorf.updating` makes while the test runs, in order."""
+    """The ?tgexc calls `sorf.updating` makes while the test runs, in order,
+    each as (routine name, keyword arguments)."""
     calls = []
     lookup = updating.get_lapack_funcs
 
@@ -155,7 +156,7 @@ def tgexc_calls(monkeypatch):
         routine = lookup(name, arrays)
 
         def wrapped(*args, **kwargs):
-            calls.append(routine.typecode + name)
+            calls.append((routine.typecode + name, kwargs))
             return routine(*args, **kwargs)
 
         return wrapped

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import traceback
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -495,6 +496,31 @@ def test_cli_extreme_admissible_config_exits_cleanly(tmp_path, doc):
     assert proc.returncode in ((3,) if "omega" in doc else (0, 3)), proc.stderr
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+# free poles 1.7e308i: the pencils carry them, but their ratio h / k is past
+# the float range, so E_p cannot be scored; 1e307i and a real 1.7e308 can
+HUGE_POLE_DOC = {"N": 3, "free_poles": [[0, 1.7e308]] * 7}
+
+
+@pytest.mark.parametrize("method", ["updating", "sop"])
+def test_a_metric_that_is_not_finite_is_an_accuracy_error(method):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError, match=f"the {method} solve scores E_p = inf"):
+            run_solve({**HUGE_POLE_DOC, "method": method})
+        for pole in ([0, 1e307], [1.7e308, 0]):
+            report = run_solve({**HUGE_POLE_DOC, "free_poles": [pole] * 7, "method": method})
+            assert all(math.isfinite(v) for v in report["metrics"].values())
+
+
+@pytest.mark.parametrize("method", ["updating", "sop", "krylov", "all"])
+def test_cli_exits_numerical_on_a_metric_that_is_not_finite(tmp_path, method):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**HUGE_POLE_DOC, "method": method}))
+    proc = run_cli("solve", str(cfg), "-o", str(tmp_path / "report.json"))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 # a derivative scaling of 1e150 (1e-150) swamps (vanishes beside) the rest of

@@ -7,6 +7,7 @@ from conftest import KERNEL_AT, ROUTES, assert_iep_invariants, is_upper_hessenbe
 
 from sorf import updating
 
+from sorf.driver import run_solve
 from sorf.errors import ConfigError, DeflationError, NumericalError
 from sorf.evaluation import metric_orthonormality, metric_poles, metric_recurrence
 from sorf.pencil import INFINITY, is_infinite_pole, pencil_scale, pole_at, pole_pair
@@ -809,23 +810,23 @@ def test_install_poles_refuses_more_poles_than_positions():
 @pytest.mark.parametrize("n", (7, 4))
 def test_the_layout_map_takes_a_stack_into_its_window_and_back(rng, dtype, n):
     # `_layout` is the one map between a stack (H, K, Q^T) of order n and the
-    # window lo .. m - 1 of the workspace W = (a^T, b^T, z^T, q^T): in and out
-    # again bit for bit, every entry in a slot of its own, nothing written
-    # outside the window
+    # window lo .. m of the workspace W = (a^T, b^T, q^T) of order m + 1: in
+    # and out again bit for bit, every entry in a slot of its own, nothing
+    # written outside the window
     m = 7
-    lo = m - n
+    lo = m + 1 - n
     X = rng.normal(size=(3, n, n)) + (1j * rng.normal(size=(3, n, n)) if dtype is complex else 0.0)
-    W = np.zeros((4, m, m), X.dtype)
+    W = np.zeros((3, m + 1, m + 1), X.dtype)
     for w, part in updating._layout(W, lo, X):
         w[...] = part
-    a, b, z, q = (M.T for M in W)
-    # ?tgexc's pencil: a = H[1:], b = K[1:]; rows 0 of H and K in z's last
-    # two rows; Q^T's rows 1 .. in q's columns, its row 0 in q's last column
-    assert np.array_equal(a[lo:-1, lo:], X[0, 1:]) and np.array_equal(b[lo:-1, lo:], X[1, 1:])
-    assert np.array_equal(z[-2:, lo:], X[:2, 0])
-    assert np.array_equal(q[lo:, lo:-1], X[2, 1:].T) and np.array_equal(q[lo:, -1], X[2, 0])
+    a, b, q = (M.T for M in W)
+    # ?tgexc's pencil: H and K in a and b from row lo - 1, so row 0 of each
+    # sits just above the window and the poles on the diagonal from lo on;
+    # Q^T's rows in q's columns from lo - 1
+    assert np.array_equal(a[lo - 1 : -1, lo:], X[0]) and np.array_equal(b[lo - 1 : -1, lo:], X[1])
+    assert np.array_equal(q[lo:, lo - 1 : -1], X[2].T)
     slots = np.zeros(W.shape, bool)
-    slots[:2, lo:, lo:-1] = slots[2, lo:, -2:] = slots[3, lo:-1, lo:] = slots[3, -1, lo:] = True
+    slots[:2, lo:, lo - 1 : -1] = slots[2, lo - 1 : -1, lo:] = True
     assert np.count_nonzero(W) == X.size and not W[~slots].any()
     back = np.zeros_like(X)
     for w, part in updating._layout(W, lo, back):
@@ -837,11 +838,12 @@ def test_the_layout_map_takes_a_stack_into_its_window_and_back(rng, dtype, n):
 def test_moves_and_adds_in_one_install_equal_two_installs(rng, dtype):
     # the moves come first, then the adds: as one `_place` call on one
     # workspace, and as two calls that each pin and copy back, which is what
-    # `_lead_block`'s one call relies on
+    # `_lead_block`'s one call relies on.  Positions count in the workspace
+    # of order m + 1, whose bottom position is m - 1
     m = 9
     X = random_pole_stack(rng, dtype, [2.0, 2.0, -1.3, 1.7, INFINITY, -2.0, 1.1, 2.4])
-    moves = [(None, 1, m - 2), (None, 0, m - 3)]
-    adds = [(psi, m - 2, t) for t, psi in enumerate([3.5, -1.5], m - 3)]
+    moves = [(None, 2, m - 1), (None, 1, m - 2)]
+    adds = [(psi, m - 1, t) for t, psi in enumerate([3.5, -1.5], m - 2)]
     one, two = IEPSolution(X.copy(), 1.0), IEPSolution(X.copy(), 1.0)
     for sol, calls in ((one, [moves + adds]), (two, [moves, adds])):
         for steps in calls:
@@ -849,6 +851,20 @@ def test_moves_and_adds_in_one_install_equal_two_installs(rng, dtype):
     assert one.poles() == pytest.approx(two.poles(), rel=1e-13)
     for a, b in zip(one.X, two.X):
         assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
+
+
+def test_pole_moves_form_no_z_in_a_workspace_one_order_up(tgexc_calls, monkeypatch):
+    # rows 0 of H and K ride in ?tgexc's own a and b, just above the window,
+    # so no move asks for Z: every ?tgexc call of a `method: all` solve
+    # passes wantz=0, and each workspace has three slabs of order m + 1.
+    # The conjugate pair comes last, so updating moves real poles first
+    shapes = []
+    open_ = updating._open
+    monkeypatch.setattr(updating, "_open", lambda sol, m: shapes.append((m, (ws := open_(sol, m)).W.shape)) or ws)
+    run_solve({"N": 6, "method": "all", "free_poles": ["inf"] * 14 + [[1.6, 0.4], [1.6, -0.4]]})
+    assert tgexc_calls and all(kwargs.get("wantz") == 0 for _, kwargs in tgexc_calls)
+    assert {name for name, _ in tgexc_calls} == {"dtgexc", "ztgexc"}
+    assert shapes and all(shape == (3, m + 1, m + 1) for m, shape in shapes)
 
 
 def test_the_updating_loop_scans_only_the_solution_it_returns(rng, monkeypatch):
