@@ -12,8 +12,8 @@ introduction, pole-preserving elimination, pole adding and swapping) are
 products of these, carried as bare (a, b) pairs and applied in place with
 `rotate_rows` / `rotate_cols`: one `drot` (float64) or `zrot` (complex128)
 call per matrix for rows i < k, and one for columns i < k of a whole stack
-M[..., :, :], whose column is one vector of stride M.shape[-1].  Hot loops
-`bind` a stack once and make those calls themselves, on the same offsets.
+M[..., :, :], whose column is one vector of stride M.shape[-1].  No other
+module calls a `?rot` kernel.
 """
 
 from __future__ import annotations
@@ -60,27 +60,26 @@ def null_direction(z0: complex, z1: complex) -> tuple[float, complex] | None:
     return abs(v0), v1 * (ref.conjugate() / abs(ref))
 
 
-def bind(M: np.ndarray, a: float = 0.0) -> tuple:
-    """The ?rot kernel for M's dtype, M's flat buffer x, its row length n and
-    the offsets of its matrices (row i of matrix j starts at x[offsets[j] + i * n]);
-    refuses what the kernel would silently rotate as a copy, or with a truncated cosine."""
+def _bind(M: np.ndarray, a: float) -> tuple:
+    """The ?rot kernel for M's dtype, M's flat buffer x and its row length n
+    (row i of matrix j starts at x[j * M.shape[-2] * n + i * n]); refuses what
+    the kernel would silently rotate as a copy, or with a truncated cosine."""
     rot = _ROT.get(M.dtype)
     if rot is None or not M.flags.c_contiguous or isinstance(a, complex):
         raise ValueError(
             "rotations act in place on C-contiguous float64 or complex128 arrays with a real cosine, "
             f"got {M.dtype} (C-contiguous: {M.flags.c_contiguous}) and cosine {a!r}"
         )
-    x = M.reshape(-1)
-    return rot, x, M.shape[-1], range(0, x.size, M.shape[-2] * M.shape[-1])
+    return rot, M.reshape(-1), M.shape[-1]
 
 
 def rotate_rows(M: np.ndarray, a: float, b: complex, i: int, k: int) -> None:
     """M <- G M for the rotation (a, b) at rows i < k of M or of each matrix of a stack."""
     if not 0 <= i < k < M.shape[-2]:
         raise ValueError(f"rotation rows need 0 <= i < k < {M.shape[-2]}, got ({i}, {k})")
-    rot, x, n, offsets = bind(M, a)
+    rot, x, n = _bind(M, a)
     s = -b.conjugate()
-    for off in offsets:
+    for off in range(0, x.size, M.shape[-2] * n):
         rot(x, x, a, s, n, off + i * n, 1, off + k * n, 1, 1, 1)
 
 
@@ -88,5 +87,5 @@ def rotate_cols(M: np.ndarray, a: float, b: complex, i: int, k: int) -> None:
     """M <- M G for the rotation (a, b) at columns i < k of M or of each matrix of a stack."""
     if not 0 <= i < k < M.shape[-1]:
         raise ValueError(f"rotation columns need 0 <= i < k < {M.shape[-1]}, got ({i}, {k})")
-    rot, x, n, _ = bind(M, a)
+    rot, x, n = _bind(M, a)
     rot(x, x, a, b, x.size // n, i, n, k, n, 1, 1)

@@ -32,7 +32,7 @@ rotation.  `_pin` carries each moved pole as its homogeneous pair.
 All index arguments are 0-based; pole index k refers to the subdiagonal
 position (k+1, k).  Rotations are raw (a, b) pairs (see `sorf.rotations`).
 A solution is one C-contiguous stack X = (H, K, Q^T), which the pencil
-operations rotate in place, bound once per call (`rotations.bind`): a left
+operations rotate in place through `rotate_rows` / `rotate_cols`: a left
 rotation G = (a, b) turns a row pair of H and K, and of Q^T by (a, conj(b))
 (Q <- Q G^H is Q^T <- conj(G) Q^T); a right one a column pair of H and K.
 They return the pairs applied, or None for none.
@@ -49,7 +49,7 @@ from scipy.linalg import get_lapack_funcs
 from . import pencil
 from .errors import DeflationError, NumericalError
 from .pencil import DEFLATION_RTOL, assert_unreduced, pencil_scale, pole_pair
-from .rotations import bind, null_direction, rotate_cols, rotate_rows, zeroing
+from .rotations import null_direction, rotate_cols, rotate_rows, zeroing
 from .sobolev import DiscreteSobolevSpec, check_spectrum_disjoint
 
 # The largest partial solution `solve_updating` grows by the paper's
@@ -155,9 +155,9 @@ def weight_rotation(sol: IEPSolution, w0: complex, wk: complex, k: int) -> tuple
 
 
 def _step(
-    S, p: int, q: int, c: int, d: int, a00, a01, a10, a11, b00, b01, b10, b11, z0, z1, floor: float, what: str
+    X, p: int, q: int, c: int, d: int, a00, a01, a10, a11, b00, b01, b10, b11, z0, z1, floor: float, what: str
 ):
-    """The 2x2 move shared by elimination and swap, on the bound stack S.
+    """The 2x2 move shared by elimination and swap, on the stack X = (H, K, Q^T).
 
     a00 .. a11 and b00 .. b11 are the H and K kernels at rows (p, q), columns
     (c, d).  The right rotation is the null direction of the row (z0, z1)
@@ -166,19 +166,16 @@ def _step(
     Applies both, zeroes H[q, c] and K[q, c], and returns the raw pairs.
     The left rotation (la, lb) turns the rows of Q^T as (la, conj(lb)).
     """
-    rot, x, n, (_, k, g) = S
     ra, rb = null_direction(z0, z1) or (1.0, 0.0)
     ua0, ua1, ub0, ub1 = ra * a00 + rb * a01, ra * a10 + rb * a11, ra * b00 + rb * b01, ra * b10 + rb * b11
     na, nb = math.hypot(abs(ua0), abs(ua1)), math.hypot(abs(ub0), abs(ub1))
     if max(na, nb) <= floor:
         raise DeflationError(what)
     la, lb = left = zeroing(ua0, ua1) if na >= nb else zeroing(ub0, ub1)
-    s, pn, qn = -lb.conjugate(), p * n, q * n
-    rot(x, x, la, s, n, pn, 1, qn, 1, 1, 1)
-    rot(x, x, la, s, n, k + pn, 1, k + qn, 1, 1, 1)
-    rot(x, x, la, -lb, n, g + pn, 1, g + qn, 1, 1, 1)
-    rot(x, x, ra, rb, g // n, c, n, d, n, 1, 1)
-    x[qn + c] = x[k + qn + c] = 0.0
+    rotate_rows(X[:2], la, lb, p, q)
+    rotate_rows(X[2], la, lb.conjugate(), p, q)
+    rotate_cols(X[:2], ra, rb, c, d)
+    X[:2, q, c] = 0.0
     return left, (ra, rb)
 
 
@@ -189,11 +186,23 @@ def _pin(x, y, h, k):
     return (x, x * (k / h)) if abs(h) >= abs(k) else (y * (h / k), y)
 
 
-def _eliminate(X, S, r: int, c: int, tol: float):
-    """Body of `op1_eliminate` on the stack X = (H, K, Q^T), bound as S, without
-    the index check: raw (left, right) pairs, or None when both target entries
-    are at most `tol`.  The kernels at rows (c+1, r), columns (c, r) are judged
-    against their own scale; the step's row is beta*A - delta*B."""
+def op1_eliminate(X: np.ndarray, r: int, c: int):
+    """Zero H[r, c] and K[r, c] keeping the pole ratio at column c intact:
+    the paper's op1, which `restore_hessenberg` applies to partial solutions
+    of at most `SWEEP_MAX` rows.
+
+    The pivot sits at (c+1, c).  Applies a left rotation on rows (c+1, r) and
+    a right rotation on columns (c, r) of the stack X = (H, K, Q^T), then
+    pins the new pivot pair to the old one (`_pin`), so an infinite pole
+    keeps its exactly zero K entry.  Returns the raw (left, right) pairs, or
+    None when both targets are at most the pencil's deflation tolerance,
+    DEFLATION_RTOL times its `pencil_scale`.  The kernels at rows (c+1, r),
+    columns (c, r) are judged against their own scale; the step's row is
+    beta*A - delta*B.
+    """
+    if not (0 <= c < r < X.shape[1]) or r == c + 1:
+        raise IndexError(f"invalid elimination target ({r}, {c})")
+    tol = DEFLATION_RTOL * pencil_scale(X[0], X[1])
     a10, b10 = X.item(0, r, c), X.item(1, r, c)
     ma10, mb10 = abs(a10), abs(b10)
     if ma10 <= tol and mb10 <= tol:
@@ -209,27 +218,11 @@ def _eliminate(X, S, r: int, c: int, tol: float):
         raise NumericalError("elimination kernel violates the zero-corner precondition")
     z0, z1 = beta * a10 - delta * b10, beta * a11 - delta * b11
     out = _step(
-        S, p, r, c, r, delta, a01, a10, a11, beta, b01, b10, b11, z0, z1, DEFLATION_RTOL * scale,
+        X, p, r, c, r, delta, a01, a10, a11, beta, b01, b10, b11, z0, z1, DEFLATION_RTOL * scale,
         "elimination would deflate the pencil"
     )
     X[0, p, c], X[1, p, c] = _pin(X.item(0, p, c), X.item(1, p, c), delta, beta)
     return out
-
-
-def op1_eliminate(X: np.ndarray, r: int, c: int):
-    """Zero H[r, c] and K[r, c] keeping the pole ratio at column c intact:
-    the paper's op1, which `restore_hessenberg` applies to partial solutions
-    of at most `SWEEP_MAX` rows.
-
-    The pivot sits at (c+1, c).  Applies a left rotation on rows (c+1, r) and
-    a right rotation on columns (c, r) of the stack X = (H, K, Q^T), then
-    pins the new pivot pair to the old one (`_pin`), so an infinite pole
-    keeps its exactly zero K entry.  Returns the raw (left, right) pairs, or
-    None when both targets were already negligible.
-    """
-    if not (0 <= c < r < X.shape[1]) or r == c + 1:
-        raise IndexError(f"invalid elimination target ({r}, {c})")
-    return _eliminate(X, bind(X), r, c, DEFLATION_RTOL * pencil_scale(X[0], X[1]))
 
 
 def restore_hessenberg(H: np.ndarray, K: np.ndarray, Q: np.ndarray, s_sigma: int) -> list[tuple[int, int]]:
@@ -239,22 +232,20 @@ def restore_hessenberg(H: np.ndarray, K: np.ndarray, Q: np.ndarray, s_sigma: int
 
     Column sweep: in the leading columns the fill sits in the rows of the
     appended block (each elimination cascades one row further down); the
-    trailing columns clean the corner below their subdiagonal.  Rotations
-    keep both Frobenius norms, so the deflation tolerance is fixed for the
-    sweep.  Returns the list of positions actually eliminated, in order.
-    The sweep rotates a copy of the stack (H, K, Q^T), written back once
-    after the residue check.
+    trailing columns clean the corner below their subdiagonal.  Each target
+    is one `op1_eliminate` call, which takes the deflation tolerance from
+    the norms of H and K, which rotations keep.  Returns the list of
+    positions actually eliminated, in order.  The sweep rotates a copy of
+    the stack (H, K, Q^T), written back once after the residue check.
     """
     m = H.shape[0]
     mhat = m - s_sigma - 1
     scale = pencil_scale(H, K)
-    tol = DEFLATION_RTOL * scale
     targets: list[tuple[int, int]] = []
     X = np.stack((H, K, Q.T))
-    S = bind(X)
     for c in range(m - 2):
         for r in range(max(mhat, c + 2), m):
-            if _eliminate(X, S, r, c, tol) is not None:
+            if op1_eliminate(X, r, c) is not None:
                 targets.append((r, c))
     residue = np.abs(np.tril(X[:2], -2)).max()
     if residue > 1e-10 * scale:
@@ -342,7 +333,7 @@ def op3_swap_adjacent(X: np.ndarray, c: int):
     if z0 == 0.0 and z1 == 0.0:
         return None
     out = _step(
-        bind(X), p, p + 1, c, p, tau, h01, 0.0, mu, kap, k01, 0.0, nu, z0, z1, 0.0, "pole swap degenerated"
+        X, p, p + 1, c, p, tau, h01, 0.0, mu, kap, k01, 0.0, nu, z0, z1, 0.0, "pole swap degenerated"
     )
     X[0, p, c], X[1, p, c] = _pin(X.item(0, p, c), X.item(1, p, c), mu, nu)
     X[0, p + 1, p], X[1, p + 1, p] = _pin(X.item(0, p + 1, p), X.item(1, p + 1, p), tau, kap)

@@ -1,15 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import blas, lapack
 
 from conftest import random_pole_list, random_spec, rotation_matrix
 
 from sorf import rotations
 from sorf.errors import DegenerateRotationError
 from sorf.reference import solve_via_sop
-from sorf.rotations import bind, null_direction, rotate_cols, rotate_rows, zeroing
+from sorf.rotations import null_direction, rotate_cols, rotate_rows, zeroing
 from sorf.sobolev import build_jordan
 from sorf.updating import solve_updating
 
@@ -196,37 +197,47 @@ def test_rotations_refuse_what_they_cannot_rotate_in_place(rng):
     assert np.array_equal(M, before)
 
 
-def test_bind_gives_the_layout_its_callers_rotate_by(rng):
-    for dtype, kernel in ((np.float64, blas.drot), (np.complex128, lapack.zrot)):
-        X = rng.normal(size=(3, 4, 5)).astype(dtype)
-        rot, x, n, offsets = bind(X)
-        assert rot is kernel and np.shares_memory(x, X) and n == 5 and list(offsets) == [0, 20, 40]
-        for j in range(3):
-            for i in range(4):
-                assert np.array_equal(x[offsets[j] + i * n :][:n], X[j, i])
-        for i in range(5):
-            assert np.array_equal(x[i::n], X[..., i].reshape(-1))
+@pytest.mark.parametrize("dtype", (np.float64, np.complex128))
+@pytest.mark.parametrize("rotate", (rotate_rows, rotate_cols))
+def test_a_rotation_of_a_stack_is_the_rotation_of_each_matrix_bit_for_bit(rng, dtype, rotate):
+    X = rng.normal(size=(3, 4, 5)).astype(dtype)
+    if dtype is np.complex128:
+        X += 1j * rng.normal(size=(3, 4, 5))
+        a, b = zeroing(0.3 - 0.2j, 1.1 + 0.7j)
+    else:
+        a, b = zeroing(0.3, 1.1)
+    each = X.copy()
+    rotate(X, a, b, 1, 3)
+    for M in each:
+        rotate(M, a, b, 1, 3)
+    assert np.array_equal(X.view(np.uint8), each.view(np.uint8))
 
 
-def test_bind_refuses_a_stack_it_cannot_rotate_in_place(rng):
+def test_rotations_refuse_a_stack_they_cannot_rotate_in_place(rng):
     """A strided or transposed stack, or one of another dtype, would be
-    rotated as a copy: refused at bind time, the array untouched."""
+    rotated as a copy: refused by both updates, the array untouched."""
     X = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
     before = X.copy()
-    for bad in (X[:, ::2], X[:, :, 1:], X[::2], X.transpose(0, 2, 1), X.T, X.real, X.astype(np.complex64), X.real.astype(np.float32)):
-        with pytest.raises(ValueError, match="in place"):
-            bind(bad)
-    assert np.array_equal(X, before)
+    bad = (X[:, ::2], X[:, :, 1:], X[::2], X.transpose(0, 2, 1), X.T, X.real, X.astype(np.complex64),
+           X.real.astype(np.float32))
+    for view in bad:
+        for rotate in (rotate_rows, rotate_cols):
+            with pytest.raises(ValueError, match="in place"):
+                rotate(view, 0.6, 0.8, 0, 1)
+    assert np.array_equal(X.view(np.uint8), before.view(np.uint8))
 
 
 def test_every_cosine_the_solvers_hand_the_kernel_is_a_float(monkeypatch, rng):
-    """The bound path passes its cosines to ?rot unchecked; those come from
-    `zeroing` and `null_direction`, which give a float on real and complex data."""
-    seen = []
+    """Every ?rot call of the solvers, the 2x2 step of the sweep's eliminations
+    included, comes from `rotate_rows` or `rotate_cols`, which refuse a complex
+    cosine; the cosines come from `zeroing` and `null_direction`, which give a
+    float on real and complex data."""
+    seen, callers = [], set()
 
     def recording(kernel):
         def call(x, y, c, s, *rest):
             seen.append((x.dtype, c))
+            callers.add((sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name))
             return kernel(x, y, c, s, *rest)
 
         return call
@@ -239,6 +250,8 @@ def test_every_cosine_the_solvers_hand_the_kernel_is_a_float(monkeypatch, rng):
         solve_via_sop(build_jordan(spec), poles)
     assert {dt for dt, _ in seen} == {np.dtype(np.float64), np.dtype(np.complex128)}
     assert all(isinstance(c, float) for _, c in seen)
+    assert {caller for caller, _ in callers} == {"rotate_rows", "rotate_cols"}
+    assert "_step" in {grandcaller for _, grandcaller in callers}
     for x, y in ((0.3, -1.2), (0.0, 2.0), (0.3 + 0.1j, 0.5 - 2.0j), (0j, 1j), (-0.0, 1e-300)):
         assert isinstance(zeroing(x, y)[0], float)
         assert isinstance(null_direction(x, y)[0], float)

@@ -937,7 +937,8 @@ def test_the_leading_blocks_keep_no_bookkeeping_of_their_own(monkeypatch):
     # phase pass and copy back (_place with a stack) come once per solve.
     # What remains is the appended blocks' own: the first and second block
     # (0 and 2 rows found) each install through a workspace of their own, and
-    # the second one's sweep takes its scale -- the same at m = 22 and 46
+    # the second one's sweep takes its residue scale and each of its three
+    # eliminations (op1) its own tolerance -- the same at m = 22 and 46
     counts = {}
 
     def counting(name, fn, counts_call=lambda *args: True):
@@ -956,7 +957,7 @@ def test_the_leading_blocks_keep_no_bookkeeping_of_their_own(monkeypatch):
         counts.clear()
         solve_updating(spec, default_pole_list(config.poles, spec.m))
         seen.append(dict(counts))
-    assert seen[0] == seen[1] == {"pencil_scale": 1, "_open": 3, "_place": 3}
+    assert seen[0] == seen[1] == {"pencil_scale": 4, "_open": 3, "_place": 3}
 
 
 def test_a_conjugate_pair_in_the_last_leading_block_promotes_the_workspace(monkeypatch):
