@@ -31,6 +31,7 @@ from .pencil import INFINITY, is_infinite_pole
 from .quadrature import QuadratureRule
 from .reference import rational_arnoldi, solve_via_sop
 from .sobolev import (
+    N_MAX,
     GegenbauerSobolevConfig,
     build_jordan,
     default_pole_list,
@@ -123,6 +124,8 @@ def parse_config(doc: dict) -> dict:
     out["N_range"] = (_decode_size(rng[0]), _decode_size(rng[1])) if "N_range" in doc else None
     if out["N_range"] is not None and not 1 <= out["N_range"][0] <= out["N_range"][1]:
         raise ConfigError("N_range must satisfy 1 <= lo <= hi")
+    if out["N_range"] is not None and out["N_range"][1] > N_MAX:
+        raise ConfigError(f"N_range ends at {out['N_range'][1]}, above the largest size N_MAX = {N_MAX}")
     method = doc.get("method", METHODS[0])
     if method not in METHODS + ("all",):
         raise ConfigError(f"method must be one of {METHODS + ('all',)}")

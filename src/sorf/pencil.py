@@ -73,5 +73,9 @@ def poles(H: np.ndarray, K: np.ndarray) -> list[complex]:
 
 
 def assert_unreduced(H: np.ndarray, K: np.ndarray) -> None:
-    """Raise DeflationError at the first position where the pencil is reduced."""
-    poles(H, K)
+    """Raise DeflationError at the first position where the pencil is
+    reduced, as `poles` would: `_pair_pole`'s rule there, the position found
+    over both subdiagonals at once."""
+    tol = DEFLATION_RTOL * pencil_scale(H, K)
+    for k in np.flatnonzero((np.abs(H.diagonal(-1)) <= tol) & (np.abs(K.diagonal(-1)) <= tol))[:1]:
+        _pair_pole(H[k + 1, k], K[k + 1, k], k, tol)

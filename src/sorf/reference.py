@@ -19,6 +19,8 @@ pencil.  Both routes take the caller's `JordanSystem` (J, w).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
@@ -27,6 +29,15 @@ from .pencil import assert_unreduced, is_infinite_pole, pole_pair
 from .sobolev import JordanSystem, check_spectrum_disjoint
 from .updating import IEPSolution, install_poles
 from .updating import op2_add_pole, op3_swap_adjacent, solve_updating  # noqa: F401 (traced here by name)
+
+
+def _norm(v: np.ndarray) -> float:
+    """`np.linalg.norm` of a contiguous vector by numpy's own formula, the
+    square root of v.v (of the real and imaginary parts' sum for complex
+    data), without its per-call checks."""
+    if v.dtype.kind == "c":
+        return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    return math.sqrt(v.dot(v))
 
 
 def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
@@ -62,21 +73,22 @@ def rational_arnoldi(sys: JordanSystem, poles) -> IEPSolution:
                 raise KrylovBreakdownError(f"shifted system at step {k + 1} is singular or not finite")
         else:
             v = J @ Q[:, k]
-        vnorm0 = np.linalg.norm(v)
+        vnorm0 = _norm(v)
         basis = Q[:, : k + 1]
         coeff = (v.conj() @ basis).conj()
         v = v - basis @ coeff
         extra = (v.conj() @ basis).conj()
         v = v - basis @ extra
         coeff += extra
-        beta = float(np.linalg.norm(v))
+        beta = _norm(v)
         if beta <= 1e-13 * vnorm0:
             raise KrylovBreakdownError(f"rational Krylov space degenerated at step {k + 1}")
         sub = mu * beta  # H's subdiagonal before the phase: beta itself at infinity
         phase = sub / abs(sub) if sub != 0.0 else 1.0
-        Q[:, k + 1] = v / beta * phase
+        np.multiply(v / beta, phase, out=Q[:, k + 1])
         last = beta * np.conj(phase)  # the coefficient of Q[:, k + 1]
-        H[: k + 1, k], H[k + 1, k] = mu * coeff, mu * last
+        np.multiply(mu, coeff, out=H[: k + 1, k])
+        H[k + 1, k] = mu * last
         if nu:
             K[: k + 1, k], K[k + 1, k] = coeff, last
             H[k, k] += 1.0

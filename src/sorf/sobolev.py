@@ -102,11 +102,19 @@ class JordanSystem:
         return self.J.shape[0]
 
 
+# The largest N a Gegenbauer-Sobolev problem may ask for (m = 4N - 2 = 510),
+# a policy: a larger N is refused before any rule is built, since the base
+# rule's eigenvector matrix grows as (8 sigma)^2 (17 GiB at N = 3000) and a
+# report's matrices as m^2.
+N_MAX = 128
+
+
 @dataclass(frozen=True)
 class GegenbauerSobolevConfig:
     """The Gegenbauer-Sobolev problem generating N functions; it owns the
     N - 1 prescribed poles (default the ladder -w, w, -2w, 2w, ...) and the
-    node count sigma of the rule that discretizes it."""
+    node count sigma of the rule that discretizes it, and refuses an N
+    outside 1 .. N_MAX."""
 
     mu: float
     lam: float
@@ -125,6 +133,8 @@ class GegenbauerSobolevConfig:
             raise ConfigError("omega must exceed 1")
         if self.N < 1:
             raise ConfigError("N must be at least 1")
+        if self.N > N_MAX:
+            raise ConfigError(f"N = {self.N} exceeds the largest size N_MAX = {N_MAX}")
         poles = tuple(gegenbauer_pole_ladder(self.omega, self.N - 1) if self.poles is None else self.poles)
         if len(poles) != self.N - 1:
             raise ConfigError(f"need N - 1 = {self.N - 1} prescribed poles, got {len(poles)}")

@@ -346,15 +346,21 @@ class _Workspace:
     `_layout`.  A pencil of order n sits in the window lo .. m - 1 of the
     workspace of order m (lo + n = m), where ?tgexc moves its poles as in
     its own, and a leading block grows it upward without a copy.  Carried
-    with it: the squared Frobenius norms of H and K, which rotations and
-    permutations keep (the deflation scale), and the weight norm.
+    with it: the squared Frobenius norms of H and K as two floats, which
+    rotations and permutations keep (the deflation scale), the weight norm,
+    and, taken once, ?tgexc for W's type with its arguments a, b, q (W's
+    slabs read in Fortran order) and the z it never references (wantz=0).
     `install_poles` keeps one for a call, the updating route one from its
     first leading block to its end."""
 
     W: np.ndarray
     lo: int
-    sq: np.ndarray
+    sq: list
     wnorm: float
+
+    def __post_init__(self):
+        self.tgexc = get_lapack_funcs("tgexc", (self.W,))
+        self.abqz = (*(M.T for M in self.W), np.empty((1, self.W.shape[1]), self.W.dtype))
 
 
 def _layout(W: np.ndarray, lo: int, X: np.ndarray):
@@ -384,7 +390,7 @@ def _open(sol: IEPSolution, m: int) -> _Workspace:
     W, lo = np.zeros((3, m + 1, m + 1), sol.X.dtype), m + 1 - sol.m
     for w, part in _layout(W, lo, sol.X):
         w[...] = part
-    return _Workspace(W, lo, np.linalg.norm(sol.X[:2], axis=(1, 2)) ** 2, sol.wnorm)
+    return _Workspace(W, lo, (np.linalg.norm(sol.X[:2], axis=(1, 2)) ** 2).tolist(), sol.wnorm)
 
 
 def _place(ws: _Workspace, steps, X: np.ndarray | None = None) -> None:
@@ -405,35 +411,35 @@ def _place(ws: _Workspace, steps, X: np.ndarray | None = None) -> None:
     DeflationError when an add deflates the pencil or ?tgexc refuses a swap
     (nonzero info)."""
     W, lo, m = ws.W, ws.lo, ws.W.shape[1]
-    pairs = W[:2].diagonal(0, 1, 2)[:, lo:-1].copy()  # the pole pair each position lo .. m - 2 carries
+    D = W[:2].reshape(2, -1)[:, lo * (m + 1) : (m - 1) * (m + 1) : m + 1]  # a's and b's diagonals lo .. m - 2
+    pairs = D.copy()  # the pole pair each position carries at the start
     order = list(range(m - 1 - lo))  # the pair each position carries now
-    a, b, q = (M.T for M in W)
-    z = np.empty((1, m), W.dtype)  # not referenced: wantz=0
-    tgexc = get_lapack_funcs("tgexc", (W,))
     tol = DEFLATION_RTOL * math.sqrt(max(ws.sq))
+    bottom = W[:2, m - 2 :, m - 2]  # ((h0, h1), (k0, k1)): H's and K's last row, last two columns
     for psi, f, t in steps:
         if psi is not None:
-            if (out := _add(W[:2, m - 2 :, m - 2], psi, tol, m - 2)) is not None:
+            if (out := _add(bottom, psi, tol, m - 2)) is not None:
                 # the right rotation (a, b) of a's and b's last two columns: the left
                 # one (a, -conj(b)) of those rows of a^T and b^T
                 rotate_rows(W[:2], out[0], -out[1].conjugate(), m - 2, m - 1)
-                W[:2, m - 2, m - 2] = out[2:]
-            pairs[:, order[-1]] = W[:2, m - 2, m - 2]
+                W[0, m - 2, m - 2], W[1, m - 2, m - 2] = out[2:]
+            pairs[:, order[-1]] = D[:, -1]
         if f == t:  # ?tgexc returns at once when ifst == ilst
             continue
-        *_, info = tgexc(a, b, q, z, f + 1, t + 1, wantz=0, overwrite_a=1, overwrite_b=1, overwrite_q=1)
+        *_, info = ws.tgexc(*ws.abqz, f + 1, t + 1, wantz=0, overwrite_a=1, overwrite_b=1, overwrite_q=1)
         if info != 0:
             raise DeflationError(f"pole move from index {f} to {t} degenerated (?tgexc info {info})")
         order.insert(t - lo, order.pop(f - lo))
-    h, k = pairs[:, order]
-    keep = (np.abs(h) < np.abs(k)).astype(np.intp)  # 0 for H's entry, 1 for K's
-    i = np.arange(lo, m - 1)
-    kept = W[keep, i, i]
+    P = pairs.take(order, 1)  # the pair (h, k) each position carries
+    keep = np.abs(P[0]) < np.abs(P[1])  # where `_pin` keeps K's entry
+    V = np.where(keep, D[::-1], D)  # the entry `_pin` keeps, then the other
     if X is not None:
-        size = np.abs(kept)
-        W[:2, lo:-1] *= np.divide(size, kept, out=np.ones_like(kept), where=kept != 0.0)[:, None]
-        W[keep, i, i] = kept = size
-    W[1 - keep, i, i] = kept * (np.where(keep, h, k) / np.where(keep, k, h))
+        size = np.abs(V[0])
+        W[:2, lo:-1] *= np.divide(size, V[0], out=np.ones_like(V[0]), where=V[0] != 0.0)[:, None]
+        V[0] = size
+    ratio = np.where(keep, P, P[::-1])  # (h, k) where K's entry is kept, else (k, h)
+    V[1] = V[0] * (ratio[0] / ratio[1])
+    D[...] = np.where(keep, V[::-1], V)
     if X is not None:
         for w, part in _layout(W, lo, X):
             part[...] = w
@@ -487,43 +493,67 @@ def add_block(current: IEPSolution | None, node, alphas, weight, new_poles) -> I
     return sol
 
 
+def _write_block(W: np.ndarray, d: int, node, alphas, weight) -> None:
+    """Write the node-stepped stack of `single_block_solution(node, alphas,
+    weight)` into the window d .. d + s of the workspace W = (a^T, b^T, q^T)
+    as `_layout` places it, on entries that are zero: the stack's rows 1 .. s
+    reversed, then H's and K's columns, a cyclic shift.  With c = d + s + 1,
+    each diagonal of W at d .. c - 2 holds (node, 1, 1), the scalings run
+    alpha_s .. alpha_2 down a's subdiagonal from d + 1, and b's entry
+    (c - 1, d - 1) is 1.  The phase enters as in that function, in the
+    block's type (on W's real parts for a real block): H's column 0, a's row
+    c - 1 from d - 1 (the node, then alpha_1 last), times the phase; then
+    H's row 0, a's column d - 1 from d (reversed), times its conjugate;
+    and Q^T's row 0, q's row d - 1 from d (e_s), times the phase."""
+    s, m = len(alphas), W.shape[1]
+    c, phase = d + s + 1, weight / abs(weight)
+    flat = W.reshape(3, -1)
+    flat[:, d * (m + 1) : (c - 1) * (m + 1) : m + 1] = ((node,), (1.0,), (1.0,))
+    flat[0, (d + 1) * (m + 1) - 1 : (c - 1) * (m + 1) - 1 : m + 1] = alphas[:0:-1]
+    B = W.real if W.dtype.kind == "c" and np.result_type(node, phase, *alphas).kind != "c" else W
+    B[0, c - 1, d - 1 : c - 1 : max(s, 1)] = (node, *alphas[:1])
+    B[1, c - 1, d - 1] = B[2, d - 1, c - 1] = 1.0
+    B[0, c - 1, d - 1 : c - 1] *= phase
+    B[0, d:c, d - 1] *= np.conj(phase)
+    B[2, d - 1, d:c] *= phase
+
+
 def _lead_block(ws: _Workspace, node, alphas, weight, new_poles) -> _Workspace:
     """`add_block` with the block first (J's rows in the order block, current),
     in the updating route's workspace of order m + 1 (m the problem's): the
     current pencil fills its window from column c = ws.lo, the grown one
-    from d = c - s - 1.  Returns the grown pencil's workspace (the same
-    array, unless a complex block or pole promotes it), pinned: the route's
-    last `_place` call makes the phase pass and the copy back.
+    from d = c - s - 1.  Returns the grown pencil's workspace (ws itself,
+    unless a complex block or pole promotes it to a new one), pinned: the
+    route's last `_place` call makes the phase pass and the copy back.
 
     The current's row 0 already sits in row c - 1 of a and b and column
     c - 1 of q, the grown pencil's row s + 1, so the embedding only writes
     the block into the window d .. c - 1 after the node step -- reversing
     rows 1 .. s of the block's stack and columns 0 .. s of H and K, a
-    permutation that rounds nothing.  The weight rotation of rows 0 and
-    s + 1 then fills row s + 1 at column 0 only, which leaves a Hessenberg
-    pencil whose s + 1 leading poles all equal the node.  The block's
-    squared norms add to the carried ones.  One `_place` call moves the
-    node poles, the lowest first, to the s + 1 bottom positions, which
+    permutation that rounds nothing (`_write_block`).  The weight rotation
+    of rows 0 and s + 1 then fills row s + 1 at column 0 only, which leaves
+    a Hessenberg pencil whose s + 1 leading poles all equal the node.  The
+    block's squared norms add to the carried ones.  One `_place` call moves
+    the node poles, the lowest first, to the s + 1 bottom positions, which
     shifts the current poles up unchanged, and replaces them with the new
     poles.
     """
-    s, B = len(alphas), single_block_solution(node, alphas, weight).X
-    W = ws.W.astype(np.result_type(ws.W, B, np.asarray(new_poles)), copy=False)
-    m, c = W.shape[1], ws.lo
+    s, c = len(alphas), ws.lo
     d, r = c - s - 1, c - 1  # rows 0 and s + 1 of the grown pencil: rows d - 1 and r of a and b
-    B[:, 1:] = B[:, :0:-1]  # the node step: rows 1 .. s reversed,
-    B[:2] = B[:2, :, ::-1]  # and H's and K's columns
-    for w, part in _layout(W, d, B):
-        w[...] = part
+    if (dtype := np.result_type(ws.W, node, weight, *alphas, *new_poles)) != ws.W.dtype:
+        ws = _Workspace(ws.W.astype(dtype), c, ws.sq, ws.wnorm)
+    W, m = ws.W, ws.W.shape[1]
+    _write_block(W, d, node, alphas, weight)
     # the weight rotation: rows d - 1 and r of a and b, columns d - 1 and r of q
     a, b = zeroing(abs(weight), ws.wnorm)
     rotate_cols(W[:2], a, -b, d - 1, r)
     rotate_rows(W[2], a, b, d - 1, r)
-    sq = ws.sq + ((s + 1) * abs(node) ** 2 + sum(abs(al) ** 2 for al in alphas), s + 1)
-    grown = _Workspace(W, d, sq, float(np.hypot(abs(weight), ws.wnorm)))
+    sq_h, sq_k = ws.sq
+    ws.sq = [sq_h + ((s + 1) * abs(node) ** 2 + sum(abs(al) ** 2 for al in alphas)), sq_k + (s + 1)]
+    ws.lo, ws.wnorm = d, float(np.hypot(abs(weight), ws.wnorm))
     moves = [(None, d + j, m - s - 2 + j) for j in range(s, -1, -1)]
-    _place(grown, moves + [(psi, m - 2, t) for t, psi in enumerate(new_poles, m - s - 2)])
-    return grown
+    _place(ws, moves + [(psi, m - 2, t) for t, psi in enumerate(new_poles, m - s - 2)])
+    return ws
 
 
 def solve_updating(spec: DiscreteSobolevSpec, poles) -> IEPSolution:

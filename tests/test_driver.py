@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import traceback
 import warnings
 from pathlib import Path
@@ -23,8 +24,10 @@ from sorf.driver import (
 import sorf.cli
 import sorf.driver
 import sorf.errors
+import sorf.quadrature
 from sorf.errors import AccuracyError, ConfigError, DeflationError, NumericalError, RuleValidationError, SorfError
 from sorf.sobolev import (
+    N_MAX,
     GegenbauerSobolevConfig,
     default_pole_list,
     discretize_gegenbauer,
@@ -690,6 +693,36 @@ def test_cli_unwritable_output_exits_before_the_solve(tmp_path, monkeypatch, com
 def test_driver_refuses_malformed_documents(read, doc, error):
     with pytest.raises(error):
         read(doc)
+
+
+def test_a_size_above_the_ceiling_is_refused_before_any_rule_is_built(monkeypatch):
+    # N <= N_MAX = 128 (m <= 510): a larger N, or an N_range that ends above
+    # it, is a ConfigError (exit 2) raised before the base Gauss-Gegenbauer
+    # rule, whose eigenvector matrix has order 8 sigma, is asked for; at
+    # N = 3000 that matrix alone would take 17 GiB
+    class RuleBuilt(Exception):
+        pass
+
+    def never(mu, n):
+        raise RuleBuilt(n)
+
+    monkeypatch.setattr(sorf.quadrature, "gauss_gegenbauer", never)
+    assert N_MAX == 128
+    refused = [
+        (run, doc)
+        for doc in ({"N": 3000}, {"N": 129}, {"N_range": [2, 3000]}, {"N_range": [2, 129]})
+        for run in (run_solve, dump_quadrature, run_sweep)
+        if run is not run_sweep or "N_range" in doc
+    ]
+    for run, doc in refused:
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigError, match="N_MAX = 128"):
+            run(doc)
+        assert time.perf_counter() - t0 < 0.05, (run.__name__, doc)
+    # the largest size still reaches the rule (today a PositivityError there)
+    for run, doc in ((run_solve, {"N": 128}), (run_sweep, {"N_range": [128, 128]}), (dump_quadrature, {"N": 128})):
+        with pytest.raises(RuleBuilt):
+            run(doc)
 
 
 def test_cli_imported_rule_of_wrong_size_exits_config_error(tmp_path):

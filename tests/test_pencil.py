@@ -4,6 +4,7 @@ import pytest
 from sorf.errors import DeflationError
 from sorf.pencil import (
     INFINITY,
+    assert_unreduced,
     is_infinite_pole,
     pole_at,
     pole_pair,
@@ -37,6 +38,28 @@ def test_reduced_position_raises():
     K[2, 1] = 0.0
     with pytest.raises(DeflationError):
         pole_at(H, K, 1)
+
+
+@pytest.mark.parametrize("dtype", (float, complex))
+def test_assert_unreduced_raises_what_the_pole_list_raises(rng, dtype):
+    # the check finds the first reduced position over both subdiagonals at
+    # once and raises there what `poles` raises, entry by entry: none, one or
+    # two reduced positions, after infinite poles (K's entry zero) and
+    # entries just above and just below the tolerance
+    for _ in range(40):
+        m = int(rng.integers(2, 9))
+        H, K = (np.triu(rng.normal(size=(m, m)) + (1j * rng.normal(size=(m, m)) if dtype is complex else 0.0), -1) for _ in "HK")
+        tol = 1e-14 * max(np.linalg.norm(H), np.linalg.norm(K))
+        for k in rng.choice(m - 1, size=int(rng.integers(0, min(3, m - 1) + 1)), replace=False):
+            H[k + 1, k], K[k + 1, k] = rng.choice((0.0, 0.5 * tol, 2.0 * tol, 1.0)), rng.choice((0.0, 0.5 * tol, 2.0 * tol))
+        try:
+            poles(H, K)
+        except DeflationError as exc:
+            with pytest.raises(DeflationError) as got:
+                assert_unreduced(H, K)
+            assert str(got.value) == str(exc)
+        else:
+            assert_unreduced(H, K)
 
 
 def test_pole_invariant_under_column_scaling(rng):

@@ -835,6 +835,63 @@ def test_the_layout_map_takes_a_stack_into_its_window_and_back(rng, dtype, n):
 
 
 @pytest.mark.parametrize("dtype", (float, complex))
+def test_the_pin_pass_pins_each_window_pair_and_touches_nothing_else(rng, dtype):
+    # `_place(ws, [])` moves nothing, so every pair of the window lo .. m - 2
+    # carries the pair read before the call: the pass, through strided views
+    # of a's and b's diagonals, writes `_pin` of it there (bit for bit on real
+    # data; complex products may fuse in numpy's vector loops), and no other
+    # entry of the workspace changes.  Distinct entries of spread moduli make
+    # either entry the kept one and show a write at a wrong offset
+    for _ in range(30):
+        m = int(rng.integers(3, 12))
+        lo = int(rng.integers(1, m - 1))
+        W = rng.normal(size=(3, m, m)) + (1j * rng.normal(size=(3, m, m)) if dtype is complex else 0.0)
+        W[:2] *= np.exp(rng.uniform(-3.0, 3.0, size=(2, m, m)))
+        before = W.copy()
+        updating._place(updating._Workspace(W, lo, [1.0, 1.0], 1.0), [])
+        window = np.arange(lo, m - 1)
+        want = np.array([updating._pin(x, y, x, y) for x, y in before[:2, window, window].T]).T
+        got = W[:2, window, window]
+        if dtype is float:
+            assert np.array_equal(got, want)
+        else:
+            assert np.allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+        off = np.ones(W.shape, bool)
+        off[:2, window, window] = False
+        assert np.array_equal(W[off], before[off])
+
+
+@pytest.mark.parametrize("data", ("real", "complex", "real block, complex workspace"))
+@pytest.mark.parametrize("s", (0, 1, 2, 3))
+def test_the_block_writer_writes_the_node_stepped_single_block_solution(rng, s, data):
+    # `_write_block` writes what `_lead_block` wrote before it: the stack of
+    # `single_block_solution`, node-stepped (rows 1 .. s reversed, then H's
+    # and K's columns) and copied into the window by `_layout`, entry for
+    # entry and down to the sign of each zero; a real block enters a complex
+    # workspace as that copy casts it.  A negative real weight makes the
+    # phase -1, so its zeros are signed
+    cplx = data == "complex"
+    node = complex(-0.4, 0.3) if cplx else -0.4
+    alphas = tuple(rng.uniform(0.5, 2.0, size=s) * (np.exp(1j * rng.uniform(0, 2 * np.pi, size=s)) if cplx else -1.0))
+    alphas = tuple(complex(al) if cplx else float(al) for al in alphas)
+    weight = complex(0.6, -0.8) * 1.7 if cplx else -1.7
+    B = single_block_solution(node, alphas, weight).X
+    B[:, 1:] = B[:, :0:-1]
+    B[:2] = B[:2, :, ::-1]
+    dtype = float if data == "real" else complex
+    m, d = s + 4, 2  # the window d .. d + s of a workspace of order m + 1
+    want, W = np.zeros((3, m + 1, m + 1), dtype), np.zeros((3, m + 1, m + 1), dtype)
+    for w, part in updating._layout(want, d, B):
+        w[...] = part
+    updating._write_block(W, d, node, alphas, weight)
+    back = np.zeros(B.shape, dtype)
+    for w, part in updating._layout(W, d, back):
+        part[...] = w
+    assert np.array_equal(back, B) and np.array_equal(W, want)
+    assert W.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", (float, complex))
 def test_moves_and_adds_in_one_install_equal_two_installs(rng, dtype):
     # the moves come first, then the adds: as one `_place` call on one
     # workspace, and as two calls that each pin and copy back, which is what
