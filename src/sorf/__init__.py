@@ -61,6 +61,7 @@ from .evaluation import (
     continuous_moment_matrix,
     discrete_moment_matrix,
     evaluate_solution,
+    evaluate_solutions,
     evaluate_sorfs,
     metric_orthonormality,
     metric_poles,

@@ -20,7 +20,7 @@ from .errors import AccuracyError, ConfigError, RuleValidationError, SorfError
 from .evaluation import (
     continuous_moment_matrix,
     discrete_moment_matrix,
-    evaluate_solution,
+    evaluate_solutions,
     metric_orthonormality,
     metric_poles,
     metric_recurrence,
@@ -145,12 +145,19 @@ def _gegenbauer_config(cfg: dict, N: int) -> GegenbauerSobolevConfig:
 
 def _solve_and_score(cfg: dict, N: int):
     """Yield (method, solution, metrics, node table, ms) for each configured
-    method on the size-N problem; `ms` covers the solve and its metrics.
+    method on the size-N problem; `ms` covers the solve, its continuous
+    moment matrix, its metrics and an equal share of the node-table pass.
     A metric that is not finite raises AccuracyError.
 
     The rule, spec, J, w and pole list are built once and shared by the
-    methods.  Solvers and metrics are looked up in this module's globals at
-    call time, so a wrapper installed under one of those names takes effect.
+    methods.  Each route is solved and its continuous matrix formed in
+    `METHODS` order, so a config that the matrix refuses stops before any
+    node table; one `evaluate_solutions` pass then tabulates every solved
+    pencil at the nodes, and each route is scored and yielded in turn.  A
+    route that fails in its solve or continuous matrix is raised after the
+    routes before it are yielded, as a route at a time would.  Solvers and
+    metrics are looked up in this module's globals at call time, so a
+    wrapper installed under one of those names takes effect.
     """
     gcfg = _gegenbauer_config(cfg, N)
     path = cfg["quadrature_file"]
@@ -158,18 +165,29 @@ def _solve_and_score(cfg: dict, N: int):
     spec = discretize_gegenbauer(gcfg, rule=rule)
     psis = default_pole_list(gcfg.poles, spec.m, free=cfg["free_poles"])
     system = build_jordan(spec)
-    nodes = np.array(spec.nodes)
+    solved, failure = [], None
     for method in METHODS if cfg["method"] == "all" else (cfg["method"],):
         t0 = time.perf_counter()
-        if method == "updating":
-            sol = solve_updating(spec, psis)
-        elif method == "sop":
-            sol = solve_via_sop(system, psis)
-        else:
-            sol = rational_arnoldi(system, psis)
-        table = evaluate_solution(sol, nodes, max_deriv=max(spec.orders))
+        try:
+            if method == "updating":
+                sol = solve_updating(spec, psis)
+            elif method == "sop":
+                sol = solve_via_sop(system, psis)
+            else:
+                sol = rational_arnoldi(system, psis)
+            Mc = continuous_moment_matrix(sol.H, sol.K, sol.wnorm, gcfg.mu, gcfg.lam, max(N - 1, 1))
+        except SorfError as exc:
+            failure = exc
+            break
+        solved.append((method, sol, Mc, time.perf_counter() - t0))
+    if not solved:
+        raise failure
+    t0 = time.perf_counter()
+    tables = evaluate_solutions([sol for _, sol, _, _ in solved], np.array(spec.nodes), max(spec.orders))
+    share = (time.perf_counter() - t0) / len(solved)
+    for (method, sol, Mc, elapsed), table in zip(solved, tables):
+        t0 = time.perf_counter()
         Md = discrete_moment_matrix(spec, table)
-        Mc = continuous_moment_matrix(sol.H, sol.K, sol.wnorm, gcfg.mu, gcfg.lam, max(N - 1, 1))
         metrics = {
             "E_r": metric_recurrence(system, sol),
             "E_p": metric_poles(sol, psis),
@@ -180,7 +198,9 @@ def _solve_and_score(cfg: dict, N: int):
         for name, value in metrics.items():
             if not math.isfinite(value):
                 raise AccuracyError(f"the {method} solve scores {name} = {value}")
-        yield method, sol, metrics, table, 1e3 * (time.perf_counter() - t0)
+        yield method, sol, metrics, table, 1e3 * (elapsed + share + time.perf_counter() - t0)
+    if failure is not None:
+        raise failure
 
 
 def run_solve(doc: dict, _keep_arrays: bool = False) -> dict:

@@ -8,10 +8,11 @@ The functions r_0, r_1, ... encoded by an unreduced Hessenberg pencil obey
 product rule, so no numerical differentiation enters the tables; finite
 differences are used only by the tests.  A table tests every denominator
 t K[j+1,j] - H[j+1,j] at once before it forms any function; column j then
-forms the H- and K-combinations of r_0 .. r_{j-1}, for every derivative
-order and point, in one product, and the right-hand sides of every order in
-one array expression; only the product-rule term in r_j^(d-1) waits for the
-loop over orders.
+forms the H- and K-combinations of r_0 .. r_{j-1}, for every pencil of a
+stack, derivative order and point, in one product, and the right-hand sides
+of every order in one array expression; only the product-rule term in
+r_j^(d-1) waits for the loop over orders.  The driver tabulates the pencils
+of all its routes at the spec's nodes in one such pass.
 
 Moment matrices collect the inner products of the computed functions.  Both
 are sums sum_{d,j} c[d, j] v_dj v_dj^H over the (derivative, point) axes of a
@@ -44,36 +45,47 @@ CC_ORDER = 400
 
 @dataclass(frozen=True)
 class SorfTable:
-    """values[k, d, j] = d-th derivative of function k at points[j]."""
+    """values[..., k, d, j] = d-th derivative of function k at points[j], the
+    leading axes those of a stack of pencils."""
 
     values: np.ndarray
     points: np.ndarray
 
     @property
     def nfun(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-3]
 
     @property
     def max_deriv(self) -> int:
-        return self.values.shape[1] - 1
+        return self.values.shape[-2] - 1
 
 
 def evaluate_sorfs(
     H: np.ndarray,
     K: np.ndarray,
-    wnorm: float,
+    wnorm,
     points,
     max_deriv: int = 0,
     nfun: int | None = None,
 ) -> SorfTable:
     """Evaluate functions r_0 .. r_{nfun-1} and derivatives at the points.
 
-    Column j of the pencil yields r_j; evaluation close to a pole of the
-    recurrence (vanishing denominator t K[j+1,j] - H[j+1,j]) is refused,
-    naming the lowest such r_j and its first such point.  The table takes
-    the type of the points and the pencil.
+    H and K are one pencil (m, m) or a stack of them (..., m, m) with one
+    `wnorm` each, tabulated in one pass over the columns; the table's
+    leading axes are the stack's.  Column j of a pencil yields r_j;
+    evaluation close to a pole of the recurrence (vanishing denominator
+    t K[j+1,j] - H[j+1,j]) is refused, naming the lowest such r_j and its
+    first such point in the first such pencil.  The table takes the type of
+    the points and the pencils.
+
+    Each pencil's slice is bitwise the table of that pencil alone, since
+    every entry gets the same operations in the same loops: numpy's batched
+    product runs the single product's strided loop per pencil.  One
+    exception: at a single complex point numpy's complex multiply takes a
+    fused (FMA) vector loop across the stack where a lone pencil takes its
+    unfused one-entry loop, so the last bits may differ.
     """
-    m = H.shape[0]
+    m = H.shape[-1]
     if nfun is None:
         nfun = m
     if not 1 <= nfun <= m:
@@ -83,33 +95,49 @@ def evaluate_sorfs(
     pts = np.atleast_1d(np.asarray(points))
     if pts.ndim != 1:
         raise ValueError("points must be a scalar or a 1-D array")
-    n = nfun - 1
-    hsub, ksub = np.diagonal(H, -1)[:n, None], np.diagonal(K, -1)[:n, None]
+    lead, n = H.shape[:-2], nfun - 1
+    H, K = H.reshape(-1, m, m), K.reshape(-1, m, m)  # a stack of B pencils
+    hsub = np.diagonal(H, -1, 1, 2)[:, :n, None]
+    ksub = np.diagonal(K, -1, 1, 2)[:, :n, None]
     denom = (tk := pts * ksub) - hsub
     bad = np.abs(denom) <= 1e-13 * (np.abs(tk) + np.abs(hsub))
     if np.any(bad):
-        j, i = np.argwhere(bad)[0]
+        _, j, i = np.argwhere(bad)[0]
         raise PoleCollisionError(f"evaluation point {pts[i]} collides with a pole of r_{j + 1}")
-    HK = np.stack((H[:n, :n], K[:n, :n]))
-    vals = np.zeros((nfun, max_deriv + 1, pts.size), np.result_type(pts, H, K))
-    vals[0, 0, :] = 1.0 / wnorm
-    orders = np.arange(1, max_deriv + 1, dtype=vals.dtype)[:, None]
-    dk = orders * ksub[:, 0]  # d K[j+1, j]
+    B, D = len(H), max_deriv + 1
+    cols = np.stack((H[:, :n, :n], K[:, :n, :n]), 1).transpose(3, 0, 1, 2)  # [j, pencil, H or K, i]
+    vals = np.zeros((B, nfun, D, pts.size), np.result_type(pts, H, K))
+    vals[:, 0, 0, :] = 1.0 / np.reshape(wnorm, (-1, 1))
+    orders = np.arange(1, D, dtype=vals.dtype)[:, None]
+    dk = orders[:, None] * ksub.swapaxes(0, 1)[:, None]  # [j, d - 1, pencil, 0] = d K[j+1, j]
+    flat, rows, dens = vals.reshape(B, nfun, -1), vals.swapaxes(0, 1), denom.swapaxes(0, 1)
+    hk = np.empty((2, B, D, pts.size), vals.dtype)  # each column's H- and K-combinations
+    out, (hv, kv) = hk.reshape(2, B, -1).swapaxes(0, 1), hk
     for j in range(1, nfun):
-        hv, kv = (HK[:, :j, j - 1] @ vals[:j].reshape(j, -1)).reshape(2, max_deriv + 1, -1)
+        np.matmul(cols[j - 1, ..., :j], flat[:, :j], out=out)
         rhs = hv - pts * kv
-        rhs[1:] -= orders * kv[:-1]  # product rule, the terms in r_0 .. r_{j-1}
-        row, dn = vals[j], denom[j - 1]
-        np.divide(rhs[0], dn, out=row[0])
-        for d in range(1, max_deriv + 1):  # product rule, the term in r_j^(d-1)
-            r = rhs[d]
-            r -= dk[d - 1, j - 1] * row[d - 1]
-            np.divide(r, dn, out=row[d])
-    return SorfTable(vals, pts)
+        rhs[:, 1:] -= orders * kv[:, :-1]  # product rule, the terms in r_0 .. r_{j-1}
+        row, dn, dkj = rows[j], dens[j - 1], dk[j - 1]
+        np.divide(rhs[:, 0], dn, out=row[:, 0])
+        for d in range(1, D):  # product rule, the term in r_j^(d-1)
+            r = rhs[:, d]
+            r -= dkj[d - 1] * row[:, d - 1]
+            np.divide(r, dn, out=row[:, d])
+    return SorfTable(vals.reshape(*lead, nfun, D, -1), pts)
 
 
 def evaluate_solution(sol: IEPSolution, points, max_deriv: int = 0) -> SorfTable:
     return evaluate_sorfs(sol.H, sol.K, sol.wnorm, points, max_deriv)
+
+
+def evaluate_solutions(sols, points, max_deriv: int = 0) -> list[SorfTable]:
+    """Each solution's table, from one `evaluate_sorfs` pass over the stack
+    of their pencils; one solution's pencil is a stack of one, a view and
+    not a copy, so that a lone table costs what `evaluate_solution`'s does."""
+    stack = np.stack if len(sols) > 1 else lambda parts: parts[0][None]
+    H, K = stack([s.H for s in sols]), stack([s.K for s in sols])
+    table = evaluate_sorfs(H, K, [s.wnorm for s in sols], points, max_deriv)
+    return [SorfTable(values, table.points) for values in table.values]
 
 
 def _gram(values: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -223,13 +223,16 @@ def check_spectrum_disjoint(poles, nodes, m: int) -> list:
     poles = list(poles)
     if len(poles) != m - 1:
         raise ValueError(f"need m - 1 = {m - 1} poles, got {len(poles)}")
-    p = np.array(poles, complex)
-    nan, finite = np.isnan(p) & ~np.isinf(p), np.isfinite(p)  # neither: an infinite pole
-    near = np.zeros_like(finite)
-    gap = np.abs(p[finite, None] - np.asarray(nodes)).min(axis=1)  # to the nearest node
-    near[finite] = gap <= NODE_GAP * np.maximum(1.0, np.abs(p[finite]))
-    for k in np.flatnonzero(nan | near)[:1]:  # the first offender
-        if nan[k]:
-            raise ConfigError(f"pole psi_{k + 1} = {poles[k]} is NaN")
-        raise SpectrumOverlapError(f"pole psi_{k + 1} = {poles[k]} coincides with a node")
+    p = np.array(poles)  # real unless a pole is complex: |x - t| is |(x + 0j) - t|, and cheaper
+    finite = np.isfinite(p)
+    bad = np.isnan(p) & ~np.isinf(p)  # NaN; neither NaN nor finite: an infinite pole
+    if finite.any():
+        q = p[finite]
+        gap = np.abs(q[:, None] - np.asarray(nodes)).min(axis=1)  # to the nearest node
+        bad[finite] = gap <= NODE_GAP * np.maximum(1.0, np.abs(q))
+    if bad.any():
+        k = int(bad.argmax())  # the first offender
+        if finite[k]:
+            raise SpectrumOverlapError(f"pole psi_{k + 1} = {poles[k]} coincides with a node")
+        raise ConfigError(f"pole psi_{k + 1} = {poles[k]} is NaN")
     return poles

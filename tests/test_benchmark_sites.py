@@ -47,8 +47,12 @@ def test_traced_solve_counts_are_pinned():
     assert calls["updating.embed"] == 1
     assert calls["updating.add_block"] == 2
     assert tracer.counts["reference.rational_arnoldi.shifted_solves"] == 3
-    # per method one node table and one table for the continuous matrix
-    assert calls["evaluation.evaluate_sorfs"] == 6
+    # one node table for the three routes' pencils as one stack, and per
+    # method one table for the continuous matrix
+    assert calls["evaluation.evaluate_sorfs"] == 4
+    # its values counter still totals every value: 3 pencils x 14 functions
+    # x 2 orders x 7 nodes, and per method 3 functions x 2 orders x 801 points
+    assert tracer.counts["evaluation.evaluate_sorfs.values"] == 3 * 14 * 2 * 7 + 3 * 3 * 2 * 801
 
 
 def test_traced_cli_solve_records_one_run_solve_span(tmp_path):

@@ -15,6 +15,7 @@ import pytest
 from sorf.driver import (
     SWEEP_CSV_HEADER,
     _encode_matrix,
+    _solve_and_score,
     dump_quadrature,
     import_quadrature,
     parse_config,
@@ -25,7 +26,15 @@ import sorf.cli
 import sorf.driver
 import sorf.errors
 import sorf.quadrature
-from sorf.errors import AccuracyError, ConfigError, DeflationError, NumericalError, RuleValidationError, SorfError
+from sorf.errors import (
+    AccuracyError,
+    ConfigError,
+    DeflationError,
+    KrylovBreakdownError,
+    NumericalError,
+    RuleValidationError,
+    SorfError,
+)
 from sorf.sobolev import (
     N_MAX,
     GegenbauerSobolevConfig,
@@ -515,6 +524,26 @@ def test_a_metric_that_is_not_finite_is_an_accuracy_error(method):
         for pole in ([0, 1e307], [1.7e308, 0]):
             report = run_solve({**HUGE_POLE_DOC, "free_poles": [pole] * 7, "method": method})
             assert all(math.isfinite(v) for v in report["metrics"].values())
+
+
+def test_a_later_routes_failure_comes_after_the_routes_before_it(monkeypatch):
+    # every route is solved before any is scored, yet the errors and yields
+    # come in route order: the Krylov route breaks down on HUGE_POLE_DOC in
+    # its solve, after which the updating route's metric is still the error
+    with pytest.raises(AccuracyError, match="^the updating solve scores E_p = inf$"):
+        run_solve({**HUGE_POLE_DOC, "method": "all"})
+    with pytest.raises(KrylovBreakdownError):
+        run_solve({**HUGE_POLE_DOC, "method": "krylov"})
+
+    def deflating(*args):
+        raise DeflationError("sop deflated")
+
+    monkeypatch.setattr(sorf.driver, "solve_via_sop", deflating)
+    yielded = []
+    with pytest.raises(DeflationError, match="^sop deflated$"):
+        for method, *_ in _solve_and_score(parse_config({"N": 4, "method": "all"}), 4):
+            yielded.append(method)
+    assert yielded == ["updating"]
 
 
 @pytest.mark.parametrize("method", ["updating", "sop", "krylov", "all"])

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import ROUTES, random_pole_list, random_spec
 
+from sorf import evaluation
 from sorf.driver import _gegenbauer_config, _solve_and_score, parse_config, run_solve
 from sorf.errors import AccuracyError, PoleCollisionError
 from sorf.evaluation import (
@@ -15,6 +16,7 @@ from sorf.evaluation import (
     continuous_moment_matrix,
     discrete_moment_matrix,
     evaluate_solution,
+    evaluate_solutions,
     evaluate_sorfs,
     metric_orthonormality,
     metric_poles,
@@ -187,6 +189,74 @@ def test_fused_derivative_orders_are_bitwise_the_loop_over_orders(route, N, xi, 
             got = evaluate_sorfs(sol.H, sol.K, sol.wnorm, pts, max_deriv, nfun).values
             ref = evaluate_by_order(sol.H, sol.K, sol.wnorm, pts, max_deriv, nfun)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (max_deriv, nfun)
+
+
+# a general spec with derivative orders 2, 0, 1 and 2 (m = 9), real or
+# complex, with finite, complex and infinite poles on the complex one
+GENERAL_SPECS = {
+    "real": (
+        DiscreteSobolevSpec(
+            nodes=(-0.6, -0.1, 0.3, 0.7),
+            orders=(2, 0, 1, 2),
+            alphas=((0.8, 1.3), (), (1.1,), (0.9, 0.6)),
+            weights=(1.0, 0.7, 1.2, 0.5),
+        ),
+        [2.0, -1.7, INFINITY, 3.1, *[INFINITY] * 4],
+    ),
+    "complex": (
+        DiscreteSobolevSpec(
+            nodes=(-0.6, -0.1, 0.3, 0.7),
+            orders=(2, 0, 1, 2),
+            alphas=((0.8 + 0.2j, 1.3), (), (1.1,), (0.9, 0.6 - 0.1j)),
+            weights=(1.0 + 0.5j, 0.7, 1.2 - 0.3j, 0.5),
+        ),
+        [2.0 + 1.0j, -1.7, INFINITY, 3.1 - 0.4j, *[INFINITY] * 4],
+    ),
+}
+
+
+@pytest.mark.parametrize("data", GENERAL_SPECS)
+@pytest.mark.parametrize("shift", [0.0, 0.05j], ids=["real-points", "complex-points"])
+def test_each_pencil_of_a_stack_gets_the_table_it_gets_alone(data, shift):
+    spec, poles = GENERAL_SPECS[data]
+    sols = [route(spec, poles) for route in ROUTES.values()]
+    pts = np.concatenate((np.array(spec.nodes), np.linspace(-0.9, 0.9, 5))) + shift
+    m = sols[0].m
+    for B in (1, 3):
+        H, K, wnorms = np.stack([s.H for s in sols[:B]]), np.stack([s.K for s in sols[:B]]), [s.wnorm for s in sols[:B]]
+        for max_deriv in (0, 1, 2):
+            for nfun in (2, m // 2, m):
+                stacked = evaluate_sorfs(H, K, wnorms, pts, max_deriv, nfun)
+                assert stacked.values.shape == (B, nfun, max_deriv + 1, pts.size)
+                assert (stacked.nfun, stacked.max_deriv) == (nfun, max_deriv)
+                for sol, values in zip(sols, stacked.values):
+                    alone = evaluate_sorfs(sol.H, sol.K, sol.wnorm, pts, max_deriv, nfun).values
+                    assert values.dtype == alone.dtype and values.tobytes() == alone.tobytes(), (B, max_deriv, nfun)
+        for sol, table in zip(sols, evaluate_solutions(sols[:B], pts, max_deriv=2)):
+            alone = evaluate_solution(sol, pts, max_deriv=2)
+            assert table.values.tobytes() == alone.values.tobytes()
+
+
+def collision_pencil(hsub):
+    """A 4 x 4 pencil whose r_{j+1} has its pole at hsub[j] (K's subdiagonal is 1)."""
+    H = np.triu(np.full((4, 4), 0.25)) + np.diag(hsub, -1)
+    K = np.triu(np.full((4, 4), 0.5)) + np.diag([1.0, 1.0, 1.0], -1)
+    return H, K
+
+
+def test_a_collision_in_a_stack_names_the_first_colliding_pencils_point_and_function():
+    # pencil 0 collides nowhere, pencil 1 at 0.5 with r_2, pencil 2 at 0.3
+    # with r_1: a lower function, but in a later pencil
+    pts = np.array([0.1, 0.5, 0.3, 0.9])
+    pencils = [collision_pencil([5.0, 6.0, 7.0]), collision_pencil([2.0, 0.5, 0.1]), collision_pencil([0.3, 6.0, 7.0])]
+    for order in ([0, 1, 2], [0, 2, 1]):
+        H, K = (np.stack([pencils[i][part] for i in order]) for part in (0, 1))
+        with pytest.raises(PoleCollisionError) as alone:
+            evaluate_sorfs(*pencils[order[1]], 1.0, pts, max_deriv=1)
+        with pytest.raises(PoleCollisionError) as stacked:
+            evaluate_sorfs(H, K, [1.0, 1.0, 1.0], pts, max_deriv=1)
+        assert str(stacked.value) == str(alone.value)
+    assert str(stacked.value) == "evaluation point 0.3 collides with a pole of r_1"
 
 
 def polynomial_gram_schmidt_oracle(spec, poles):
@@ -406,6 +476,24 @@ def test_nested_rule_matrix_matches_the_two_table_matrix_on_every_route(doc):
 def test_continuous_moment_matrix_failures_keep_their_type_and_message(mu, message):
     with pytest.raises(AccuracyError, match=message):
         run_solve({"mu": mu, "N": 4})
+
+
+@pytest.mark.parametrize("mu", [-0.5, 0.3], ids=["mu-below-zero", "doubled-order"])
+def test_a_refused_continuous_matrix_stops_before_any_node_table(monkeypatch, mu):
+    # the first route's continuous matrix refuses these configs before any
+    # table at the spec's nodes is formed: mu < 0 before any table at all,
+    # the doubled-order check after its own table on 801 points
+    points = []
+    evaluate = evaluation.evaluate_sorfs
+
+    def counting(H, K, wnorm, pts, *args, **kwargs):
+        points.append(np.size(pts))
+        return evaluate(H, K, wnorm, pts, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "evaluate_sorfs", counting)
+    with pytest.raises(AccuracyError, match="^mu < 0: " if mu < 0 else "doubled-order self-check$"):
+        run_solve({"mu": mu, "N": 4, "method": "all"})
+    assert points == ([] if mu < 0 else [2 * CC_ORDER + 1])
 
 
 # ---------------------------------------------------------------------------

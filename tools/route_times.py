@@ -13,8 +13,11 @@ solves of each route (updating, sop, krylov) alone, keeping the median; the
 rounds alternate the trees, so drift on a shared machine falls on every
 tree alike.  Prints one line per size and route with, per tree, the median,
 first and third quartile over the processes' medians in ms, and for two
-trees the ratio of the medians (second over first); `--json` prints the
-values themselves as one JSON document instead.
+trees the ratio of the medians (second over first) and the paired ratio:
+per round, the second tree's process median over the first's, summarized
+by the median and quartiles of those ratios, which cancels the drift that
+one round's two processes share.  `--json` prints the values themselves as
+one JSON document instead.
 """
 
 from __future__ import annotations
@@ -66,14 +69,18 @@ def summary(values) -> dict:
     return {"median": round(float(median), 3), "q1": round(float(q1), 3), "q3": round(float(q3), 3), "values": [round(v, 3) for v in values]}
 
 
-def measure(trees, sizes, processes: int, solves: int) -> dict:
-    """{key: [summary per tree]} with key `<route>_m<m>_ms`."""
+def measure(trees, sizes, processes: int, solves: int) -> tuple[dict, dict]:
+    """({key: [summary per tree]}, {key: summary of the paired ratios}) with
+    key `<route>_m<m>_ms`; the second is empty unless there are two trees."""
     samples = [[] for _ in trees]
     for _ in range(processes):
         for got, tree in zip(samples, trees):
             got.append(run_process(tree, sizes, solves))
     keys = [f"{route}_m{m}_ms" for m in sizes for route in ROUTES]
-    return {key: [summary([run[key] for run in got]) for got in samples] for key in keys}
+    times = {key: [summary([run[key] for run in got]) for got in samples] for key in keys}
+    rounds = list(zip(*samples)) if len(trees) == 2 else []
+    paired = {key: summary([b[key] / a[key] for a, b in rounds]) for key in keys if rounds}
+    return times, paired
 
 
 def main(argv=None) -> int:
@@ -86,13 +93,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if any((m + 2) % 4 for m in args.sizes):
         parser.error("every size m must be 4N - 2 for an integer N")
-    result = measure([tree.resolve() for tree in args.trees], args.sizes, args.processes, args.solves)
+    times, paired = measure([tree.resolve() for tree in args.trees], args.sizes, args.processes, args.solves)
     if args.json:
-        print(json.dumps({"trees": [str(t) for t in args.trees], "processes": args.processes, "solves": args.solves, "times": result}))
+        doc = {"trees": [str(t) for t in args.trees], "processes": args.processes, "solves": args.solves}
+        print(json.dumps({**doc, "times": times, "paired": paired}))
         return 0
-    for key, per_tree in result.items():
+    for key, per_tree in times.items():
         cells = [f"{s['median']:9.3f} ({s['q1']:.3f}-{s['q3']:.3f})" for s in per_tree]
         ratio = f"  x{per_tree[1]['median'] / per_tree[0]['median']:.2f}" if len(per_tree) == 2 else ""
+        if key in paired:
+            ratio += f"  paired x{paired[key]['median']:.3f} ({paired[key]['q1']:.3f}-{paired[key]['q3']:.3f})"
         print(f"{key:18s}" + "".join(cells) + ratio)
     return 0
 
