@@ -69,26 +69,15 @@ def _report_json(report: dict) -> str:
     return "".join(part + matrix for part, matrix in zip(parts, matrices + [""]))
 
 
-@functools.lru_cache(maxsize=1024)
-def _row_template(zeros: int, n: int, width: int) -> str:
-    return "[" + "[0.0, 0.0], " * zeros + ", ".join([("[%r, 0.0]", "[%r, %r]")[width - 1]] * n) + "]"
-
-
 def _matrix_json(M: np.ndarray) -> str:
     """`json.dumps(driver._encode_matrix(M))`, the same bytes, without one
-    list per entry.  Per row, its leading +0.0 entries (a Hessenberg
-    matrix's zeros below the subdiagonal, both parts for complex data) come
-    from a cached run, and its other floats go through one `%r` template:
-    `[x, 0.0]` per entry for real data, `[re, im]` for complex."""
+    list per entry.  Every row goes through the matrix's one `%r` row
+    template, `[x, 0.0]` per entry for real data and `[re, im]` for
+    complex, so each float is written as `json.dumps` writes it, the
+    signed zeros below a Hessenberg subdiagonal included."""
     M = np.ascontiguousarray(M)
-    n, width = M.shape[1], 2 if np.iscomplexobj(M) else 1
-    nonzero = M.view(np.int64).reshape(*M.shape, width).any(-1)  # +0.0 is the float whose bits are all 0
-    zeros = np.minimum((~nonzero).cumprod(1).sum(1), n - 1).tolist()  # a zero row keeps one entry
-    rows = [
-        _row_template(k, n - k, width) % tuple(row[width * k :])
-        for row, k in zip(M.view(float).tolist(), zeros)
-    ]
-    return "[" + ", ".join(rows) + "]"
+    row = "[" + ", ".join(["[%r, %r]" if np.iscomplexobj(M) else "[%r, 0.0]"] * M.shape[1]) + "]"
+    return "[" + ", ".join([row % tuple(r) for r in M.view(float).tolist()]) + "]"
 
 
 @functools.cache

@@ -257,8 +257,8 @@ def dump_quadrature(doc: dict) -> dict:
 
 def rule_document(rule: QuadratureRule) -> dict:
     return {
-        "nodes": [float(z) for z in rule.nodes],
-        "weights": [float(w) for w in rule.weights],
+        "nodes": rule.nodes.tolist(),
+        "weights": rule.weights.tolist(),
         "provenance": rule.provenance,
     }
 

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sorf.driver import (
     SWEEP_CSV_HEADER,
@@ -221,14 +224,14 @@ def test_solve_writer_gives_the_bytes_of_json_dumps(doc):
     "M",
     [
         np.array([[1.0, 2.0, 3.0], [-0.0, 4.0, 5.0], [-0.0, 0.0, 6.0]]),
-        np.array([[1.0, 2.0], [0.0, 0.0], [0.0, -0.0]]),  # a zero row keeps its last entry in the template
+        np.array([[1.0, 2.0], [0.0, 0.0], [0.0, -0.0]]),  # rows of +0.0 and of both signs
         np.array([[1 + 2j, complex(3, -0.0)], [complex(0, -0.0), 4j], [complex(-0.0, 0), 0j]]),
         np.asfortranarray(np.triu(np.arange(1.0, 17.0).reshape(4, 4) / 3, -1)),
     ],
     ids=["negative-zero-below-subdiagonal", "zero-rows", "complex-signed-zeros", "fortran-hessenberg"],
 )
 def test_matrix_writer_keeps_every_sign_of_zero(M):
-    # a -0.0 written from the cached "[0.0, 0.0], " run would read back as +0.0
+    # every float goes through %r, so -0.0 stays -0.0 in either part and in any row or memory order
     assert sorf.cli._matrix_json(M) == json.dumps(_encode_matrix(M))
     assert sorf.cli._report_json({"H": M, "K": M.T, "m": 2}) == json.dumps(
         {"H": _encode_matrix(M), "K": _encode_matrix(M.T), "m": 2})
@@ -508,6 +511,36 @@ def test_cli_extreme_admissible_config_exits_cleanly(tmp_path, doc):
     assert proc.returncode in ((3,) if "omega" in doc else (0, 3)), proc.stderr
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+def ms_masked(text: str) -> str:
+    return re.sub(r'"ms": [^,}]*', '"ms": 0', text)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    mu=st.floats(-1.0, 5.0, exclude_min=True),
+    omega=st.floats(1.001, 3.0, exclude_min=True),
+    lam=st.floats(1e-2, 1e2),
+    N=st.integers(1, 10),
+)
+def test_cli_solve_of_an_admissible_config_writes_the_report_or_exits_typed(tmp_path, capsys, mu, omega, lam, N):
+    # every admissible config ends in the report's bytes, json.dumps(run_solve(cfg)),
+    # or in a config or numerical failure with one line of stderr; a warning is
+    # an error here, so it cannot pass as either outcome
+    doc = {"mu": mu, "omega": omega, "lambda": lam, "N": N, "method": "all"}
+    cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(doc))
+    code = sorf.cli.main(["solve", str(cfg), "-o", str(out)])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        assert ms_masked(out.read_text()) == ms_masked(json.dumps(run_solve(doc)) + "\n")
+    else:
+        assert code in (2, 3)
+        assert err.startswith(("config error: ", "numerical failure: ")) and err.count("\n") == 1, err
 
 
 # free poles 1.7e308i: the pencils carry them, but their ratio h / k is past
