@@ -10,7 +10,8 @@ once the input document is read, before any work.
 `solve` writes its report straight from the solvers' arrays: H and K go out
 row by row, to the same bytes as `json.dumps(run_solve(doc))`, and no
 per-entry `[re, im]` list is built; those lists exist only for library
-callers of `run_solve`.  The argument parser is built once per process.
+callers of `run_solve`.  Each subcommand is one entry of `COMMANDS`, from which
+the argument parser is built, once per process, and `main` dispatches.
 """
 
 from __future__ import annotations
@@ -80,6 +81,34 @@ def _matrix_json(M: np.ndarray) -> str:
     return "[" + ", ".join([row % tuple(r) for r in M.view(float).tolist()]) + "]"
 
 
+# subcommand: (help, positional argument, its help, the error of a file that
+# cannot be read or parsed, the output text of the document it reads); each
+# entry looks up its driver function at call time, so a wrapper installed on
+# this module under that name takes effect
+COMMANDS = {
+    "solve": (
+        "solve one configuration and print the report",
+        "config", "path to a JSON config document",
+        ConfigError, lambda doc: _report_json(run_solve(doc, _keep_arrays=True)),
+    ),
+    "sweep": (
+        "run an N-range sweep and print CSV",
+        "config", "path to a JSON config document with an N_range field",
+        ConfigError, lambda doc: run_sweep(doc),
+    ),
+    "dump-quadrature": (
+        "emit the configured rational Gauss rule",
+        "config", "path to a JSON config document",
+        ConfigError, lambda doc: json.dumps(dump_quadrature(doc)),
+    ),
+    "import-quadrature": (
+        "validate a rule document and re-emit it",
+        "rule", "path to a JSON rule document",
+        RuleValidationError, lambda doc: json.dumps(rule_document(import_quadrature(doc))),
+    ),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser; each `parse_args` call makes a new namespace."""
@@ -88,42 +117,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Recurrence pencils for Sobolev orthonormal rational functions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="solve one configuration and print the report")
-    p.add_argument("config", help="path to a JSON config document")
-    p.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
-
-    p = sub.add_parser("sweep", help="run an N-range sweep and print CSV")
-    p.add_argument("config", help="path to a JSON config document with an N_range field")
-    p.add_argument("-o", "--output", default=None, help="write the CSV here instead of stdout")
-
-    p = sub.add_parser("dump-quadrature", help="emit the configured rational Gauss rule")
-    p.add_argument("config", help="path to a JSON config document")
-    p.add_argument("-o", "--output", default=None)
-
-    p = sub.add_parser("import-quadrature", help="validate a rule document and re-emit it")
-    p.add_argument("rule", help="path to a JSON rule document")
-    p.add_argument("-o", "--output", default=None)
+    for command, (summary, arg, arg_help, _, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument(arg, help=arg_help)
+        p.add_argument("-o", "--output", default=None, help="write the output here instead of stdout")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _, arg, _, file_error, text = COMMANDS[args.command]
     try:
-        if args.command == "import-quadrature":
-            doc = read_json(args.rule, RuleValidationError, RuleValidationError)
-        else:
-            doc = read_json(args.config)
+        doc = read_json(getattr(args, arg), file_error, file_error)
         with _output(args.output) as fh:
-            if args.command == "solve":
-                text = _report_json(run_solve(doc, _keep_arrays=True))
-            elif args.command == "sweep":
-                text = run_sweep(doc)
-            elif args.command == "dump-quadrature":
-                text = json.dumps(dump_quadrature(doc))
-            else:
-                text = json.dumps(rule_document(import_quadrature(doc)))
-            _write(text, fh)
+            _write(text(doc), fh)
     except RuleValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

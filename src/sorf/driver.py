@@ -273,12 +273,9 @@ def import_quadrature(doc: dict) -> QuadratureRule:
     ):
         raise RuleValidationError("'nodes' and 'weights' must be lists of equal length")
     try:
-        values = np.array([_decode_scalar(z) for z in [*nodes, *weights]], dtype=complex)
+        nodes, weights = np.split(np.array([_decode_real(x) for x in [*nodes, *weights]]), 2)
     except ConfigError as exc:
         raise RuleValidationError(str(exc)) from exc
-    if np.max(np.abs(values.imag), initial=0.0) > 0.0:
-        raise RuleValidationError("imported nodes and weights must be real")
-    nodes, weights = np.split(values.real, 2)
     order = np.argsort(nodes)
     try:
         return QuadratureRule(nodes[order], weights[order], str(doc.get("provenance", "imported")))

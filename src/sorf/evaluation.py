@@ -66,9 +66,9 @@ def evaluate_sorfs(
     wnorm,
     points,
     max_deriv: int = 0,
-    nfun: int | None = None,
 ) -> SorfTable:
-    """Evaluate functions r_0 .. r_{nfun-1} and derivatives at the points.
+    """Evaluate functions r_0 .. r_{m-1} of an m x m pencil and their
+    derivatives at the points.
 
     H and K are one pencil (m, m) or a stack of them (..., m, m) with one
     `wnorm` each, tabulated in one pass over the columns; the table's
@@ -76,7 +76,9 @@ def evaluate_sorfs(
     evaluation close to a pole of the recurrence (vanishing denominator
     t K[j+1,j] - H[j+1,j]) is refused, naming the lowest such r_j and its
     first such point in the first such pencil.  The table takes the type of
-    the points and the pencils.
+    the points and the pencils.  The leading functions r_0 .. r_{n-1} are
+    the functions of the leading n x n subpencil, so their table is the
+    table of the views `H[..., :n, :n]` and `K[..., :n, :n]`, bit for bit.
 
     Each pencil's slice is bitwise the table of that pencil alone, since
     every entry gets the same operations in the same loops: numpy's batched
@@ -86,16 +88,14 @@ def evaluate_sorfs(
     unfused one-entry loop, so the last bits may differ.
     """
     m = H.shape[-1]
-    if nfun is None:
-        nfun = m
-    if not 1 <= nfun <= m:
-        raise ValueError(f"nfun must lie in 1..{m}")
+    if m == 0:
+        raise ValueError("a 0 x 0 pencil has no functions")
     if max_deriv < 0:
         raise ValueError("max_deriv must be >= 0")
     pts = np.atleast_1d(np.asarray(points))
     if pts.ndim != 1:
         raise ValueError("points must be a scalar or a 1-D array")
-    lead, n = H.shape[:-2], nfun - 1
+    lead, n = H.shape[:-2], m - 1
     H, K = H.reshape(-1, m, m), K.reshape(-1, m, m)  # a stack of B pencils
     hsub = np.diagonal(H, -1, 1, 2)[:, :n, None]
     ksub = np.diagonal(K, -1, 1, 2)[:, :n, None]
@@ -106,14 +106,14 @@ def evaluate_sorfs(
         raise PoleCollisionError(f"evaluation point {pts[i]} collides with a pole of r_{j + 1}")
     B, D = len(H), max_deriv + 1
     cols = np.stack((H[:, :n, :n], K[:, :n, :n]), 1).transpose(3, 0, 1, 2)  # [j, pencil, H or K, i]
-    vals = np.zeros((B, nfun, D, pts.size), np.result_type(pts, H, K))
+    vals = np.zeros((B, m, D, pts.size), np.result_type(pts, H, K))
     vals[:, 0, 0, :] = 1.0 / np.reshape(wnorm, (-1, 1))
     orders = np.arange(1, D, dtype=vals.dtype)[:, None]
     dk = orders[:, None] * ksub.swapaxes(0, 1)[:, None]  # [j, d - 1, pencil, 0] = d K[j+1, j]
-    flat, rows, dens = vals.reshape(B, nfun, -1), vals.swapaxes(0, 1), denom.swapaxes(0, 1)
+    flat, rows, dens = vals.reshape(B, m, -1), vals.swapaxes(0, 1), denom.swapaxes(0, 1)
     hk = np.empty((2, B, D, pts.size), vals.dtype)  # each column's H- and K-combinations
     out, (hv, kv) = hk.reshape(2, B, -1).swapaxes(0, 1), hk
-    for j in range(1, nfun):
+    for j in range(1, m):
         np.matmul(cols[j - 1, ..., :j], flat[:, :j], out=out)
         rhs = hv - pts * kv
         rhs[:, 1:] -= orders * kv[:, :-1]  # product rule, the terms in r_0 .. r_{j-1}
@@ -123,7 +123,7 @@ def evaluate_sorfs(
             r = rhs[:, d]
             r -= dkj[d - 1] * row[:, d - 1]
             np.divide(r, dn, out=row[:, d])
-    return SorfTable(vals.reshape(*lead, nfun, D, -1), pts)
+    return SorfTable(vals.reshape(*lead, m, D, -1), pts)
 
 
 def evaluate_solution(sol: IEPSolution, points, max_deriv: int = 0) -> SorfTable:
@@ -175,7 +175,8 @@ def continuous_moment_matrix(
     lam: float,
     n: int,
 ) -> np.ndarray:
-    """Gram matrix under the continuous Gegenbauer-Sobolev inner product.
+    """Gram matrix under the continuous Gegenbauer-Sobolev inner product of
+    the leading n functions, those of the leading n x n subpencil.
 
     Entries are Clenshaw-Curtis integrals on 2 * CC_ORDER + 1 points (one
     cached rule per order) with the weight (1-t^2)^mu folded into the
@@ -188,7 +189,7 @@ def continuous_moment_matrix(
     if mu < 0.0:
         raise AccuracyError("mu < 0: (1-t^2)^mu is infinite at the Clenshaw-Curtis nodes t = +-1")
     coarse, fine = clenshaw_curtis(CC_ORDER + 1), clenshaw_curtis(2 * CC_ORDER + 1)
-    values = evaluate_sorfs(H, K, wnorm, fine.nodes, max_deriv=1, nfun=n).values
+    values = evaluate_sorfs(H[:n, :n], K[:n, :n], wnorm, fine.nodes, max_deriv=1).values
 
     def assemble(rule, vals: np.ndarray) -> np.ndarray:
         wq = rule.weights * (1.0 - rule.nodes**2) ** mu

@@ -543,6 +543,33 @@ def test_cli_solve_of_an_admissible_config_writes_the_report_or_exits_typed(tmp_
         assert err.startswith(("config error: ", "numerical failure: ")) and err.count("\n") == 1, err
 
 
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    mu=st.floats(-1.0, 5.0, exclude_min=True),
+    omega=st.floats(1.001, 3.0, exclude_min=True),
+    lam=st.floats(1e-2, 1e2),
+    ends=st.lists(st.integers(1, 6), min_size=2, max_size=2).map(sorted),
+)
+def test_cli_sweep_of_an_admissible_config_writes_the_csv_or_exits_typed(tmp_path, capsys, mu, omega, lam, ends):
+    # every admissible sweep ends in run_sweep's CSV bytes, the wall times
+    # (the last column) masked, or in a config or numerical failure with one
+    # line of stderr; a warning is an error here
+    doc = {"mu": mu, "omega": omega, "lambda": lam, "N_range": ends, "method": "all"}
+    cfg, out = tmp_path / "cfg.json", tmp_path / "sweep.csv"
+    cfg.write_text(json.dumps(doc))
+    code = sorf.cli.main(["sweep", str(cfg), "-o", str(out)])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        masked = lambda text: re.sub(r",[^,\n]*$", ",0", text, flags=re.M)
+        assert masked(out.read_text()) == masked(run_sweep(doc))
+    else:
+        assert code in (2, 3)
+        assert err.startswith(("config error: ", "numerical failure: ")) and err.count("\n") == 1, err
+
+
 # free poles 1.7e308i: the pencils carry them, but their ratio h / k is past
 # the float range, so E_p cannot be scored; 1e307i and a real 1.7e308 can
 HUGE_POLE_DOC = {"N": 3, "free_poles": [[0, 1.7e308]] * 7}
@@ -636,7 +663,7 @@ def test_cli_import_round_trip(tmp_path):
     assert run_cli("dump-quadrature", str(cfg), "-o", str(dumped)).returncode == 0
     reimported = tmp_path / "rule2.json"
     assert run_cli("import-quadrature", str(dumped), "-o", str(reimported)).returncode == 0
-    assert json.loads(dumped.read_text()) == json.loads(reimported.read_text())
+    assert reimported.read_bytes() == dumped.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["solve", "dump-quadrature", "import-quadrature"])
@@ -662,6 +689,28 @@ def test_cli_sweep_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "N,m,method,E_r,E_p,E_Q,E_S_discrete,E_S_cont_leading,ms"
     assert len(lines) == 3
+
+
+# real numbers that a rule document cannot hold: an [x, 0.0] pair (the form
+# of a config's complex scalar, which no rule writer produces), the "inf"
+# literal, JSON's NaN and Infinity, and a boolean
+NOT_A_RULE_NUMBER = [[0.1, 0.0], "inf", math.nan, math.inf, True]
+
+
+@pytest.mark.parametrize("field", ["nodes", "weights"])
+@pytest.mark.parametrize("value", NOT_A_RULE_NUMBER, ids=["pair", "inf-literal", "nan", "infinity", "true"])
+def test_a_rule_entry_that_is_not_a_real_number_exits_validation(tmp_path, capsys, field, value):
+    rule = dump_quadrature(BASE)
+    rule[field][1] = value
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(rule))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE, "quadrature_file": str(path)}))
+    assert sorf.cli.main(["import-quadrature", str(path)]) == 4
+    assert sorf.cli.main(["solve", str(cfg)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line.startswith("validation error: ") for line in captured.err.splitlines()] == [True, True]
 
 
 # a UTF-16 byte-order mark: not UTF-8, so reading the file fails to decode

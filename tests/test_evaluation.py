@@ -88,7 +88,7 @@ def test_pole_collision_names_the_lowest_function_and_its_first_point():
         evaluate_sorfs(H, K, 1.0, pts, max_deriv=1)
     with pytest.raises(PoleCollisionError, match=r"point 0\.1 collides with a pole of r_3$"):
         evaluate_sorfs(H, K, 1.0, pts[[0, 2]], max_deriv=1)
-    assert evaluate_sorfs(H, K, 1.0, pts, nfun=2).values.shape == (2, 1, 4)
+    assert evaluate_sorfs(H[:2, :2], K[:2, :2], 1.0, pts).values.shape == (2, 1, 4)
 
 
 def evaluate_by_column_and_order(H, K, wnorm, pts, max_deriv, nfun):
@@ -136,7 +136,7 @@ def test_one_product_per_column_matches_the_column_and_order_recurrence(route, N
     m = sol.m
     for max_deriv in range(4):
         for nfun in (1, 2, m // 2, m):
-            got = evaluate_sorfs(sol.H, sol.K, sol.wnorm, pts, max_deriv, nfun).values
+            got = evaluate_sorfs(sol.H[:nfun, :nfun], sol.K[:nfun, :nfun], sol.wnorm, pts, max_deriv).values
             ref = evaluate_by_column_and_order(sol.H, sol.K, sol.wnorm, pts, max_deriv, nfun)
             assert got.dtype == ref.dtype and got.shape == ref.shape
             scale = np.abs(ref).reshape(nfun, -1).max(axis=1)
@@ -186,7 +186,7 @@ def test_fused_derivative_orders_are_bitwise_the_loop_over_orders(route, N, xi, 
     pts = np.concatenate((np.array(spec.nodes), np.linspace(-0.95, 0.95, 7))) + shift
     for max_deriv in range(4):
         for nfun in (1, 2, sol.m // 2, sol.m):
-            got = evaluate_sorfs(sol.H, sol.K, sol.wnorm, pts, max_deriv, nfun).values
+            got = evaluate_sorfs(sol.H[:nfun, :nfun], sol.K[:nfun, :nfun], sol.wnorm, pts, max_deriv).values
             ref = evaluate_by_order(sol.H, sol.K, sol.wnorm, pts, max_deriv, nfun)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (max_deriv, nfun)
 
@@ -226,16 +226,36 @@ def test_each_pencil_of_a_stack_gets_the_table_it_gets_alone(data, shift):
         H, K, wnorms = np.stack([s.H for s in sols[:B]]), np.stack([s.K for s in sols[:B]]), [s.wnorm for s in sols[:B]]
         for max_deriv in (0, 1, 2):
             for nfun in (2, m // 2, m):
-                stacked = evaluate_sorfs(H, K, wnorms, pts, max_deriv, nfun)
+                stacked = evaluate_sorfs(H[:, :nfun, :nfun], K[:, :nfun, :nfun], wnorms, pts, max_deriv)
                 assert stacked.values.shape == (B, nfun, max_deriv + 1, pts.size)
                 assert (stacked.nfun, stacked.max_deriv) == (nfun, max_deriv)
                 for sol, values in zip(sols, stacked.values):
-                    alone = evaluate_sorfs(sol.H, sol.K, sol.wnorm, pts, max_deriv, nfun).values
+                    H1, K1 = sol.H[:nfun, :nfun], sol.K[:nfun, :nfun]
+                    alone = evaluate_sorfs(H1, K1, sol.wnorm, pts, max_deriv).values
                     assert values.dtype == alone.dtype and values.tobytes() == alone.tobytes(), (B, max_deriv, nfun)
         for sol, table in zip(sols, evaluate_solutions(sols[:B], pts, max_deriv=2)):
             alone = evaluate_solution(sol, pts, max_deriv=2)
             assert table.values.tobytes() == alone.values.tobytes()
 
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("data", GENERAL_SPECS)
+@pytest.mark.parametrize("shift", [0.0, 0.05j], ids=["real-points", "complex-points"])
+def test_the_leading_subpencil_tabulates_the_leading_functions_bit_for_bit(route, data, shift):
+    # r_0 .. r_{n-1} depend on the first n columns of the pencil alone: the
+    # table of the leading n x n subpencil (views, not copies) is bitwise the
+    # first n functions of the full pencil's table
+    spec, poles = GENERAL_SPECS[data]
+    sol = ROUTES[route](spec, poles)
+    pts = np.concatenate((np.array(spec.nodes), np.linspace(-0.9, 0.9, 5))) + shift
+    m = sol.m
+    for max_deriv in (0, 1, 2):
+        full = evaluate_sorfs(sol.H, sol.K, sol.wnorm, pts, max_deriv).values
+        for n in (1, 2, m // 2, m):
+            leading = evaluate_sorfs(sol.H[:n, :n], sol.K[:n, :n], sol.wnorm, pts, max_deriv).values
+            assert leading.dtype == full.dtype and leading.shape == (n, max_deriv + 1, pts.size)
+            assert leading.tobytes() == full[:n].tobytes(), (max_deriv, n)
 
 def collision_pencil(hsub):
     """A 4 x 4 pencil whose r_{j+1} has its pole at hsub[j] (K's subdiagonal is 1)."""
@@ -446,7 +466,7 @@ def continuous_on_two_tables(H, K, wnorm, mu, lam, n):
     """The continuous moment matrix on the 800-point rule, from a table of
     its own: the reference for the matrix on the nested 801-point rule."""
     rule = clenshaw_curtis(2 * CC_ORDER)
-    table = evaluate_sorfs(H, K, wnorm, rule.nodes, max_deriv=1, nfun=n)
+    table = evaluate_sorfs(H[:n, :n], K[:n, :n], wnorm, rule.nodes, max_deriv=1)
     wq = rule.weights * (1.0 - rule.nodes**2) ** mu
     return _gram(table.values, np.stack((wq, lam * wq)))
 
@@ -721,8 +741,7 @@ TWO_NODES = DiscreteSobolevSpec(nodes=(-0.5, 0.5), orders=(1, 0), alphas=((1.0,)
         (lambda: metric_poles(REDUCED, [INFINITY]), math.inf),
         (lambda: table_agreement(ONES, SorfTable(np.zeros((1, 1, 2), dtype=complex), np.zeros(2))), math.inf),
         (lambda: table_agreement(ONES, SorfTable(np.ones((2, 1, 2), dtype=complex), np.zeros(2))), ValueError),
-        (lambda: evaluate_sorfs(REDUCED.H, REDUCED.K, 1.0, [0.0], nfun=0), ValueError),
-        (lambda: evaluate_sorfs(REDUCED.H, REDUCED.K, 1.0, [0.0], nfun=3), ValueError),
+        (lambda: evaluate_sorfs(np.zeros((0, 0)), np.zeros((0, 0)), 1.0, [0.0]), ValueError),
         (lambda: evaluate_sorfs(REDUCED.H, REDUCED.K, 1.0, [0.0], max_deriv=-1), ValueError),
         (lambda: evaluate_sorfs(REDUCED.H, REDUCED.K, 1.0, [[0.0], [0.5]]), ValueError),
         (lambda: discrete_moment_matrix(TWO_NODES, SorfTable(np.ones((1, 2, 3)), np.zeros(3))), ValueError),
@@ -730,7 +749,7 @@ TWO_NODES = DiscreteSobolevSpec(nodes=(-0.5, 0.5), orders=(1, 0), alphas=((1.0,)
     ],
     ids=[
         "finite-pole-on-zero-subdiagonal", "zero-pole-on-zero-subdiagonal", "infinite-pole-on-zero-subdiagonal",
-        "zero-anchor", "mismatched-tables", "no-functions", "more-functions-than-m", "negative-max-deriv",
+        "zero-anchor", "mismatched-tables", "no-functions", "negative-max-deriv",
         "two-dimensional-points", "table-of-wrong-size",
         "table-without-derivatives",
     ],
