@@ -2,14 +2,18 @@
 
 Three constructions feed the discretized Sobolev inner product:
 
-* Gauss rules for the Gegenbauer weight (1-t^2)^mu, via the three-term
-  recurrence of the Jacobi polynomials with alpha = beta = mu and the
-  Golub-Welsch eigenvalue route (Gautschi, "Orthogonal Polynomials:
-  Computation and Approximation").
+* Gauss rules for the Gegenbauer weight (1-t^2)^mu, from the three-term
+  recurrence of the Jacobi polynomials with alpha = beta = mu (Gautschi,
+  "Orthogonal Polynomials: Computation and Approximation").  The weight is
+  even, so the Golub-Welsch eigenproblem splits: one symmetric tridiagonal
+  eigenproblem of half the order gives the nodes and weights of the n-node
+  rule (Meurant and Sommariva, "Fast variants of the Golub and Welsch
+  algorithm for symmetric weight functions", Numer. Algorithms 2014).
 * Gauss rules exact on rational function spaces with prescribed real poles
   outside [-1, 1].  These are built from the modified measure
   d(mu) / prod_k (t - xi_k)^2 by a discrete Stieltjes procedure on a large
-  auxiliary Gauss-Gegenbauer rule, followed by Golub-Welsch; the weights are
+  auxiliary Gauss-Gegenbauer rule, followed by the full Golub-Welsch route
+  (the modified measure is not even in general); the weights are
   de-modified afterwards.
 * Clenshaw-Curtis rules with unit weight, integrating the continuous metric,
   the tests and demo 04 (callers fold the weight function into the integrand).
@@ -93,13 +97,18 @@ def gegenbauer_coefficients(mu: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return alpha, beta
 
 
+def _jacobi_off_diagonal(beta: np.ndarray) -> np.ndarray:
+    """sqrt(beta_k), k >= 1: the off-diagonal of the Jacobi matrix."""
+    if not np.all(beta > 0.0):  # also refuses NaN
+        raise PositivityError("recurrence norms beta_k must be positive")
+    return np.sqrt(beta[1:])
+
+
 def golub_welsch(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the Gauss rule from recurrence shifts alpha_k and
     norms beta_k, beta_0 carrying the total mass; the nodes are ascending,
     in the order LAPACK's tridiagonal eigensolver returns them."""
-    if not np.all(beta > 0.0):  # also refuses NaN
-        raise PositivityError("recurrence norms beta_k must be positive")
-    nodes, vecs = eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
+    nodes, vecs = eigh_tridiagonal(alpha, _jacobi_off_diagonal(beta))
     return nodes, beta[0] * vecs[0, :] ** 2
 
 
@@ -107,12 +116,35 @@ def golub_welsch(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.nd
 def gauss_gegenbauer(mu: float, n: int) -> QuadratureRule:
     """n-node Gauss rule for the weight (1-t^2)^mu on [-1, 1].
 
+    The weight is even, so the Jacobi matrix of off-diagonal b = sqrt(beta[1:])
+    has a zero diagonal, and ordering its rows and columns evens first makes
+    it [[0, B], [B^T, 0]] with B lower bidiagonal, B[i, i] = b_2i and
+    B[i, i-1] = b_2i-1 (an odd n gives B a zero last column).  One tridiagonal
+    eigenproblem of order ceil(n/2), T = B B^T, gives the rule (Meurant and
+    Sommariva, Numer. Algorithms 2014): the nodes are +-||B^T v_k|| and the
+    weights beta_0 v_k[0]^2 / 2, mirrored, so the rule is exactly symmetric;
+    for odd n, T's smallest eigenvalue is the node 0.0, its weight not halved.
+
     Each rule is built once per (mu, n) and cached, the 64 most recently
     used kept; its nodes and weights are read-only.
     """
     if n < 1:
         raise ConfigError("a Gauss rule needs at least one node")
-    rule = QuadratureRule(*golub_welsch(*gegenbauer_coefficients(mu, n)), "gegenbauer")
+    beta = gegenbauer_coefficients(mu, n)[1]
+    b = np.zeros(n + n % 2)  # b padded with zeros to an even length
+    b[: n - 1] = _jacobi_off_diagonal(beta)
+    diag, low = b[0::2], b[1::2]  # B's diagonal and subdiagonal, low[-1] = 0
+    d = diag**2
+    d[1:] += low[:-1] ** 2
+    vecs = eigh_tridiagonal(d, diag[:-1] * low[:-1])[1]
+    bt_vecs = diag[:, None] * vecs
+    bt_vecs[:-1] += low[:-1, None] * vecs[1:]
+    k = n % 2
+    x = np.linalg.norm(bt_vecs[:, k:], axis=0)  # sqrt of the eigenvalues would lose the small nodes' digits
+    w = beta[0] * vecs[0, k:] ** 2 / 2
+    nodes = np.concatenate((-x[::-1], np.zeros(k), x))
+    weights = np.concatenate((w[::-1], beta[0] * vecs[0, :k] ** 2, w))
+    rule = QuadratureRule(nodes, weights, "gegenbauer")
     rule.nodes.flags.writeable = rule.weights.flags.writeable = False
     return rule
 
